@@ -1,11 +1,10 @@
-//! Campaign-engine throughput: the serial driver (copy-on-write
-//! apply, cached baseline serialization) versus the persistent
-//! executor-backed parallel driver, over the full §5.2 fault load.
-//! The parallel numbers scale with core count; on a single-core
-//! machine they only show the sharding overhead (and the executor's
-//! serial fast path).
+//! Campaign-engine throughput: a serial `Campaign` (copy-on-write
+//! apply, cached baseline serialization) versus a persistent
+//! `CampaignExecutor` pool, over the full §5.2 fault load. The pooled
+//! numbers scale with core count; on a single-core machine they only
+//! show the sharding overhead (and the executor's serial fast path).
 
-use conferr::{sut_factory, Campaign, ParallelCampaign};
+use conferr::{sut_factory, Campaign, CampaignExecutor, ExecutorCampaign};
 use conferr_bench::{default_threads, table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
 use conferr_model::GeneratedFault;
@@ -34,13 +33,13 @@ fn bench_serial_vs_parallel(c: &mut Criterion) {
         });
     });
 
-    let threads = default_threads();
     group.bench_function("parallel_postgres_table1", |b| {
-        let campaign = ParallelCampaign::new(sut_factory(PostgresSim::new))
-            .expect("campaign")
-            .with_threads(threads);
+        let executor = CampaignExecutor::new(default_threads());
+        let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).expect("campaign");
         b.iter(|| {
-            let profile = campaign.run_faults(black_box(faults.clone())).expect("run");
+            let profile = executor
+                .run_faults(&campaign, black_box(faults.clone()))
+                .expect("run");
             black_box(profile.summary())
         });
     });

@@ -7,11 +7,11 @@
 
 use conferr::report::TextTable;
 use conferr::CampaignExecutor;
-use conferr_bench::{table3_parallel, threads_from_env};
+use conferr_bench::{table3, threads_from_env};
 
 fn main() {
     let executor = CampaignExecutor::new(threads_from_env());
-    let t3 = table3_parallel(&executor).expect("table 3 campaign failed");
+    let t3 = table3(&executor).expect("table 3 campaign failed");
 
     println!("Table 3. Resilience to semantic errors");
     println!();

@@ -14,9 +14,10 @@
 //! pointer-shared with the baseline is neither re-serialized nor
 //! diffed — its shared text (plus precomputed content identity) is
 //! handed to the SUT, whose [`conferr_sut::ParseCache`] then skips
-//! re-parsing it at startup. For multi-core throughput,
-//! [`crate::ParallelCampaign`] shards a fault load across worker
-//! threads over the same shared engine.
+//! re-parsing it at startup. A campaign runs on the executor's serial
+//! loop over its borrowed SUT; for multi-core throughput,
+//! [`crate::CampaignExecutor`] shards fault loads across worker
+//! threads over the same kind of shared engine.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -33,6 +34,7 @@ use conferr_sut::{ConfigPayload, Deadline, FileText, StartOutcome, SystemUnderTe
 use conferr_tree::diff;
 use parking_lot::Mutex;
 
+use crate::executor::{serial_loop, ExecPolicy, SutSlot};
 use crate::{InjectionOutcome, InjectionResult, ResilienceProfile};
 
 /// Maximum number of diff lines recorded per injection.
@@ -154,13 +156,17 @@ pub(crate) fn empty_diff() -> Arc<[String]> {
 /// the pristine baseline set, the baseline's serialized text, and the
 /// fault memo.
 ///
-/// The engine is what both the serial [`Campaign`] and the
-/// [`crate::ParallelCampaign`] drive injections through. It holds no
+/// The engine is what both [`Campaign`] and the
+/// [`crate::CampaignExecutor`] drive injections through. It holds no
 /// SUT and, apart from the internally synchronized memo, is never
 /// mutated after construction, so worker threads can share one engine
 /// by reference (`ConfigFormat` is `Send + Sync`, and the baseline's
 /// `Arc`-shared trees are immutable).
 pub(crate) struct InjectionEngine {
+    /// The tier the construction-time SUT reported — recorded on
+    /// harness-failure rows, where the panicking SUT can no longer be
+    /// asked which tier it was serving from.
+    tier: Tier,
     formats: BTreeMap<String, Box<dyn ConfigFormat>>,
     baseline: ConfigSet,
     /// `serialize(baseline[file])` wrapped as baseline-origin payload
@@ -287,6 +293,7 @@ impl InjectionEngine {
         }
         let analysis = Self::scout(sut, &baseline, &baseline_payload);
         Ok(InjectionEngine {
+            tier: sut.tier(),
             formats,
             baseline,
             baseline_payload,
@@ -453,6 +460,11 @@ impl InjectionEngine {
     /// The parsed baseline configuration set.
     pub(crate) fn baseline(&self) -> &ConfigSet {
         &self.baseline
+    }
+
+    /// The tier the construction-time SUT reported.
+    pub(crate) fn tier(&self) -> Tier {
+        self.tier
     }
 
     /// Serializes a configuration set to a startup payload. Files
@@ -810,28 +822,12 @@ impl<'s> Campaign<'s> {
         })
     }
 
-    /// Creates a campaign from explicit configuration text instead of
-    /// the SUT defaults. Convenience wrapper over
-    /// [`Campaign::with_payload`] for callers holding a plain text
-    /// map; the map is wrapped into a [`ConfigPayload`] once, then
-    /// parsed from the shared text.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Campaign::with_payload`].
-    pub fn with_configs(
-        sut: &'s mut dyn SystemUnderTest,
-        configs: &BTreeMap<String, String>,
-    ) -> Result<Self, CampaignError> {
-        Self::with_payload(sut, &ConfigPayload::from_texts(configs))
-    }
-
     /// Creates a campaign from explicit configuration payloads instead
-    /// of the SUT defaults (used e.g. by the §5.5 comparison driver,
-    /// which runs against a full-coverage configuration). Overridden
-    /// files are parsed once, from the payload's shared `Arc<str>`
-    /// text — no `String` clone per campaign; only non-overridden
-    /// files fall back to the SUT defaults.
+    /// of the SUT defaults (build one from plain text with
+    /// [`ConfigPayload::from_texts`]). Overridden files are parsed
+    /// once, from the payload's shared `Arc<str>` text — no `String`
+    /// clone per campaign; only non-overridden files fall back to the
+    /// SUT defaults.
     ///
     /// # Errors
     ///
@@ -982,9 +978,16 @@ impl<'s> Campaign<'s> {
     /// most [`crate::DEFAULT_CHUNK_SIZE`] faults are in flight and no
     /// outcome is ever buffered.
     ///
+    /// This is the [`crate::CampaignExecutor`]'s 1-thread loop with
+    /// the borrowed SUT as its one-slot SUT cache, under the
+    /// executor's default contract: a harness panic on one fault is
+    /// recorded as [`crate::InjectionResult::HarnessFailure`] for that
+    /// fault, the SUT is `stop()`ped, and the campaign keeps running.
+    ///
     /// # Errors
     ///
-    /// Propagates the source's first production failure, or the sink's
+    /// Propagates the source's first production failure — a panicking
+    /// source included — as [`CampaignError::Generate`], or the sink's
     /// first reported I/O failure ([`OutcomeSink::take_error`]) as
     /// [`CampaignError::SinkIo`]; outcomes already handed to the sink
     /// stay handed.
@@ -995,63 +998,16 @@ impl<'s> Campaign<'s> {
         source: &mut dyn FaultSource,
         sink: &mut dyn crate::OutcomeSink,
     ) -> Result<(), CampaignError> {
-        let mut chunk = Vec::with_capacity(crate::DEFAULT_CHUNK_SIZE);
-        loop {
-            chunk.clear();
-            source
-                .next_chunk(crate::DEFAULT_CHUNK_SIZE, &mut chunk)
-                .map_err(CampaignError::Generate)?;
-            // Exhaustion is judged by what was actually appended, so
-            // a source that miscounts cannot loop the driver forever.
-            if chunk.is_empty() {
-                return Ok(());
-            }
-            for fault in chunk.drain(..) {
-                sink.accept(self.engine.outcome(self.sut, fault));
-            }
-            // Streaming sinks swallow write errors to keep `accept`
-            // infallible; drain them here so a failing export aborts
-            // the campaign instead of silently dropping rows.
-            if let Some(e) = sink.take_error() {
-                return Err(CampaignError::SinkIo(e));
-            }
-        }
-    }
-
-    /// Runs an explicit fault load across `threads` worker threads,
-    /// each driving its own SUT instance built by `factory`, and
-    /// merges the outcomes back in fault order. The resulting profile
-    /// is byte-identical to a serial [`Campaign::run_faults`] over the
-    /// same faults (asserted by the integration tests): outcomes
-    /// depend only on the shared baseline and the fault, never on
-    /// which worker ran them.
-    ///
-    /// The baseline is rebuilt from the factory's SUT **defaults** —
-    /// the equivalence above holds for faults generated against a
-    /// [`Campaign::new`]-style baseline. For a fault load generated
-    /// against overridden configuration text, use
-    /// [`crate::ParallelCampaign::with_configs`] so the workers share
-    /// the same overridden baseline the faults were derived from.
-    ///
-    /// This is an associated function (not a method) because a serial
-    /// campaign holds exactly one borrowed SUT; parallel execution
-    /// needs one instance per worker. See [`crate::ParallelCampaign`]
-    /// for the reusable, generator-aware form, and
-    /// [`crate::CampaignExecutor`] for a pool that persists across
-    /// calls.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the factory's SUT declares an unparseable or
-    /// unserializable default configuration.
-    pub fn run_faults_parallel(
-        factory: crate::SutFactory,
-        faults: Vec<GeneratedFault>,
-        threads: usize,
-    ) -> Result<ResilienceProfile, CampaignError> {
-        crate::ParallelCampaign::new(factory)?
-            .with_threads(threads)
-            .run_faults(faults)
+        serial_loop(
+            &self.engine,
+            &mut SutSlot::Borrowed(&mut *self.sut),
+            source,
+            sink,
+            crate::DEFAULT_CHUNK_SIZE,
+            &ExecPolicy::default(),
+            &mut |_| {},
+        )?;
+        Ok(())
     }
 }
 
@@ -1123,7 +1079,8 @@ mod tests {
             "postgresql.conf".to_string(),
             "port = 5432\nmax_connections = 10\nshared_buffers = 100\n".to_string(),
         );
-        let campaign = Campaign::with_configs(&mut sut, &configs).unwrap();
+        let campaign =
+            Campaign::with_payload(&mut sut, &ConfigPayload::from_texts(&configs)).unwrap();
         let tree = campaign.baseline().get("postgresql.conf").unwrap();
         assert_eq!(tree.root().children_of_kind("directive").count(), 3);
     }
@@ -1134,7 +1091,7 @@ mod tests {
         let mut configs = BTreeMap::new();
         configs.insert("other.conf".to_string(), String::new());
         assert!(matches!(
-            Campaign::with_configs(&mut sut, &configs),
+            Campaign::with_payload(&mut sut, &ConfigPayload::from_texts(&configs)),
             Err(CampaignError::UnknownFormat { .. })
         ));
     }

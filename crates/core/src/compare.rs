@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::LazyLock;
 
 use conferr_model::{ConfigSet, ErrorClass, FaultScenario, GeneratedFault, TreeEdit, TypoKind};
-use conferr_sut::{ConfigPayload, SystemUnderTest};
+use conferr_sut::ConfigPayload;
 use conferr_tree::{NodeQuery, TreePath};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::executor::{CampaignBatch, CampaignExecutor, ExecutorCampaign, SutFactory};
-use crate::{Campaign, CampaignError};
+use crate::CampaignError;
 
 /// The four detection-rate bands of Figure 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -180,8 +180,10 @@ impl fmt::Display for ComparisonReport {
     }
 }
 
-/// Runs the §5.5 value-typo resilience procedure against one system.
+/// Runs the §5.5 value-typo resilience procedure against one system
+/// on `executor`.
 ///
+/// * `factory` — builds the system's SUT instances;
 /// * `configs` — the full-coverage configuration payload (every
 ///   directive with a default value, booleans excluded, as in the
 ///   paper); build one from plain text with
@@ -191,29 +193,52 @@ impl fmt::Display for ComparisonReport {
 /// * `experiments_per_directive` — the paper ran 20;
 /// * `skip_directives` — names to exclude (booleans, no-default).
 ///
+/// The full-coverage configuration is parsed into **one** shared
+/// engine, every directive's fault load becomes one [`CampaignBatch`]
+/// entry against it, and the executor's workers steal directives off
+/// the shared queue, reusing their cached SUT instances. Results are
+/// identical at every thread count: the per-directive seeds depend
+/// only on the directive's index.
+///
 /// # Errors
 ///
 /// Propagates [`CampaignError`] from campaign construction.
 pub fn value_typo_resilience(
-    sut: &mut dyn SystemUnderTest,
+    factory: SutFactory,
     configs: &ConfigPayload,
     mutator: &dyn Fn(&str) -> Vec<(String, String)>,
     experiments_per_directive: usize,
     seed: u64,
     skip_directives: &[&str],
+    executor: &CampaignExecutor,
 ) -> Result<SystemResilience, CampaignError> {
-    let system = sut.name().to_string();
-    let mut campaign = Campaign::with_payload(sut, configs)?;
+    let campaign = ExecutorCampaign::with_payload(factory, configs)?;
+    let system = campaign.system().to_string();
     let targets = enumerate_targets(campaign.baseline(), skip_directives);
 
-    let mut directives = Vec::with_capacity(targets.len());
+    // One batch entry per directive, all sharing the campaign's
+    // engine; the executor merges outcomes per entry, in fault order.
+    let mut batch = CampaignBatch::new();
+    let mut names = Vec::with_capacity(targets.len());
     for (idx, target) in targets.into_iter().enumerate() {
-        let name = target.2.clone();
+        names.push(target.2.clone());
         let faults = directive_faults(idx, target, mutator, experiments_per_directive, seed);
-        let experiments = faults.len();
-        let profile = campaign.run_faults(faults)?;
-        directives.push(directive_resilience(name, experiments, &profile));
+        batch.push(&campaign, faults);
     }
+    let profiles = executor.run_batch(batch)?;
+
+    let directives = names
+        .into_iter()
+        .zip(&profiles)
+        .map(|(directive, profile)| {
+            let summary = profile.summary();
+            DirectiveResilience {
+                directive,
+                experiments: summary.total,
+                detected: summary.detected_at_startup + summary.detected_by_tests,
+            }
+        })
+        .collect();
     Ok(SystemResilience { system, directives })
 }
 
@@ -247,7 +272,7 @@ fn enumerate_targets(baseline: &ConfigSet, skip_directives: &[&str]) -> Vec<Targ
 
 /// Builds the seeded typo fault load for one directive. Pure in
 /// `(idx, target, seed)` — this is what makes the batched runner
-/// bit-identical to the sequential one: the faults depend only on the
+/// bit-identical at every thread count: the faults depend only on the
 /// directive's index, never on scheduling.
 fn directive_faults(
     idx: usize,
@@ -276,93 +301,6 @@ fn directive_faults(
             })
         })
         .collect()
-}
-
-/// Folds one directive's profile into its detection statistics.
-fn directive_resilience(
-    directive: String,
-    experiments: usize,
-    profile: &crate::ResilienceProfile,
-) -> DirectiveResilience {
-    let summary = profile.summary();
-    DirectiveResilience {
-        directive,
-        experiments,
-        detected: summary.detected_at_startup + summary.detected_by_tests,
-    }
-}
-
-/// Parallel variant of [`value_typo_resilience`], rebased on the
-/// persistent [`CampaignExecutor`]: the full-coverage configuration is
-/// parsed into **one** shared engine (no per-thread re-parse, no
-/// per-run `String` clones), every directive's fault load becomes one
-/// [`CampaignBatch`] entry against that engine, and the executor's
-/// workers steal directives off the shared queue, reusing their
-/// cached SUT instances. Results are bit-identical to the sequential
-/// run — the per-directive seeds depend only on the directive's
-/// index.
-///
-/// # Errors
-///
-/// Propagates [`CampaignError`] from campaign construction.
-pub fn parallel_value_typo_resilience(
-    factory: SutFactory,
-    configs: &ConfigPayload,
-    mutator: &dyn Fn(&str) -> Vec<(String, String)>,
-    experiments_per_directive: usize,
-    seed: u64,
-    skip_directives: &[&str],
-    executor: &CampaignExecutor,
-) -> Result<SystemResilience, CampaignError> {
-    let campaign = ExecutorCampaign::with_payload(factory, configs)?;
-    let system = campaign.system().to_string();
-    let targets = enumerate_targets(campaign.baseline(), skip_directives);
-
-    // One batch entry per directive, all sharing the campaign's
-    // engine; the executor merges outcomes per entry, in fault order.
-    let mut batch = CampaignBatch::new();
-    let mut names = Vec::with_capacity(targets.len());
-    for (idx, target) in targets.into_iter().enumerate() {
-        names.push(target.2.clone());
-        let faults = directive_faults(idx, target, mutator, experiments_per_directive, seed);
-        batch.push(&campaign, faults);
-    }
-    let profiles = executor.run_batch(batch)?;
-
-    let directives = names
-        .into_iter()
-        .zip(&profiles)
-        .map(|(name, profile)| directive_resilience(name, profile.len(), profile))
-        .collect();
-    Ok(SystemResilience { system, directives })
-}
-
-/// Convenience wrapper running [`value_typo_resilience`] for several
-/// systems and bundling the results — "we used this approach to
-/// compare Postgres and MySQL".
-///
-/// # Errors
-///
-/// Propagates the first per-system failure.
-#[allow(clippy::type_complexity)]
-pub fn compare_value_typo_resilience(
-    runs: Vec<(&mut dyn SystemUnderTest, ConfigPayload, Vec<&'static str>)>,
-    mutator: &dyn Fn(&str) -> Vec<(String, String)>,
-    experiments_per_directive: usize,
-    seed: u64,
-) -> Result<ComparisonReport, CampaignError> {
-    let mut systems = Vec::new();
-    for (sut, configs, skip) in runs {
-        systems.push(value_typo_resilience(
-            sut,
-            &configs,
-            mutator,
-            experiments_per_directive,
-            seed,
-            &skip,
-        )?);
-    }
-    Ok(ComparisonReport { systems })
 }
 
 /// Restricts a [`SystemResilience`] to the directives relevant to one

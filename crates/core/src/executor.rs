@@ -50,9 +50,8 @@
 //! the chunk factor.
 //!
 //! Completed outcomes are published in **batches**: each thread
-//! accumulates up to [`DEFAULT_COMPLETION_BATCH`] outcomes
-//! (configurable via [`CampaignExecutor::set_completion_batch`]) in a
-//! thread-local buffer and parks them in the entry's reorder buffer
+//! accumulates up to eight outcomes in a thread-local buffer and
+//! parks them in the entry's reorder buffer
 //! under one lock acquisition, flushing early on chunk boundaries,
 //! exhaustion and panics — so isolation and checkpoint semantics are
 //! unchanged. The submitting thread drains each entry's contiguous
@@ -68,10 +67,14 @@
 //! to a serial [`crate::Campaign::run_faults`] over the same faults
 //! (asserted by the integration tests and the campaign bench). When
 //! the executor's effective parallelism is 1 — a one-core machine, or
-//! `threads = 1` — submissions take a serial fast path with zero
-//! queue, buffer or window overhead, driving the caller-side SUT
-//! cache directly on the submitting thread and handing each outcome
-//! to its sink the moment it completes.
+//! `threads = 1` — submissions take the serial loop with zero queue,
+//! buffer or window overhead, driving the caller-side SUT cache
+//! directly on the submitting thread and handing each outcome to its
+//! sink the moment it completes. [`crate::Campaign`] runs on that
+//! same loop over its borrowed SUT, so both share one failure
+//! contract: per-fault isolation, retry and quarantine, source panics
+//! as [`CampaignError::Generate`] and sink failures as
+//! [`CampaignError::SinkIo`].
 //!
 //! # Examples
 //!
@@ -150,9 +153,16 @@ pub const DEFAULT_CHUNK_SIZE: usize = 16;
 /// Completed outcomes a thread accumulates locally before publishing
 /// them to an entry's reorder buffer in one lock acquisition — half a
 /// default chunk, so even a thread working one chunk publishes (and
-/// releases window space) mid-chunk. Tune per executor with
-/// [`CampaignExecutor::set_completion_batch`].
-pub const DEFAULT_COMPLETION_BATCH: usize = 8;
+/// releases window space) mid-chunk. Publishing every outcome on its
+/// own measured slower on the warm-rerun workload, where emit-lock
+/// traffic dominates.
+const COMPLETION_BATCH: usize = 8;
+
+/// Default worker count for [`CampaignExecutor`]: every core the
+/// machine offers (1 when the parallelism cannot be determined).
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
 
 /// Locks a [`Mutex`], shedding poisoning (a panicking worker must not
 /// wedge the pool; the executor's state is repaired by the next
@@ -224,9 +234,8 @@ impl fmt::Debug for SutFactory {
 
 /// Shorthand for [`SutFactory::new`]:
 /// `sut_factory(PostgresSim::new)` reads better than the
-/// closure-plus-box it expands to. This is the factory shape every
-/// parallel driver ([`CampaignExecutor`], [`crate::ParallelCampaign`],
-/// [`crate::Campaign::run_faults_parallel`]) expects.
+/// closure-plus-box it expands to. This is the factory shape
+/// [`ExecutorCampaign::new`] expects.
 pub fn sut_factory<S, C>(construct: C) -> SutFactory
 where
     S: SystemUnderTest + Send + 'static,
@@ -287,9 +296,20 @@ impl Default for RetryPolicy {
 /// The execution policy snapshot one submission runs under: knob
 /// changes mid-flight never affect a batch already running.
 #[derive(Debug, Clone, Copy)]
-struct ExecPolicy {
+pub(crate) struct ExecPolicy {
     isolate: bool,
     retry: RetryPolicy,
+}
+
+impl Default for ExecPolicy {
+    /// The executor's defaults — isolation on, no retry — and the
+    /// only policy [`crate::Campaign`] runs under.
+    fn default() -> Self {
+        ExecPolicy {
+            isolate: true,
+            retry: RetryPolicy::none(),
+        }
+    }
 }
 
 /// Faults remembered as repeatedly failing before the quarantine list
@@ -343,46 +363,73 @@ fn harness_failure_outcome(
     }
 }
 
-/// One fault's isolated execution: what to record, how many retries
-/// it took, and whether every attempt failed retryably (the
-/// quarantine signal).
-struct IsolatedRun {
+/// Pulls one chunk with a panicking source contained into a
+/// generation error, so a buggy generator ends the campaign cleanly
+/// instead of unwinding through the driver.
+fn pull_contained(
+    source: &mut dyn FaultSource,
+    max: usize,
+    out: &mut Vec<GeneratedFault>,
+) -> Result<usize, GenerateError> {
+    catch_unwind(AssertUnwindSafe(|| source.next_chunk(max, out))).unwrap_or_else(|payload| {
+        Err(GenerateError::new(
+            "fault-source",
+            format!("source panicked: {}", panic_message(payload.as_ref())),
+        ))
+    })
+}
+
+/// One fault's execution: what to record, how many retries it took,
+/// and whether every attempt failed retryably (the quarantine
+/// signal).
+struct FaultRun {
     outcome: InjectionOutcome,
     retries: usize,
     exhausted: bool,
 }
 
-/// Runs one fault with the harness contained: a panic anywhere from
-/// SUT construction through classification is caught, the panicking
-/// SUT (alone) is shed, and the fault is recorded as a
-/// [`InjectionResult::HarnessFailure`]. Harness panics and deadline
-/// overruns are retried per `retry`; anything else returns
-/// immediately.
-fn run_fault_isolated(
-    campaign: &ExecutorCampaign,
-    suts: &mut SutCache,
-    fault: &GeneratedFault,
-    retry: &RetryPolicy,
-) -> IsolatedRun {
-    let attempts = retry.max_attempts.max(1);
+/// Runs one fault under `policy`.
+///
+/// Isolated (the default), the harness is contained: a panic anywhere
+/// from SUT construction through classification is caught, the
+/// panicking SUT is shed ([`SutSlot::shed`]), and the fault is
+/// recorded as a [`InjectionResult::HarnessFailure`]. Harness panics
+/// and deadline overruns are retried per `policy.retry`; anything
+/// else returns immediately. Strict, the fault runs bare and a panic
+/// unwinds to the caller.
+fn run_fault(
+    engine: &InjectionEngine,
+    slot: &mut SutSlot<'_>,
+    fault: GeneratedFault,
+    policy: &ExecPolicy,
+) -> FaultRun {
+    if !policy.isolate {
+        let outcome = engine.outcome(slot.get(), fault);
+        slot.release();
+        return FaultRun {
+            outcome,
+            retries: 0,
+            exhausted: false,
+        };
+    }
+    let attempts = policy.retry.max_attempts.max(1);
     let mut last = None;
     for attempt in 1..=attempts {
         if attempt > 1 {
-            let backoff = retry.backoff(attempt - 1);
+            let backoff = policy.retry.backoff(attempt - 1);
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
         }
         let run = catch_unwind(AssertUnwindSafe(|| {
-            let sut = suts.get_or_create(&campaign.factory);
-            campaign.engine.outcome(sut, fault.clone())
+            engine.outcome(slot.get(), fault.clone())
         }));
         match run {
             Ok(outcome) => {
-                suts.live = None;
+                slot.release();
                 let retryable = matches!(outcome.result, crate::InjectionResult::TimedOut { .. });
                 if !retryable {
-                    return IsolatedRun {
+                    return FaultRun {
                         outcome,
                         retries: (attempt - 1) as usize,
                         exhausted: false,
@@ -391,19 +438,116 @@ fn run_fault_isolated(
                 last = Some(outcome);
             }
             Err(payload) => {
-                suts.shed_live();
+                slot.shed();
                 last = Some(harness_failure_outcome(
-                    fault,
+                    &fault,
                     panic_message(payload.as_ref()),
-                    campaign.default_tier,
+                    engine.tier(),
                 ));
             }
         }
     }
-    IsolatedRun {
+    FaultRun {
         outcome: last.expect("at least one attempt ran"),
         retries: (attempts - 1) as usize,
         exhausted: true,
+    }
+}
+
+/// The one serial campaign loop, shared by
+/// [`crate::Campaign::run_source`] and the executor's 1-thread path:
+/// pull a chunk from `source`, run each fault under `policy`, hand
+/// each outcome to `sink` the moment it completes, and surface the
+/// sink's first I/O failure after each chunk. Returns
+/// `(outcomes, retries)`.
+///
+/// Isolated, a panicking source becomes [`CampaignError::Generate`].
+/// On any error, outcomes already handed to the sink stay handed.
+pub(crate) fn serial_loop(
+    engine: &InjectionEngine,
+    slot: &mut SutSlot<'_>,
+    source: &mut dyn FaultSource,
+    sink: &mut dyn OutcomeSink,
+    chunk_size: usize,
+    policy: &ExecPolicy,
+    quarantine: &mut dyn FnMut(&str),
+) -> Result<(usize, usize), CampaignError> {
+    let mut outcomes = 0;
+    let mut retries = 0;
+    let mut chunk = Vec::with_capacity(chunk_size);
+    loop {
+        chunk.clear();
+        if policy.isolate {
+            pull_contained(source, chunk_size, &mut chunk)
+        } else {
+            source.next_chunk(chunk_size, &mut chunk)
+        }
+        .map_err(CampaignError::Generate)?;
+        // Exhaustion is judged by what was appended, not the returned
+        // count, so a source that miscounts cannot loop forever.
+        if chunk.is_empty() {
+            return Ok((outcomes, retries));
+        }
+        for fault in chunk.drain(..) {
+            let run = run_fault(engine, slot, fault, policy);
+            retries += run.retries;
+            if run.exhausted {
+                quarantine(&run.outcome.id);
+            }
+            sink.accept(run.outcome);
+            outcomes += 1;
+        }
+        // Streaming sinks swallow write errors to keep `accept`
+        // infallible; drain them here so a failing export aborts the
+        // campaign instead of silently dropping rows.
+        if let Some(e) = sink.take_error() {
+            return Err(CampaignError::SinkIo(e));
+        }
+    }
+}
+
+/// Where the serial loop's SUT comes from.
+pub(crate) enum SutSlot<'a> {
+    /// A thread's SUT cache, filled from the campaign's factory; a
+    /// contained panic drops the live SUT.
+    Cached {
+        cache: &'a mut SutCache,
+        factory: &'a SutFactory,
+    },
+    /// A caller's borrowed SUT: a one-slot cache that cannot be
+    /// dropped, so a contained panic `stop()`s it instead. Every
+    /// simulator's `start` clears its running state first, so the
+    /// next fault starts from a reset SUT.
+    Borrowed(&'a mut dyn SystemUnderTest),
+}
+
+impl SutSlot<'_> {
+    /// The SUT to drive the next fault against (a cached one is
+    /// marked live first).
+    fn get(&mut self) -> &mut dyn SystemUnderTest {
+        match self {
+            SutSlot::Cached { cache, factory } => cache.get_or_create(factory),
+            SutSlot::Borrowed(sut) => &mut **sut,
+        }
+    }
+
+    /// The fault completed normally: nothing is live any more.
+    fn release(&mut self) {
+        if let SutSlot::Cached { cache, .. } = self {
+            cache.live = None;
+        }
+    }
+
+    /// A panic unwound through the live SUT: drop it from the cache,
+    /// or stop the borrowed one (containing a second panic from
+    /// `stop` itself, which a SUT that just panicked may raise).
+    fn shed(&mut self) {
+        match self {
+            SutSlot::Cached { cache, .. } => cache.shed_live(),
+            SutSlot::Borrowed(sut) => {
+                let _ = catch_unwind(AssertUnwindSafe(|| sut.stop()));
+            }
+        }
     }
 }
 
@@ -412,7 +556,7 @@ fn run_fault_isolated(
 /// factory alive, so a key can never be recycled by a new allocation
 /// while its SUT is cached.
 #[derive(Default)]
-struct SutCache {
+pub(crate) struct SutCache {
     suts: HashMap<usize, (SutFactory, Box<dyn SystemUnderTest + Send>)>,
     /// The entry currently driving a fault, if any. A panic can only
     /// leave *that* SUT half-mutated, so panic recovery sheds exactly
@@ -465,10 +609,6 @@ pub struct ExecutorCampaign {
     system: String,
     factory: SutFactory,
     engine: Arc<InjectionEngine>,
-    /// The tier the scout instance reported at construction — the
-    /// tier recorded on harness-failure rows, where the panicking SUT
-    /// can no longer be asked which tier it was serving from.
-    default_tier: conferr_sut::Tier,
 }
 
 impl fmt::Debug for ExecutorCampaign {
@@ -505,20 +645,6 @@ impl ExecutorCampaign {
         Self::build(factory, Some(configs))
     }
 
-    /// Creates a campaign from explicit configuration text, wrapping
-    /// the map into a payload once (see
-    /// [`crate::Campaign::with_configs`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`crate::Campaign::with_configs`].
-    pub fn with_configs(
-        factory: SutFactory,
-        configs: &BTreeMap<String, String>,
-    ) -> Result<Self, CampaignError> {
-        Self::build(factory, Some(&ConfigPayload::from_texts(configs)))
-    }
-
     fn build(
         factory: SutFactory,
         overrides: Option<&ConfigPayload>,
@@ -527,7 +653,6 @@ impl ExecutorCampaign {
         let engine = Arc::new(InjectionEngine::new(scout.as_mut(), overrides)?);
         Ok(ExecutorCampaign {
             system: scout.name().to_string(),
-            default_tier: scout.tier(),
             factory,
             engine,
         })
@@ -617,15 +742,6 @@ impl FaultFeed {
             FaultFeed::Eager(faults) => faults,
             FaultFeed::Source(source) => source.as_mut(),
         }
-    }
-
-    /// Appends up to `max` faults to `out` (eager feeds never fail).
-    fn next_chunk(
-        &mut self,
-        max: usize,
-        out: &mut Vec<GeneratedFault>,
-    ) -> Result<usize, GenerateError> {
-        self.as_source().next_chunk(max, out)
     }
 
     /// Exact remaining count for eager feeds, the source's lower
@@ -807,9 +923,6 @@ struct StreamState {
     /// `chunk × threads`: the *per-entry* cap on faults produced but
     /// not sunk.
     window: usize,
-    /// Outcomes a thread buffers locally before publishing them in
-    /// one emit-lock acquisition (snapshotted at submission).
-    completion_batch: usize,
     /// Isolation/retry policy snapshotted at submission.
     policy: ExecPolicy,
     /// Shared with the executor: faults whose every attempt failed
@@ -876,7 +989,7 @@ impl Drop for PoisonOnPanic<'_> {
 
 /// A thread-local buffer of completed outcomes for one batch entry,
 /// published to the entry's reorder buffer in batches of
-/// `completion_batch` under a single emit-lock acquisition — the
+/// [`COMPLETION_BATCH`] under a single emit-lock acquisition — the
 /// "drain every K" half of the sharded scheduler. Dropping the
 /// buffer flushes the remainder, so chunk boundaries, exhaustion
 /// *and unwinding panics* all publish every completed outcome:
@@ -886,17 +999,14 @@ struct CompletionBatch<'a> {
     state: &'a StreamState,
     unit: usize,
     pending: Vec<(usize, InjectionOutcome)>,
-    cap: usize,
 }
 
 impl<'a> CompletionBatch<'a> {
     fn new(state: &'a StreamState, unit: usize) -> Self {
-        let cap = state.completion_batch.max(1);
         CompletionBatch {
             state,
             unit,
-            pending: Vec::with_capacity(cap),
-            cap,
+            pending: Vec::with_capacity(COMPLETION_BATCH),
         }
     }
 
@@ -905,7 +1015,7 @@ impl<'a> CompletionBatch<'a> {
     /// sinks on that signal).
     fn push(&mut self, index: usize, outcome: InjectionOutcome) -> bool {
         self.pending.push((index, outcome));
-        if self.pending.len() >= self.cap {
+        if self.pending.len() >= COMPLETION_BATCH {
             self.flush();
             true
         } else {
@@ -969,14 +1079,12 @@ impl StreamState {
         entries: Vec<(ExecutorCampaign, FaultFeed)>,
         chunk: usize,
         threads: usize,
-        completion_batch: usize,
         policy: ExecPolicy,
         quarantine: Arc<Mutex<Vec<String>>>,
     ) -> Self {
         StreamState {
             chunk,
             window: chunk.saturating_mul(threads),
-            completion_batch,
             policy,
             quarantine,
             retries: AtomicUsize::new(0),
@@ -1023,18 +1131,10 @@ impl StreamState {
         // guard poisons the batch so the submitter is never
         // stranded.
         let pulled = if self.policy.isolate {
-            catch_unwind(AssertUnwindSafe(|| {
-                feed.next_chunk(self.chunk, &mut faults)
-            }))
-            .unwrap_or_else(|payload| {
-                Err(GenerateError::new(
-                    "fault-source",
-                    format!("source panicked: {}", panic_message(payload.as_ref())),
-                ))
-            })
+            pull_contained(feed.as_source(), self.chunk, &mut faults)
         } else {
             let guard = PoisonOnPanic { state: self };
-            let pulled = feed.next_chunk(self.chunk, &mut faults);
+            let pulled = feed.as_source().next_chunk(self.chunk, &mut faults);
             std::mem::forget(guard);
             pulled
         };
@@ -1169,36 +1269,32 @@ impl StreamState {
 
     /// Runs one claimed fault and returns its outcome — published by
     /// the caller through a [`CompletionBatch`].
-    fn run_fault(
+    fn run_claimed(
         &self,
         suts: &mut SutCache,
         unit: usize,
         fault: GeneratedFault,
     ) -> InjectionOutcome {
         let campaign = &self.entries[unit].campaign;
-        if self.policy.isolate {
-            // Isolated (default): panics are contained per fault and
-            // recorded as harness failures; the batch keeps running.
-            let run = run_fault_isolated(campaign, suts, &fault, &self.policy.retry);
-            self.retries.fetch_add(run.retries, Ordering::Relaxed);
-            if run.exhausted {
-                push_quarantine(&self.quarantine, &run.outcome.id);
-            }
-            run.outcome
-        } else {
-            // Strict: armed before SUT construction — the fault is
-            // already claimed, so a panic anywhere from the factory
-            // closure onward must poison the batch or the submitter
-            // waits forever on it. The unwind also flushes the
-            // caller's completion batch (its `Drop` runs after this
-            // guard's), so completed outcomes are never lost.
-            let guard = PoisonOnPanic { state: self };
-            let sut = suts.get_or_create(&campaign.factory);
-            let outcome = campaign.engine.outcome(sut, fault);
-            suts.live = None;
-            std::mem::forget(guard);
-            outcome
+        // Armed before SUT construction: in strict mode the fault is
+        // already claimed, so a panic anywhere from the factory
+        // closure onward must poison the batch or the submitter waits
+        // forever on it. The unwind also flushes the caller's
+        // completion batch (its `Drop` runs after this guard's), so
+        // completed outcomes are never lost. Isolated runs contain
+        // their panics and never trip it.
+        let guard = PoisonOnPanic { state: self };
+        let mut slot = SutSlot::Cached {
+            cache: suts,
+            factory: &campaign.factory,
+        };
+        let run = run_fault(&campaign.engine, &mut slot, fault, &self.policy);
+        std::mem::forget(guard);
+        self.retries.fetch_add(run.retries, Ordering::Relaxed);
+        if run.exhausted {
+            push_quarantine(&self.quarantine, &run.outcome.id);
         }
+        run.outcome
     }
 
     /// Pool-worker loop: claim chunks until the batch is over,
@@ -1208,7 +1304,7 @@ impl StreamState {
         while let Some(chunk) = self.claim(true) {
             let mut completions = CompletionBatch::new(self, chunk.unit);
             for (i, fault) in chunk.faults.into_iter().enumerate() {
-                let outcome = self.run_fault(suts, chunk.unit, fault);
+                let outcome = self.run_claimed(suts, chunk.unit, fault);
                 completions.push(chunk.base + i, outcome);
             }
         }
@@ -1303,7 +1399,7 @@ impl StreamState {
                 {
                     let mut completions = CompletionBatch::new(self, chunk.unit);
                     for (i, fault) in chunk.faults.into_iter().enumerate() {
-                        let outcome = self.run_fault(suts, chunk.unit, fault);
+                        let outcome = self.run_claimed(suts, chunk.unit, fault);
                         if completions.push(chunk.base + i, outcome) {
                             sunk += self.drain(sinks, &mut scratch);
                         }
@@ -1406,9 +1502,6 @@ pub struct CampaignExecutor {
     /// Faults handed out per claim; see
     /// [`CampaignExecutor::set_chunk_size`].
     chunk_size: AtomicUsize,
-    /// Completions published per emit-lock acquisition; see
-    /// [`CampaignExecutor::set_completion_batch`].
-    completion_batch: AtomicUsize,
     /// Per-fault isolation (default on); see
     /// [`CampaignExecutor::set_fault_isolation`].
     isolate_faults: AtomicBool,
@@ -1459,7 +1552,6 @@ impl CampaignExecutor {
         CampaignExecutor {
             threads,
             chunk_size: AtomicUsize::new(DEFAULT_CHUNK_SIZE),
-            completion_batch: AtomicUsize::new(DEFAULT_COMPLETION_BATCH),
             isolate_faults: AtomicBool::new(true),
             retry: Mutex::new(RetryPolicy::none()),
             quarantine: Arc::new(Mutex::new(Vec::new())),
@@ -1472,7 +1564,7 @@ impl CampaignExecutor {
     /// Creates an executor sized to the machine's available
     /// parallelism.
     pub fn with_default_threads() -> Self {
-        Self::new(crate::default_threads())
+        Self::new(default_threads())
     }
 
     /// The executor's effective parallelism (workers + submitting
@@ -1497,27 +1589,6 @@ impl CampaignExecutor {
     /// The current per-claim chunk size.
     pub fn chunk_size(&self) -> usize {
         self.chunk_size.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Sets how many completed outcomes a thread buffers locally
-    /// before publishing them to an entry's reorder buffer in one
-    /// lock acquisition (clamped to 1..=4096; default
-    /// [`DEFAULT_COMPLETION_BATCH`]). `1` publishes every outcome
-    /// individually — the pre-sharding behaviour, kept as the
-    /// reference point for the scheduler bench. Batches are always
-    /// flushed on chunk boundaries, exhaustion and panics, so results
-    /// (and isolation/checkpoint semantics) are byte-identical at
-    /// every setting; only emit-lock traffic and submitter wake-ups
-    /// change. The serial fast path is unaffected.
-    pub fn set_completion_batch(&self, batch: usize) -> &Self {
-        self.completion_batch
-            .store(batch.clamp(1, 4096), Ordering::Relaxed);
-        self
-    }
-
-    /// The current completion-batch size.
-    pub fn completion_batch(&self) -> usize {
-        self.completion_batch.load(Ordering::Relaxed).max(1)
     }
 
     /// Enables or disables per-fault isolation (default: **on**).
@@ -1722,17 +1793,14 @@ impl CampaignExecutor {
         // an eager batch too small to parallelize — run the entries
         // in order on this thread, with zero queue, window or reorder
         // overhead: each outcome goes straight to its sink. This is
-        // exactly the serial campaign loop, plus the persistent SUT
-        // cache.
+        // the serial campaign loop `Campaign` runs, over the
+        // persistent SUT cache.
         let eager_total: Option<usize> = entries
             .iter()
             .try_fold(0usize, |acc, (_, feed)| Some(acc + feed.exact_remaining()?));
         if self.workers.is_empty() || eager_total.is_some_and(|t| t <= 1) {
             let cache = ShedLiveOnPanic(&mut caller);
-            let result =
-                Self::run_serial(entries, sinks, self.chunk_size(), cache.0, policy, |id| {
-                    push_quarantine(&self.quarantine, id);
-                });
+            let result = self.run_serial(entries, sinks, cache.0, &policy);
             std::mem::forget(cache);
             return result;
         }
@@ -1741,7 +1809,6 @@ impl CampaignExecutor {
             entries,
             self.chunk_size(),
             self.threads,
-            self.completion_batch(),
             policy,
             Arc::clone(&self.quarantine),
         ));
@@ -1777,66 +1844,39 @@ impl CampaignExecutor {
         })
     }
 
-    /// The 1-thread path: entries in order, chunk by chunk, each
-    /// outcome sunk the moment it completes (`peak_buffered = 0`).
+    /// The 1-thread path: entries in order through [`serial_loop`],
+    /// each outcome sunk the moment it completes
+    /// (`peak_buffered = 0`).
     fn run_serial(
+        &self,
         entries: Vec<(ExecutorCampaign, FaultFeed)>,
         sinks: &mut [&mut dyn OutcomeSink],
-        chunk_size: usize,
         suts: &mut SutCache,
-        policy: ExecPolicy,
-        quarantine: impl Fn(&str),
+        policy: &ExecPolicy,
     ) -> Result<StreamStats, CampaignError> {
-        let mut outcomes = 0;
-        let mut retries = 0;
-        let mut chunk = Vec::with_capacity(chunk_size);
-        for ((campaign, mut feed), sink) in entries.into_iter().zip(sinks.iter_mut()) {
-            loop {
-                chunk.clear();
-                let pulled = if policy.isolate {
-                    catch_unwind(AssertUnwindSafe(|| feed.next_chunk(chunk_size, &mut chunk)))
-                        .unwrap_or_else(|payload| {
-                            Err(GenerateError::new(
-                                "fault-source",
-                                format!("source panicked: {}", panic_message(payload.as_ref())),
-                            ))
-                        })
-                } else {
-                    feed.next_chunk(chunk_size, &mut chunk)
-                };
-                pulled.map_err(CampaignError::Generate)?;
-                // Exhaustion is judged by what was appended, not the
-                // returned count — see `produce`.
-                if chunk.is_empty() {
-                    break;
-                }
-                for fault in chunk.drain(..) {
-                    let outcome = if policy.isolate {
-                        let run = run_fault_isolated(&campaign, suts, &fault, &policy.retry);
-                        retries += run.retries;
-                        if run.exhausted {
-                            quarantine(&run.outcome.id);
-                        }
-                        run.outcome
-                    } else {
-                        let sut = suts.get_or_create(&campaign.factory);
-                        let outcome = campaign.engine.outcome(sut, fault);
-                        suts.live = None;
-                        outcome
-                    };
-                    sink.accept(outcome);
-                    outcomes += 1;
-                }
-                if let Some(e) = sink.take_error() {
-                    return Err(CampaignError::SinkIo(e));
-                }
-            }
-        }
-        Ok(StreamStats {
-            outcomes,
+        let mut stats = StreamStats {
+            outcomes: 0,
             peak_buffered: 0,
-            retries,
-        })
+            retries: 0,
+        };
+        for ((campaign, mut feed), sink) in entries.into_iter().zip(sinks.iter_mut()) {
+            let mut slot = SutSlot::Cached {
+                cache: &mut *suts,
+                factory: &campaign.factory,
+            };
+            let (outcomes, retries) = serial_loop(
+                &campaign.engine,
+                &mut slot,
+                feed.as_source(),
+                &mut **sink,
+                self.chunk_size(),
+                policy,
+                &mut |id| push_quarantine(&self.quarantine, id),
+            )?;
+            stats.outcomes += outcomes;
+            stats.retries += retries;
+        }
+        Ok(stats)
     }
 }
 

@@ -26,12 +26,13 @@
 //! loads, the engine applies them copy-on-write, serializes only
 //! mutated files (memoizing the preparation per edit list), and
 //! drives the simulators' cached startup parsing through
-//! [`conferr_sut::ConfigPayload`]. [`Campaign`] is the serial driver;
-//! [`ParallelCampaign`] and the persistent
-//! [`CampaignExecutor`]/[`CampaignBatch`] pair schedule fault loads —
+//! [`conferr_sut::ConfigPayload`]. The persistent
+//! [`CampaignExecutor`]/[`CampaignBatch`] pair schedules fault loads —
 //! including whole batches of campaigns across systems — over a
-//! reusable worker pool; every driver produces byte-identical
-//! profiles. See `docs/ARCHITECTURE.md` at the repository root for
+//! reusable worker pool; [`Campaign`] drives one borrowed SUT on the
+//! executor's serial loop. Both share one failure contract and
+//! produce byte-identical profiles. See `docs/ARCHITECTURE.md` at the
+//! repository root for
 //! the full paper-section-to-crate map and an injection data-flow
 //! walkthrough.
 //!
@@ -66,7 +67,6 @@ mod compare;
 mod executor;
 mod export;
 mod outcome;
-mod parallel;
 mod plan;
 mod profile;
 pub mod report;
@@ -76,22 +76,112 @@ mod tiered;
 pub use campaign::{Campaign, CampaignError};
 pub use checkpoint::{Checkpoint, CheckpointSink};
 pub use compare::{
-    compare_value_typo_resilience, parallel_value_typo_resilience, task_resilience,
-    value_typo_resilience, ComparisonReport, DetectionBand, DirectiveResilience, SystemResilience,
+    task_resilience, value_typo_resilience, ComparisonReport, DetectionBand, DirectiveResilience,
+    SystemResilience,
 };
 pub use conferr_analysis::{FaultLinter, Lint, LintedSource, StaticVerdict, ValidationClass};
 pub use conferr_sut::Tier;
 pub use executor::{
-    sut_factory, CampaignBatch, CampaignExecutor, ExecutorCampaign, RetryPolicy, StreamStats,
-    SutFactory, DEFAULT_CHUNK_SIZE, DEFAULT_COMPLETION_BATCH,
+    default_threads, sut_factory, CampaignBatch, CampaignExecutor, ExecutorCampaign, RetryPolicy,
+    StreamStats, SutFactory, DEFAULT_CHUNK_SIZE,
 };
 pub use export::{
     outcome_to_csv_row, outcome_to_json, outcome_to_jsonl, profile_to_csv, profile_to_json,
     CSV_HEADER,
 };
 pub use outcome::{InjectionOutcome, InjectionResult};
-pub use parallel::{default_threads, parallel_indexed_map, ParallelCampaign};
 pub use plan::{PlanTrace, PlanTraceSink, StepRecord};
 pub use profile::{ProfileSummary, ResilienceProfile};
 pub use sink::{CollectingSink, CountingSink, CsvSink, JsonlSink, OutcomeSink};
 pub use tiered::{confirmation_candidate, TieredRunReport};
+
+/// Parallel execution is a pure wall-clock optimisation: a generator's
+/// fault load streamed through the executor's pool must reproduce a
+/// serial [`Campaign`] over one borrowed SUT, outcome for outcome, at
+/// any thread count.
+#[cfg(test)]
+mod parallel {
+    use crate::{
+        default_threads, sut_factory, Campaign, CampaignExecutor, CollectingSink, ExecutorCampaign,
+        ResilienceProfile,
+    };
+    use conferr_keyboard::Keyboard;
+    use conferr_model::{IntoFaultSource, TypoKind};
+    use conferr_plugins::{TokenClass, TypoPlugin};
+    use conferr_sut::PostgresSim;
+
+    fn plugin() -> TypoPlugin {
+        TypoPlugin::new(Keyboard::qwerty_us(), TokenClass::DirectiveNames)
+            .with_kinds([TypoKind::Omission, TypoKind::Transposition])
+    }
+
+    /// Streams [`plugin`]'s fault load, generated lazily on the first
+    /// pull, through `executor` and collects the profile.
+    fn pooled_run(executor: &CampaignExecutor, campaign: &ExecutorCampaign) -> ResilienceProfile {
+        let mut sink = CollectingSink::new();
+        executor
+            .run_source(
+                campaign,
+                Box::new(plugin().into_source(campaign.baseline())),
+                &mut sink,
+            )
+            .unwrap();
+        sink.into_profile(campaign.system())
+    }
+
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn parallel_profile_is_byte_identical_to_serial() {
+            let serial = {
+                let mut sut = PostgresSim::new();
+                let mut campaign = Campaign::new(&mut sut).unwrap();
+                campaign.add_generator(Box::new(plugin()));
+                campaign.run().unwrap()
+            };
+            let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).unwrap();
+            for threads in [1, 2, 5] {
+                let profile = pooled_run(&CampaignExecutor::new(threads), &campaign);
+                assert_eq!(profile.system(), serial.system());
+                assert_eq!(profile.outcomes(), serial.outcomes(), "threads = {threads}");
+            }
+        }
+
+        #[test]
+        fn repeated_runs_reuse_the_pool_and_stay_identical() {
+            let executor = CampaignExecutor::new(3);
+            let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).unwrap();
+            let first = pooled_run(&executor, &campaign);
+            let second = pooled_run(&executor, &campaign);
+            assert!(!first.is_empty());
+            assert_eq!(first.outcomes(), second.outcomes());
+        }
+
+        #[test]
+        fn empty_fault_load_yields_empty_profile() {
+            let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).unwrap();
+            let profile = CampaignExecutor::with_default_threads()
+                .run_faults(&campaign, Vec::new())
+                .unwrap();
+            assert!(profile.is_empty());
+            assert_eq!(profile.system(), "postgres-sim");
+        }
+
+        #[test]
+        fn more_threads_than_faults_is_fine() {
+            let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).unwrap();
+            assert!(!pooled_run(&CampaignExecutor::new(64), &campaign).is_empty());
+        }
+
+        #[test]
+        fn thread_count_is_clamped() {
+            assert_eq!(CampaignExecutor::new(0).threads(), 1);
+            assert!(default_threads() >= 1);
+            assert_eq!(
+                CampaignExecutor::with_default_threads().threads(),
+                default_threads()
+            );
+        }
+    }
+}

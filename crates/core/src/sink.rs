@@ -9,9 +9,10 @@
 //! campaign (source → chunked queue → sink; see
 //! `docs/ARCHITECTURE.md`).
 //!
-//! Every driver guarantees in-order delivery: [`crate::Campaign::run_source`]
-//! completes faults in order outright, and the parallel drivers
-//! ([`crate::CampaignExecutor`]) reorder worker completions through a
+//! Every driver guarantees in-order delivery: the serial loop
+//! ([`crate::Campaign::run_source`], and a 1-thread
+//! [`crate::CampaignExecutor`]) completes faults in order outright,
+//! and a pooled executor reorders worker completions through a
 //! bounded buffer before the sink sees them, so a streamed export is
 //! byte-identical to exporting the collected profile.
 

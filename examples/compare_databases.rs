@@ -10,7 +10,7 @@
 //! rates into the paper's Poor/Fair/Good/Excellent bands (Figure 3).
 
 use conferr::report::stacked_bar;
-use conferr::{parallel_value_typo_resilience, sut_factory, CampaignExecutor};
+use conferr::{sut_factory, value_typo_resilience, CampaignExecutor};
 use conferr_keyboard::Keyboard;
 use conferr_model::TypoKind;
 use conferr_plugins::typos_of_kind;
@@ -41,9 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // one shared engine, schedules every directive as a batch entry on
     // the persistent executor (one worker and one cached SUT instance
     // per core), and merges outcomes per directive; per-directive
-    // seeding makes the numbers identical to the serial
-    // `value_typo_resilience`. The MySQL comparison reuses the worker
-    // pool the Postgres one warmed up.
+    // seeding makes the numbers identical at every thread count. The
+    // MySQL comparison reuses the worker pool the Postgres one warmed
+    // up.
     let executor = CampaignExecutor::with_default_threads();
 
     let postgres = {
@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "postgresql.conf",
             FileText::mutated(PostgresSim::full_coverage_config()),
         );
-        parallel_value_typo_resilience(
+        value_typo_resilience(
             sut_factory(PostgresSim::new),
             &configs,
             &mutator,
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "my.cnf",
             FileText::mutated(MySqlSim::full_coverage_config()),
         );
-        parallel_value_typo_resilience(
+        value_typo_resilience(
             sut_factory(MySqlSim::new),
             &configs,
             &mutator,

@@ -10,10 +10,10 @@
 //! keyboard model, injects each one, and classifies how the server
 //! responds — the end-to-end loop of the ConfErr paper's Figure 1.
 //!
-//! This is the minimal *serial* driver; for large fault loads, swap
-//! `Campaign` for `conferr::ParallelCampaign` (see the
-//! `structural_matrix` and `dns_semantic` examples) to shard
-//! injections across every core with byte-identical results.
+//! This is the minimal *serial* driver. For large fault loads, run
+//! the same faults through a `conferr::CampaignExecutor` and an
+//! `ExecutorCampaign` (the `structural_matrix` example shows how) to
+//! shard injections across every core with byte-identical results.
 
 use conferr::{Campaign, InjectionResult};
 use conferr_keyboard::Keyboard;

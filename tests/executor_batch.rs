@@ -2,17 +2,21 @@
 //! wall-clock optimisations: reusing a pool across submissions, or
 //! scheduling many campaigns through one queue, must produce profiles
 //! byte-identical to fresh serial campaigns — every id, diff line and
-//! diagnostic included.
+//! diagnostic included. A `Campaign` over a freshly built SUT is the
+//! reference throughout.
 
 use conferr::{
     profile_to_json, sut_factory, Campaign, CampaignBatch, CampaignExecutor, ExecutorCampaign,
-    ResilienceProfile,
+    ResilienceProfile, SutFactory,
 };
 use conferr_bench::{table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
 use conferr_model::{ErrorGenerator, GeneratedFault};
-use conferr_plugins::{VariationClass, VariationPlugin};
-use conferr_sut::{ApacheSim, MySqlSim, PostgresSim, SystemUnderTest};
+use conferr_plugins::{DnsSemanticPlugin, VariationClass, VariationPlugin};
+use conferr_sut::{ApacheSim, BindSim, DjbdnsSim, MySqlSim, PostgresSim, SystemUnderTest};
+
+/// Builds the fresh SUT a reference `Campaign` runs against.
+type FreshSut = fn() -> Box<dyn SystemUnderTest>;
 
 fn serial_profile(
     mut sut: Box<dyn SystemUnderTest>,
@@ -23,38 +27,28 @@ fn serial_profile(
 }
 
 /// Two `run_faults` calls on ONE executor — whose workers and SUT
-/// caches persist between the calls — must match two campaigns run on
-/// fresh serial `Campaign`s byte for byte. This is the soundness
-/// condition for reusing SUT instances (and their parse caches)
-/// across campaigns.
+/// caches persist between the calls — must match campaigns run on
+/// fresh serial `Campaign`s byte for byte, over Postgres's full
+/// Table 1 load. This is the soundness condition for reusing SUT
+/// instances (and their parse caches) across campaigns.
 #[test]
 fn executor_reuse_is_byte_identical_to_fresh_serial_campaigns() {
     let keyboard = Keyboard::qwerty_us();
     let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).expect("campaign");
     let faults = table1_faultload(campaign.baseline(), &keyboard, DEFAULT_SEED);
-
     for threads in [1, 3] {
         let executor = CampaignExecutor::new(threads);
-        let first = executor
-            .run_faults(&campaign, faults.clone())
-            .expect("first run");
-        let second = executor
-            .run_faults(&campaign, faults.clone())
-            .expect("second run");
-
-        let serial_first = serial_profile(Box::new(PostgresSim::new()), faults.clone());
-        let serial_second = serial_profile(Box::new(PostgresSim::new()), faults.clone());
-
-        assert_eq!(
-            profile_to_json(&first),
-            profile_to_json(&serial_first),
-            "threads = {threads}"
-        );
-        assert_eq!(
-            profile_to_json(&second),
-            profile_to_json(&serial_second),
-            "threads = {threads}"
-        );
+        for run in ["first", "second"] {
+            let pooled = executor
+                .run_faults(&campaign, faults.clone())
+                .expect("executor run");
+            let reference = serial_profile(Box::new(PostgresSim::new()), faults.clone());
+            assert_eq!(
+                profile_to_json(&pooled),
+                profile_to_json(&reference),
+                "{run} run, threads = {threads}"
+            );
+        }
     }
 }
 
@@ -202,7 +196,7 @@ fn many_entry_live_source_batch_matches_serial() {
         sut_factory(PostgresSim::new),
         sut_factory(ApacheSim::new),
     ];
-    let suts: [fn() -> Box<dyn SystemUnderTest>; 3] = [
+    let suts: [FreshSut; 3] = [
         || Box::new(MySqlSim::new()),
         || Box::new(PostgresSim::new()),
         || Box::new(ApacheSim::new()),
@@ -253,31 +247,49 @@ fn many_entry_live_source_batch_matches_serial() {
     }
 }
 
-/// A cross-system batch (the Table 1 protocol against all three
-/// systems through one queue) matches per-system serial runs.
+/// A cross-system batch — the Table 1 protocol against all three
+/// systems plus the Table 3 semantic loads against both name servers
+/// (djbdns's inexpressible faults included), all through one queue —
+/// matches per-system serial runs.
 #[test]
 fn cross_system_table1_batch_matches_serial() {
     let keyboard = Keyboard::qwerty_us();
     let executor = CampaignExecutor::new(4);
     let mut batch = CampaignBatch::new();
     let mut serial = Vec::new();
-    let factories = [
-        sut_factory(MySqlSim::new),
-        sut_factory(PostgresSim::new),
-        sut_factory(ApacheSim::new),
+    let table1_systems: [(SutFactory, FreshSut); 3] = [
+        (sut_factory(MySqlSim::new), || Box::new(MySqlSim::new())),
+        (sut_factory(PostgresSim::new), || {
+            Box::new(PostgresSim::new())
+        }),
+        (sut_factory(ApacheSim::new), || Box::new(ApacheSim::new())),
     ];
-    let suts: [fn() -> Box<dyn SystemUnderTest>; 3] = [
-        || Box::new(MySqlSim::new()),
-        || Box::new(PostgresSim::new()),
-        || Box::new(ApacheSim::new()),
-    ];
-    for (factory, fresh_sut) in factories.into_iter().zip(suts) {
+    for (factory, fresh_sut) in table1_systems {
         let campaign = ExecutorCampaign::new(factory).expect("campaign");
         let faults = table1_faultload(campaign.baseline(), &keyboard, DEFAULT_SEED);
         serial.push(serial_profile(fresh_sut(), faults.clone()));
         batch.push(&campaign, faults);
     }
+    let table3_systems: [(SutFactory, FreshSut, DnsSemanticPlugin); 2] = [
+        (
+            sut_factory(BindSim::new),
+            || Box::new(BindSim::new()),
+            DnsSemanticPlugin::bind(),
+        ),
+        (
+            sut_factory(DjbdnsSim::new),
+            || Box::new(DjbdnsSim::new()),
+            DnsSemanticPlugin::tinydns(),
+        ),
+    ];
+    for (factory, fresh_sut, plugin) in table3_systems {
+        let campaign = ExecutorCampaign::new(factory).expect("campaign");
+        let faults = plugin.generate(campaign.baseline()).expect("generate");
+        serial.push(serial_profile(fresh_sut(), faults.clone()));
+        batch.push(&campaign, faults);
+    }
     let profiles = executor.run_batch(batch).expect("batch run");
+    assert_eq!(profiles.len(), serial.len());
     for (batched, reference) in profiles.iter().zip(&serial) {
         assert_eq!(
             profile_to_json(batched),

@@ -11,7 +11,10 @@
 //!   checkpoint reproduces the uninterrupted run's final profile
 //!   byte-identically;
 //! * strict mode (`set_fault_isolation(false)`) still poisons the
-//!   submission on a harness panic.
+//!   submission on a harness panic;
+//! * the serial `Campaign` keeps the executor's failure contract: a
+//!   harness panic becomes one `HarnessFailure` row, a panicking
+//!   source a `Generate` error, a failing sink a `SinkIo` error.
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
@@ -23,8 +26,15 @@ use conferr::{
 };
 use conferr_bench::{table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
-use conferr_model::{EagerSource, FaultSourceExt, GeneratedFault};
-use conferr_sut::{ChaosConfig, ChaosSut, MySqlSim, CHAOS_PREFIX};
+use conferr_model::{
+    EagerSource, ErrorClass, FaultScenario, FaultSource, FaultSourceExt, GenerateError,
+    GeneratedFault, TreeEdit, TypoKind,
+};
+use conferr_sut::{
+    ChaosConfig, ChaosSut, ConfigFileSpec, ConfigPayload, Deadline, DirectiveSchema, MySqlSim,
+    StartOutcome, SystemUnderTest, TestOutcome, CHAOS_PREFIX,
+};
+use conferr_tree::NodeQuery;
 
 /// The clean campaign, its chaos twin (same baseline, same fault
 /// space) and the shared Table 1 fault load.
@@ -330,4 +340,149 @@ fn serial_campaign_surfaces_sink_io_errors() {
         "{err}"
     );
     assert!(sink.finish().is_err(), "the sink stays tripped");
+}
+
+/// The value that makes [`PanicsOnMarker`] panic.
+const PANIC_MARKER: &str = "panic-marker";
+
+/// MySQL behind an adapter that panics right *after* starting on a
+/// configuration carrying [`PANIC_MARKER`], leaving the simulator
+/// running on the mutated configuration — the state a harness bug
+/// mid-fault leaves behind in a borrowed SUT.
+#[derive(Debug)]
+struct PanicsOnMarker(MySqlSim);
+
+impl SystemUnderTest for PanicsOnMarker {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn config_files(&self) -> Vec<ConfigFileSpec> {
+        self.0.config_files()
+    }
+    fn start(&mut self, configs: &ConfigPayload, deadline: &Deadline) -> StartOutcome {
+        let outcome = self.0.start(configs, deadline);
+        assert!(
+            !configs
+                .text("my.cnf")
+                .is_some_and(|t| t.contains(PANIC_MARKER)),
+            "adapter bug"
+        );
+        outcome
+    }
+    fn test_names(&self) -> Vec<String> {
+        self.0.test_names()
+    }
+    fn run_test(&mut self, test: &str, deadline: &Deadline) -> TestOutcome {
+        self.0.run_test(test, deadline)
+    }
+    fn stop(&mut self) {
+        self.0.stop();
+    }
+    fn schema(&self) -> Option<&'static DirectiveSchema> {
+        self.0.schema()
+    }
+}
+
+#[test]
+fn serial_campaign_records_a_harness_panic_and_keeps_running() {
+    let mut clean_sut = MySqlSim::new();
+    let mut clean = Campaign::new(&mut clean_sut).expect("campaign");
+    let mut faults: Vec<GeneratedFault> =
+        table1_faultload(clean.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED)
+            .into_iter()
+            .take(40)
+            .collect();
+    let directives: NodeQuery = "//directive".parse().expect("query");
+    let path = directives
+        .select(clean.baseline().get("my.cnf").expect("my.cnf"))
+        .remove(0);
+    let marked = 20;
+    faults.insert(
+        marked,
+        GeneratedFault::Scenario(FaultScenario {
+            id: "marked".to_string(),
+            description: "value that trips the adapter bug".to_string(),
+            class: ErrorClass::Typo(TypoKind::Substitution),
+            edits: vec![TreeEdit::SetText {
+                file: "my.cnf".to_string(),
+                path,
+                text: Some(PANIC_MARKER.to_string()),
+            }],
+        }),
+    );
+    let reference = clean.run_faults(faults.clone()).expect("clean run");
+
+    let mut sut = PanicsOnMarker(MySqlSim::new());
+    let profile = Campaign::new(&mut sut)
+        .expect("campaign")
+        .run_faults(faults)
+        .expect("the panic is contained to its fault");
+    assert_eq!(profile.len(), reference.len());
+    for (i, (outcome, clean)) in profile
+        .outcomes()
+        .iter()
+        .zip(reference.outcomes())
+        .enumerate()
+    {
+        if i == marked {
+            assert_eq!(outcome.id, "marked");
+            assert!(
+                matches!(
+                    &outcome.result,
+                    InjectionResult::HarnessFailure { panic_msg } if panic_msg.contains("adapter bug")
+                ),
+                "{:?}",
+                outcome.result
+            );
+        } else {
+            // Rows after the panic ran on the stopped, reused SUT.
+            assert_eq!(outcome, clean, "row {i} matches the clean run");
+        }
+    }
+}
+
+#[test]
+fn serial_campaign_turns_a_source_panic_into_a_generate_error() {
+    /// Yields `pulls` chunks, then panics — a generator bug
+    /// mid-stream, with faults still left to give.
+    #[derive(Debug)]
+    struct PanicsMidStream {
+        faults: EagerSource,
+        pulls: usize,
+    }
+    impl FaultSource for PanicsMidStream {
+        fn next_chunk(
+            &mut self,
+            max: usize,
+            out: &mut Vec<GeneratedFault>,
+        ) -> Result<usize, GenerateError> {
+            assert!(self.pulls > 0, "generator bug");
+            self.pulls -= 1;
+            self.faults.next_chunk(max, out)
+        }
+    }
+
+    let mut sut = MySqlSim::new();
+    let mut campaign = Campaign::new(&mut sut).expect("campaign");
+    let faults = table1_faultload(campaign.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
+    let mut sink = CollectingSink::new();
+    let err = campaign
+        .run_source(
+            &mut PanicsMidStream {
+                faults: EagerSource::new(faults.clone()),
+                pulls: 2,
+            },
+            &mut sink,
+        )
+        .expect_err("the source panic ends the campaign");
+    assert!(
+        matches!(&err, CampaignError::Generate(g) if g.message.contains("generator bug")),
+        "{err}"
+    );
+    // Both chunks pulled before the panic are already in the sink, in
+    // fault order.
+    let delivered = sink.into_outcomes();
+    assert_eq!(delivered.len(), 2 * conferr::DEFAULT_CHUNK_SIZE);
+    let reference = campaign.run_faults(faults).expect("clean run");
+    assert_eq!(delivered, reference.outcomes()[..delivered.len()]);
 }

@@ -20,8 +20,8 @@
 use std::path::Path;
 
 use conferr::{
-    profile_to_json, sut_factory, Campaign, CollectingSink, InjectionResult, LintedSource,
-    ParallelCampaign, ResilienceProfile, StaticVerdict,
+    profile_to_json, sut_factory, Campaign, CampaignExecutor, CollectingSink, ExecutorCampaign,
+    InjectionResult, LintedSource, ResilienceProfile, StaticVerdict,
 };
 use conferr_bench::{all_typos, table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
@@ -318,11 +318,11 @@ fn pruned_parallel_profile_is_byte_identical_at_every_thread_count() {
     let unpruned = reference.run_faults(faults.clone()).expect("run");
 
     for threads in [1, 2, 4] {
-        let mut parallel = ParallelCampaign::new(sut_factory(MySqlSim::new))
-            .expect("campaign")
-            .with_threads(threads);
-        parallel.set_impact_pruning(true);
-        let pruned = parallel.run_faults(faults.clone()).expect("run");
+        let campaign = ExecutorCampaign::new(sut_factory(MySqlSim::new)).expect("campaign");
+        campaign.set_impact_pruning(true);
+        let pruned = CampaignExecutor::new(threads)
+            .run_faults(&campaign, faults.clone())
+            .expect("run");
         assert_eq!(
             profile_to_json(&unpruned),
             profile_to_json(&pruned),
@@ -520,8 +520,7 @@ fn triaged_executor_batch_is_byte_identical_across_threads() {
     // The same contract through the pooled executor: a triaged Table 1
     // run at 1/2/4 threads matches the untriaged serial reference, and
     // the engine's counters show the shared knob took effect.
-    let reference_campaign =
-        conferr::ExecutorCampaign::new(sut_factory(ApacheSim::new)).expect("campaign");
+    let reference_campaign = ExecutorCampaign::new(sut_factory(ApacheSim::new)).expect("campaign");
     reference_campaign.set_static_triage(false);
     let faults = table1_faultload(
         reference_campaign.baseline(),
@@ -529,17 +528,16 @@ fn triaged_executor_batch_is_byte_identical_across_threads() {
         DEFAULT_SEED,
     );
     let reference = {
-        let executor = conferr::CampaignExecutor::new(1);
+        let executor = CampaignExecutor::new(1);
         executor
             .run_faults(&reference_campaign, faults.clone())
             .expect("reference run")
     };
 
-    let triaged_campaign =
-        conferr::ExecutorCampaign::new(sut_factory(ApacheSim::new)).expect("campaign");
+    let triaged_campaign = ExecutorCampaign::new(sut_factory(ApacheSim::new)).expect("campaign");
     triaged_campaign.set_static_triage(true);
     for threads in [1, 2, 4] {
-        let executor = conferr::CampaignExecutor::new(threads);
+        let executor = CampaignExecutor::new(threads);
         let profile = executor
             .run_faults(&triaged_campaign, faults.clone())
             .expect("triaged run");

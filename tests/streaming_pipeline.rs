@@ -9,7 +9,7 @@
 use conferr::{
     profile_to_csv, profile_to_json, sut_factory, Campaign, CampaignBatch, CampaignError,
     CampaignExecutor, CollectingSink, CountingSink, CsvSink, ExecutorCampaign, JsonlSink,
-    ParallelCampaign, ResilienceProfile,
+    ResilienceProfile,
 };
 use conferr_bench::{table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
@@ -196,8 +196,8 @@ fn counting_sink_matches_eager_summary() {
     assert_eq!(sink.summary(), reference.summary());
 }
 
-/// Lazily chained plugin sources through `ParallelCampaign` match the
-/// generator-based eager `run`.
+/// Lazily chained plugin sources through a pooled executor match the
+/// same generators' eager fault loads run on the pool.
 #[test]
 fn plugin_source_stream_matches_parallel_campaign_run() {
     let make_plugin = || {
@@ -208,23 +208,27 @@ fn plugin_source_stream_matches_parallel_campaign_run() {
     };
     let structural = || Box::new(StructuralPlugin::new()) as Box<dyn ErrorGenerator + Send>;
 
-    let mut eager_campaign = ParallelCampaign::new(sut_factory(MySqlSim::new))
-        .expect("campaign")
-        .with_threads(3);
-    eager_campaign.add_generator(make_plugin());
-    eager_campaign.add_generator(structural());
-    let reference = eager_campaign.run().expect("eager run");
+    let eager_campaign = ExecutorCampaign::new(sut_factory(MySqlSim::new)).expect("campaign");
+    let mut faults = make_plugin()
+        .generate(eager_campaign.baseline())
+        .expect("generate");
+    faults.extend(
+        structural()
+            .generate(eager_campaign.baseline())
+            .expect("generate"),
+    );
+    let reference = CampaignExecutor::new(3)
+        .run_faults(&eager_campaign, faults)
+        .expect("eager run");
 
-    let streaming_campaign = ParallelCampaign::new(sut_factory(MySqlSim::new))
-        .expect("campaign")
-        .with_threads(3);
+    let streaming_campaign = ExecutorCampaign::new(sut_factory(MySqlSim::new)).expect("campaign");
     let source = plugin_source(
         vec![make_plugin(), structural()],
         streaming_campaign.baseline(),
     );
     let mut sink = CollectingSink::new();
-    streaming_campaign
-        .run_source(source, &mut sink)
+    CampaignExecutor::new(3)
+        .run_source(&streaming_campaign, source, &mut sink)
         .expect("streamed run");
     let streamed = sink.into_profile(reference.system());
     assert_eq!(profile_to_json(&streamed), profile_to_json(&reference));
