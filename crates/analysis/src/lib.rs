@@ -16,10 +16,14 @@
 //! Three consumers build on the tables:
 //!
 //! * [`lint::FaultLinter`] classifies a prepared fault **before any
-//!   SUT starts** — apply the edits, serialize with the real format,
-//!   re-parse with the real parser, validate the re-parsed tree with
-//!   the extracted models — yielding a [`verdict::StaticVerdict`]
-//!   and a per-file [`touch::FileTouch`] set.
+//!   SUT starts**: it validates the parse of the edited file's
+//!   serialized bytes with the extracted models, yielding a
+//!   [`verdict::StaticVerdict`] and a per-file [`touch::FileTouch`]
+//!   set. The injection engine hands [`FaultLinter::judge`] the parse
+//!   it makes once per fault (and then passes on to the SUT's start);
+//!   [`FaultLinter::lint`] makes that parse itself — apply the edits,
+//!   serialize with the real format, re-parse with the real parser —
+//!   for callers outside the engine.
 //! * [`prepass::LintedSource`] streams that classification over any
 //!   `conferr_model::FaultSource` without materializing the load.
 //! * The injection engine (in `conferr` core) uses the touch sets to

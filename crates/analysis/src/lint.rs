@@ -1,28 +1,29 @@
 //! The fault linter: static verdicts and touch maps for prepared
 //! faults, plus whole-file surveys for the `conferr-lint` CLI.
 //!
-//! [`FaultLinter::lint`] runs the *round-trip* pipeline on a fault's
-//! edit list: apply to the baseline, serialize the edited file with
-//! the real format, re-parse with the real parser, then evaluate the
-//! extracted dialect model against the baseline fingerprint. Because
-//! every stage reuses the exact code the simulator runs at startup,
-//! `WillFailParse`/`WillFailValidate` verdicts are sound by
-//! construction — the dynamic start cannot disagree.
+//! A verdict is judged on the bytes the simulator starts from: the
+//! edited file serialized with its real format and parsed again with
+//! the real parser. [`FaultLinter::judge`] takes that parse (or its
+//! `ParseError`) and evaluates the extracted dialect model against the
+//! baseline fingerprint. The injection engine hands it the parse it
+//! makes once per fault and then passes on to the SUT's start.
+//! [`FaultLinter::lint`] is the standalone entry point: it runs the
+//! round trip itself (apply to the baseline, serialize, parse) and
+//! judges the result. Because every stage reuses the exact code the
+//! simulator runs at startup, `WillFailParse`/`WillFailValidate`
+//! verdicts are sound by construction — the dynamic start cannot
+//! disagree.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, LazyLock, Mutex};
+use std::collections::BTreeMap;
+use std::sync::{Arc, LazyLock};
 
-use conferr_formats::{format_by_name, ConfigFormat};
+use conferr_formats::{format_by_name, ConfigFormat, ParseError};
 use conferr_model::{ConfigSet, ErrorClass, FaultScenario, TreeEdit, TypoKind};
-use conferr_tree::Node;
+use conferr_tree::{ConfTree, Node};
 
 use crate::schema::{Dialect, DirectiveSchema};
 use crate::touch::{touch_of_edits, FileTouch, TouchMap};
 use crate::verdict::StaticVerdict;
-
-/// Memo entries are dropped wholesale past this size to bound memory
-/// on unbounded streaming loads.
-const MEMO_CAP: usize = 8192;
 
 static EMPTY_TOUCH: LazyLock<Arc<TouchMap>> = LazyLock::new(|| Arc::new(TouchMap::new()));
 
@@ -63,6 +64,15 @@ impl Lint {
             diagnostic: None,
         }
     }
+
+    /// No prediction, bounded by `touch`.
+    fn undecided(touch: TouchMap) -> Lint {
+        Lint {
+            verdict: StaticVerdict::Unknown,
+            touch: Arc::new(touch),
+            diagnostic: None,
+        }
+    }
 }
 
 /// Pre-flight linter for one system's fault space.
@@ -71,13 +81,13 @@ impl Lint {
 /// modeled file's baseline fingerprint through the same
 /// serialize→re-parse round trip later applied to edited trees, so
 /// fingerprint comparisons never see formatting noise. The linter is
-/// `Sync`; campaigns share one across worker threads.
+/// `Sync` and keeps no per-fault state; campaigns share one across
+/// worker threads.
 pub struct FaultLinter {
     schema: &'static DirectiveSchema,
     baseline: ConfigSet,
     formats: BTreeMap<&'static str, Box<dyn ConfigFormat>>,
     baseline_fps: BTreeMap<&'static str, Option<String>>,
-    memo: Mutex<HashMap<Vec<TreeEdit>, Lint>>,
 }
 
 impl std::fmt::Debug for FaultLinter {
@@ -117,7 +127,6 @@ impl FaultLinter {
             baseline,
             formats,
             baseline_fps,
-            memo: Mutex::new(HashMap::new()),
         })
     }
 
@@ -126,90 +135,64 @@ impl FaultLinter {
         self.schema
     }
 
-    /// Lints a fault's edit list. Memoized: repeated loads (chunk
-    /// replays, multi-thread identity checks) hit the cache.
+    /// Lints a fault's edit list on its own: applies it to the
+    /// baseline, serializes the edited file with the schema's format,
+    /// parses those bytes again and [judges](FaultLinter::judge) the
+    /// parse. Nothing is memoized; the injection engine judges the
+    /// parse it already made instead, under its fault memo.
     pub fn lint(&self, edits: &[TreeEdit]) -> Lint {
-        if edits.is_empty() {
-            return Lint::identity();
-        }
-        if let Some(hit) = self.memo.lock().expect("linter memo poisoned").get(edits) {
-            return hit.clone();
-        }
-        let lint = self.lint_uncached(edits);
-        let mut memo = self.memo.lock().expect("linter memo poisoned");
-        if memo.len() >= MEMO_CAP {
-            memo.clear();
-        }
-        memo.insert(edits.to_vec(), lint.clone());
-        lint
-    }
-
-    fn lint_uncached(&self, edits: &[TreeEdit]) -> Lint {
-        if edits.len() > 1 {
-            // Compound faults: per-edit path refinement against the
-            // baseline is unsound (later edits see shifted paths), so
-            // bound them by their edited files only.
-            let touch: TouchMap = edits
-                .iter()
-                .map(|e| (e.file().to_string(), FileTouch::WholeFile))
-                .collect();
-            return Lint {
-                verdict: StaticVerdict::Unknown,
-                touch: Arc::new(touch),
-                diagnostic: None,
-            };
-        }
-
+        let [edit] = edits else {
+            return self.judge(edits, None);
+        };
+        let file = edit.file();
         let probe = FaultScenario {
             id: String::new(),
             description: String::new(),
             class: ErrorClass::Typo(TypoKind::Substitution),
             edits: edits.to_vec(),
         };
-        let Ok(edited) = probe.apply(&self.baseline) else {
-            // Inapplicable edits never reach injection; stay silent
-            // about them but bound the files they name.
-            let touch: TouchMap = edits
-                .iter()
-                .map(|e| (e.file().to_string(), FileTouch::WholeFile))
-                .collect();
-            return Lint {
-                verdict: StaticVerdict::Unknown,
-                touch: Arc::new(touch),
-                diagnostic: None,
-            };
-        };
+        let reparsed = self.formats.get(file).and_then(|format| {
+            let edited = probe.apply(&self.baseline).ok()?;
+            let text = format.serialize(edited.get(file)?).ok()?;
+            Some(format.parse(&text))
+        });
+        self.judge(edits, reparsed.as_ref().map(Result::as_ref))
+    }
 
-        let file = edits[0].file();
-        let refined = touch_of_edits(self.schema, &self.baseline, edits);
-        let (Some(fs), Some(format)) = (self.schema.file(file), self.formats.get(file)) else {
-            return Lint {
-                verdict: StaticVerdict::Unknown,
-                touch: Arc::new(refined),
-                diagnostic: None,
-            };
+    /// Judges a fault from the parse of its edited file.
+    ///
+    /// `reparsed` is what the schema's format parses the edited file's
+    /// serialized bytes into — the bytes the simulator starts from.
+    /// `None` means there are no such bytes: the edits did not apply
+    /// (the campaign skips the fault) or the edited tree cannot be
+    /// expressed in the format (the campaign reports it without
+    /// starting the SUT). Empty and compound edit lists are judged
+    /// without looking at `reparsed`.
+    pub fn judge(
+        &self,
+        edits: &[TreeEdit],
+        reparsed: Option<Result<&ConfTree, &ParseError>>,
+    ) -> Lint {
+        let [edit] = edits else {
+            if edits.is_empty() {
+                return Lint::identity();
+            }
+            // Compound faults: per-edit path refinement against the
+            // baseline is unsound (later edits see shifted paths), so
+            // bound them by their edited files only.
+            return Lint::undecided(
+                edits
+                    .iter()
+                    .map(|e| (e.file().to_string(), FileTouch::WholeFile))
+                    .collect(),
+            );
         };
-        let Some(tree) = edited.get(file) else {
-            return Lint {
-                verdict: StaticVerdict::Unknown,
-                touch: Arc::new(refined),
-                diagnostic: None,
-            };
+        let file = edit.file();
+        let refined = || touch_of_edits(self.schema, &self.baseline, edits);
+        let (Some(fs), Some(reparsed)) = (self.schema.file(file), reparsed) else {
+            return Lint::undecided(refined());
         };
-
-        // Round trip: the simulator starts from serialized bytes, so
-        // the verdict must be computed on what those bytes re-parse
-        // to, not on the in-memory edited tree.
-        let Ok(text) = format.serialize(tree) else {
-            // Inexpressible under the format; the campaign reports it
-            // without starting the SUT.
-            return Lint {
-                verdict: StaticVerdict::Unknown,
-                touch: Arc::new(refined),
-                diagnostic: None,
-            };
-        };
-        let reparsed = match format.parse(&text) {
+        let tree = match reparsed {
             Ok(tree) => tree,
             Err(e) => {
                 // The simulator will hit the same parser on the same
@@ -225,13 +208,9 @@ impl FaultLinter {
         };
 
         if !fs.dialect.is_fully_modeled() {
-            return Lint {
-                verdict: StaticVerdict::Unknown,
-                touch: Arc::new(refined),
-                diagnostic: None,
-            };
+            return Lint::undecided(refined());
         }
-        match dialect_check(fs.dialect, reparsed.root()) {
+        match dialect_check(fs.dialect, tree.root()) {
             Err(violation) => {
                 // The shared decider's message *is* the simulator's
                 // startup diagnostic, verbatim.
@@ -254,7 +233,7 @@ impl FaultLinter {
                     } else {
                         StaticVerdict::Unknown
                     },
-                    touch: Arc::new(refined),
+                    touch: Arc::new(refined()),
                     diagnostic: None,
                 }
             }
@@ -563,18 +542,37 @@ mod tests {
     }
 
     #[test]
-    fn lint_results_are_memoized() {
+    fn judge_decides_from_the_parse_it_is_given() {
         let l = linter();
-        let edits = vec![TreeEdit::Delete {
+        let edits = [TreeEdit::SetAttr {
             file: "my.cnf".into(),
-            path: TreePath::root().child(0).child(2),
+            path: TreePath::root().child(0).child(0),
+            key: "name".into(),
+            value: "prot".into(),
         }];
-        let a = l.lint(&edits);
-        let b = l.lint(&edits);
-        assert!(
-            Arc::ptr_eq(&a.touch, &b.touch),
-            "second call must hit the memo"
+        let bytes = "[mysqld]\nprot=3306\nsort_buffer_size=2097152\n# notes\n";
+        let tree = IniFormat::new().parse(bytes).unwrap();
+        let judged = l.judge(&edits, Some(Ok(&tree)));
+        assert_eq!(judged.verdict, l.lint(&edits).verdict);
+        assert!(matches!(
+            judged.verdict,
+            StaticVerdict::WillFailValidate { .. }
+        ));
+
+        let error = IniFormat::new().parse("[mysqld\n").unwrap_err();
+        let judged = l.judge(&edits, Some(Err(&error)));
+        assert_eq!(judged.verdict, StaticVerdict::WillFailParse);
+        assert_eq!(
+            judged.diagnostic.as_deref(),
+            Some(
+                Dialect::MySqlIni
+                    .parse_failure_diagnostic(&error.to_string())
+                    .as_str()
+            )
         );
+
+        // No bytes to judge: no prediction.
+        assert_eq!(l.judge(&edits, None).verdict, StaticVerdict::Unknown);
     }
 
     #[test]

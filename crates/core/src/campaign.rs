@@ -14,7 +14,9 @@
 //! pointer-shared with the baseline is neither re-serialized nor
 //! diffed — its shared text (plus precomputed content identity) is
 //! handed to the SUT, whose [`conferr_sut::ParseCache`] then skips
-//! re-parsing it at startup. A campaign runs on the executor's serial
+//! re-parsing it at startup. A mutated file is parsed once per cold
+//! fault: the static linter judges that parse, and the SUT's start
+//! reuses it. A campaign runs on the executor's serial
 //! loop over its borrowed SUT; for multi-core throughput,
 //! [`crate::CampaignExecutor`] shards fault loads across worker
 //! threads over the same kind of shared engine.
@@ -30,7 +32,9 @@ use conferr_formats::{format_by_name, ConfigFormat};
 use conferr_model::{
     ConfigSet, ErrorGenerator, FaultScenario, FaultSource, GenerateError, GeneratedFault, TreeEdit,
 };
-use conferr_sut::{ConfigPayload, Deadline, FileText, StartOutcome, SystemUnderTest, Tier};
+use conferr_sut::{
+    ConfigPayload, Deadline, FileText, StartOutcome, SystemUnderTest, TextOrigin, Tier,
+};
 use conferr_tree::diff;
 use parking_lot::Mutex;
 
@@ -124,22 +128,22 @@ impl From<GenerateError> for CampaignError {
 }
 
 /// The deterministic, SUT-independent half of one scenario's
-/// injection: the serialized payload and diff summary (or the reason
-/// neither exists). For a fixed engine this is a pure function of the
-/// scenario's edits, which is what makes the fault memo sound — two
-/// scenarios with identical edit lists produce identical `Prepared`
-/// values, byte for byte.
-enum Prepared {
-    /// The mutated set applied and serialized; the SUT can start.
-    Ready {
-        payload: ConfigPayload,
-        diff: Arc<[String]>,
-    },
-    /// The scenario could not be applied to the baseline.
-    Skipped { reason: String },
-    /// The mutated tree exists (and diffs) but cannot be expressed in
-    /// the file format (paper §3.2/§5.4).
-    Inexpressible { diff: Arc<[String]>, reason: String },
+/// injection: the serialized payload, the diff summary and the
+/// linter's judgement. For a fixed engine this is a pure function of
+/// the scenario's edits, which is what makes the fault memo sound —
+/// two scenarios with identical edit lists produce identical
+/// `Prepared` values, byte for byte.
+struct Prepared {
+    /// Diff summary lines (empty when the edits did not apply).
+    diff: Arc<[String]>,
+    /// The linter's judgement, when the engine has a linter.
+    lint: Option<Lint>,
+    /// The payload the SUT starts from, or the result that stands in
+    /// for the start: `Skipped` when the edits do not apply to the
+    /// baseline, `Inexpressible` when the mutated tree exists (and
+    /// diffs) but cannot be expressed in the file format (paper
+    /// §3.2/§5.4).
+    payload: Result<ConfigPayload, InjectionResult>,
 }
 
 /// The shared empty diff every diff-less outcome points at — one
@@ -176,13 +180,13 @@ pub(crate) struct InjectionEngine {
     /// scenario did not touch, and the SUT's parse cache pins their
     /// parsed form.
     baseline_payload: ConfigPayload,
-    /// Memoized apply → serialize → diff results, keyed by the exact
-    /// edit list. Repeated fault loads (bench reruns, Table 2
-    /// variation probes) skip the whole preparation; the SUT start
-    /// and functional tests still run per injection.
+    /// Memoized apply → diff → serialize → parse → judge results,
+    /// keyed by the exact edit list. Repeated fault loads (bench
+    /// reruns, Table 2 variation probes) skip the whole preparation;
+    /// the SUT start and functional tests still run per injection.
     memo: Mutex<HashMap<Vec<TreeEdit>, Arc<Prepared>>>,
-    /// When false, every fault is prepared from scratch — the
-    /// reference cold path used by benches and equivalence tests.
+    /// When false, every fault is prepared (and judged) from scratch —
+    /// the reference cold path used by benches and equivalence tests.
     /// Atomic so shared engines (executor, parallel workers) can be
     /// switched without exclusive access.
     memoize_faults: AtomicBool,
@@ -291,7 +295,7 @@ impl InjectionEngine {
                     })?;
             baseline_payload.insert(file.to_string(), FileText::baseline(text));
         }
-        let analysis = Self::scout(sut, &baseline, &baseline_payload);
+        let analysis = Self::scout(sut, &formats, &baseline, &baseline_payload);
         Ok(InjectionEngine {
             tier: sut.tier(),
             formats,
@@ -313,12 +317,26 @@ impl InjectionEngine {
     /// schema — or one whose schema the linter cannot service —
     /// yields `None`, and the engine behaves exactly as before the
     /// analysis layer existed.
+    ///
+    /// The linter judges the engine's parse of the bytes the SUT
+    /// receives, so a schema that reads a file in a different format
+    /// than the SUT's `config_files()` declares gets no analysis
+    /// either: its dialect model would judge a tree the SUT never
+    /// parses.
     fn scout(
         sut: &mut dyn SystemUnderTest,
+        formats: &BTreeMap<String, Box<dyn ConfigFormat>>,
         baseline: &ConfigSet,
         baseline_payload: &ConfigPayload,
     ) -> Option<EngineAnalysis> {
         let schema = sut.schema()?;
+        if schema
+            .files
+            .iter()
+            .any(|fs| formats.get(fs.file).is_some_and(|f| f.name() != fs.format))
+        {
+            return None;
+        }
         let linter = FaultLinter::new(schema, baseline.clone()).ok()?;
         // Scouting always runs unlimited: the baseline probe decides
         // soundness, it must never be cut short by a fault budget.
@@ -503,17 +521,23 @@ impl InjectionEngine {
     }
 
     /// Prepares one scenario's injection: apply to the baseline,
-    /// diff, serialize. Pure in the scenario's edits, so results are
-    /// memoized by exact edit list when the fault memo is enabled —
-    /// a hit returns the byte-identical `Prepared` the cold path
-    /// would recompute.
-    fn prepare(&self, scenario: &FaultScenario) -> Arc<Prepared> {
+    /// diff, serialize, parse, judge. Pure in the scenario's edits, so
+    /// results are memoized by exact edit list when the fault memo is
+    /// enabled — a hit returns the byte-identical `Prepared` the cold
+    /// path would recompute.
+    ///
+    /// A cold preparation also returns this fault's payload with the
+    /// engine's parse attached to every mutated file (see
+    /// [`Self::prepare_cold`]). It is handed to this fault's start
+    /// and dropped after it; the memo never keeps a parse.
+    fn prepare(&self, scenario: &FaultScenario) -> (Arc<Prepared>, Option<ConfigPayload>) {
         if self.memoize_faults() {
             if let Some(hit) = self.memo.lock().get(&scenario.edits) {
-                return Arc::clone(hit);
+                return (Arc::clone(hit), None);
             }
         }
-        let prepared = Arc::new(self.prepare_cold(scenario));
+        let (prepared, parsed) = self.prepare_cold(scenario);
+        let prepared = Arc::new(prepared);
         if self.memoize_faults() {
             let mut memo = self.memo.lock();
             if memo.len() >= FAULT_MEMO_CAPACITY {
@@ -521,26 +545,68 @@ impl InjectionEngine {
             }
             memo.insert(scenario.edits.clone(), Arc::clone(&prepared));
         }
-        prepared
+        (prepared, parsed)
     }
 
-    /// The un-memoized preparation path.
-    fn prepare_cold(&self, scenario: &FaultScenario) -> Prepared {
+    /// The un-memoized preparation path. With a linter, every mutated
+    /// file is parsed here once, with the engine's format for it; the
+    /// linter judges that parse, and the copy of the payload that
+    /// carries it goes to the start, whose simulator then skips its
+    /// own parse of the same bytes.
+    fn prepare_cold(&self, scenario: &FaultScenario) -> (Prepared, Option<ConfigPayload>) {
+        let edits = &scenario.edits;
+        let linter = self.analysis.as_ref().map(|a| &a.linter);
+        let unparsed = |diff, result| Prepared {
+            diff,
+            lint: linter.map(|l| l.judge(edits, None)),
+            payload: Err(result),
+        };
         let mutated = match scenario.apply(&self.baseline) {
             Ok(m) => m,
             Err(e) => {
-                return Prepared::Skipped {
-                    reason: e.to_string(),
-                }
+                let reason = e.to_string();
+                return (
+                    unparsed(empty_diff(), InjectionResult::Skipped { reason }),
+                    None,
+                );
             }
         };
         let diff: Arc<[String]> = self.diff_summary(&mutated).into();
         // Serialization can legitimately fail: the mutated tree may
         // not be expressible in the file format (paper §3.2/§5.4).
-        match self.payload_for(&mutated) {
-            Ok(payload) => Prepared::Ready { payload, diff },
-            Err(reason) => Prepared::Inexpressible { diff, reason },
-        }
+        let payload = match self.payload_for(&mutated) {
+            Ok(payload) => payload,
+            Err(reason) => {
+                return (
+                    unparsed(diff, InjectionResult::Inexpressible { reason }),
+                    None,
+                );
+            }
+        };
+        let parsed: Option<ConfigPayload> = linter.map(|_| {
+            payload
+                .iter()
+                .map(|(file, text)| {
+                    let text = match text.origin() {
+                        TextOrigin::Mutated => text.clone().with_parse(self.formats[file].as_ref()),
+                        TextOrigin::Baseline => text.clone(),
+                    };
+                    (file.to_string(), text)
+                })
+                .collect()
+        });
+        let reparsed = match (edits.as_slice(), &parsed) {
+            ([edit], Some(parsed)) => parsed
+                .get(edit.file())
+                .map(|text| text.parse_with(self.formats[edit.file()].as_ref())),
+            _ => None,
+        };
+        let prepared = Prepared {
+            diff,
+            lint: linter.map(|l| l.judge(edits, reparsed.as_ref().map(Result::as_ref))),
+            payload: Ok(payload),
+        };
+        (prepared, parsed)
     }
 
     /// Starts the SUT on one prepared payload and classifies its
@@ -682,44 +748,27 @@ impl InjectionEngine {
     ) -> InjectionOutcome {
         match fault {
             GeneratedFault::Scenario(scenario) => {
-                let lint = self.lint(&scenario.edits);
-                let verdict = self.annotate(lint.as_ref());
-                let prepared = self.prepare(&scenario);
-                // `diff` clones below are `Arc` refcount bumps: every
-                // outcome of the same preparation shares one line
-                // allocation (ROADMAP perf idea: no per-outcome
-                // `Vec<String>` clone).
-                let (diff, result) = match prepared.as_ref() {
-                    Prepared::Ready { payload, diff } => {
-                        let result = match self.triage_shortcut(sut, lint.as_ref()) {
-                            Some(result) => result,
-                            None => self.start_and_classify(
-                                sut,
-                                payload,
-                                lint.as_ref().map(|l| &*l.touch),
-                            ),
-                        };
-                        (diff.clone(), result)
-                    }
-                    Prepared::Skipped { reason } => (
-                        empty_diff(),
-                        InjectionResult::Skipped {
-                            reason: reason.clone(),
-                        },
-                    ),
-                    Prepared::Inexpressible { diff, reason } => (
-                        diff.clone(),
-                        InjectionResult::Inexpressible {
-                            reason: reason.clone(),
-                        },
-                    ),
+                let (prepared, parsed) = self.prepare(&scenario);
+                let lint = prepared.lint.as_ref();
+                let result = match &prepared.payload {
+                    Ok(payload) => match self.triage_shortcut(sut, lint) {
+                        Some(result) => result,
+                        None => self.start_and_classify(
+                            sut,
+                            parsed.as_ref().unwrap_or(payload),
+                            lint.map(|l| &*l.touch),
+                        ),
+                    },
+                    Err(result) => result.clone(),
                 };
                 InjectionOutcome {
                     id: scenario.id,
                     description: scenario.description,
                     class: scenario.class,
-                    diff,
-                    verdict,
+                    // A refcount bump: every outcome of the same
+                    // preparation shares one line allocation.
+                    diff: Arc::clone(&prepared.diff),
+                    verdict: self.annotate(lint),
                     // Read *after* the start ran: tier-mixing wrappers
                     // report the tier that actually served this fault.
                     tier: sut.tier(),
@@ -741,12 +790,6 @@ impl InjectionEngine {
                 result: InjectionResult::Inexpressible { reason },
             },
         }
-    }
-
-    /// Lints one scenario's edit list through the shared linter, when
-    /// the engine has one.
-    fn lint(&self, edits: &[TreeEdit]) -> Option<Lint> {
-        self.analysis.as_ref().map(|a| a.linter.lint(edits))
     }
 
     /// The verdict an outcome row carries: the lint's verdict, with
@@ -854,15 +897,16 @@ impl<'s> Campaign<'s> {
 
     /// Enables or disables the engine's fault memo (default: on).
     ///
-    /// For a fixed baseline, a scenario's apply → serialize → diff
-    /// preparation is a pure function of its edit list, so the engine
-    /// memoizes it by exact edit equality; repeated faults skip the
-    /// preparation while the SUT start and functional tests still run
-    /// per injection. Disabling yields the reference cold path —
-    /// profiles are byte-identical either way (asserted in
-    /// `tests/parse_cache.rs`), only wall-clock differs. Pair with
-    /// [`conferr_sut::SystemUnderTest::set_parse_caching`] to disable
-    /// every cache layer at once.
+    /// For a fixed baseline, a scenario's apply → diff → serialize →
+    /// parse → lint preparation is a pure function of its edit list,
+    /// so the engine memoizes it by exact edit equality; repeated
+    /// faults skip the preparation and the lint while the SUT start
+    /// and functional tests still run per injection. Disabling yields
+    /// the reference cold path — profiles are byte-identical either
+    /// way (asserted in `tests/parse_cache.rs`), only wall-clock
+    /// differs. The linter keeps no memo of its own, so pairing this
+    /// with [`conferr_sut::SystemUnderTest::set_parse_caching`]
+    /// disables every cache layer at once.
     pub fn set_fault_memoization(&mut self, enabled: bool) -> &mut Self {
         self.engine.set_fault_memoization(enabled);
         self
@@ -1121,6 +1165,35 @@ mod tests {
                     .unwrap()
             );
         }
+    }
+
+    #[test]
+    fn fault_memo_hit_returns_the_memoized_lint() {
+        let mut sut = MySqlSim::new();
+        let campaign = Campaign::new(&mut sut).unwrap();
+        let faults = StructuralPlugin::new()
+            .with_kinds([StructuralKind::DirectiveOmission])
+            .generate(campaign.baseline())
+            .unwrap();
+        let GeneratedFault::Scenario(scenario) = &faults[0] else {
+            panic!("structural faults are scenarios");
+        };
+        let engine = &campaign.engine;
+        let (cold, parsed) = engine.prepare(scenario);
+        assert!(parsed.is_some(), "a cold preparation hands on its parse");
+        let (hit, parsed) = engine.prepare(scenario);
+        assert!(parsed.is_none(), "a memo hit has no parse to hand on");
+        let touch = |p: &Prepared| Arc::clone(&p.lint.as_ref().expect("mysql is linted").touch);
+        assert!(
+            Arc::ptr_eq(&touch(&cold), &touch(&hit)),
+            "the second preparation must hit the memo"
+        );
+        // With the memo off, every preparation judges afresh.
+        engine.set_fault_memoization(false);
+        let (fresh, parsed) = engine.prepare(scenario);
+        assert!(parsed.is_some());
+        assert!(!Arc::ptr_eq(&touch(&cold), &touch(&fresh)));
+        assert_eq!(*touch(&cold), *touch(&fresh));
     }
 
     #[test]

@@ -231,3 +231,43 @@ pub fn checkconf_spec(program: PathBuf) -> ProcessSpec {
         schema: Some(&conferr_analysis::DJBDNS_SCHEMA),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use conferr_sut::{ApacheSim, AppServerSim, BindSim, DjbdnsSim, MySqlSim, PostgresSim};
+
+    /// The campaign engine lints its own parse of each file, made with
+    /// the format `config_files()` declares, and builds no analysis for
+    /// a schema that reads a file in another format. Every committed
+    /// SUT must therefore agree with its schema file for file.
+    #[test]
+    fn committed_schemas_read_files_in_their_declared_formats() {
+        let suts: Vec<Box<dyn SystemUnderTest>> = vec![
+            Box::new(MySqlSim::new()),
+            Box::new(PostgresSim::new()),
+            Box::new(ApacheSim::new()),
+            Box::new(BindSim::new()),
+            Box::new(DjbdnsSim::new()),
+            Box::new(AppServerSim::new()),
+            Box::new(ProcessSut::new(apachectl_spec(PathBuf::new()))),
+            Box::new(ProcessSut::new(checkconf_spec(PathBuf::new()))),
+        ];
+        for sut in &suts {
+            let schema = sut
+                .schema()
+                .expect("every committed SUT publishes a schema");
+            let declared: Vec<(String, String)> = sut
+                .config_files()
+                .into_iter()
+                .map(|spec| (spec.name, spec.format))
+                .collect();
+            let read: Vec<(String, String)> = schema
+                .files
+                .iter()
+                .map(|fs| (fs.file.to_string(), fs.format.to_string()))
+                .collect();
+            assert_eq!(declared, read, "{}", sut.name());
+        }
+    }
+}

@@ -25,12 +25,12 @@ use std::sync::Arc;
 
 use conferr_analysis::apache::{startup_model, validate_tree, StartupModel};
 use conferr_analysis::{Dialect, DirectiveSchema, APACHE_SCHEMA};
-use conferr_formats::{ApacheFormat, ConfigFormat};
+use conferr_formats::ApacheFormat;
 
 use crate::minihttp::{HttpService, VirtualFs, VirtualHost};
 use crate::{
-    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, ParseCache, StartOutcome, SystemUnderTest,
-    TestOutcome,
+    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, FileText, ParseCache, StartOutcome,
+    SystemUnderTest, TestOutcome,
 };
 
 /// The default `httpd.conf`, carrying 98 directives like the stock
@@ -214,9 +214,9 @@ impl ApacheSim {
     /// and model extraction live in `conferr_analysis::apache` —
     /// shared verbatim with the static linter — and the service is
     /// assembled infallibly from the extracted [`StartupModel`].
-    fn parse_and_validate(text: &str) -> ApacheStartup {
-        let tree = ApacheFormat::new()
-            .parse(text)
+    fn parse_and_validate(file: &FileText) -> ApacheStartup {
+        let tree = file
+            .parse_with(&ApacheFormat::new())
             .map_err(|e| Dialect::ApacheHttpd.parse_failure_diagnostic(&e.to_string()))?;
         validate_tree(tree.root()).map_err(|v| v.message)?;
         let model = startup_model(tree.root()).map_err(|v| v.message)?;
@@ -332,6 +332,7 @@ impl SystemUnderTest for ApacheSim {
 mod tests {
     use super::*;
     use crate::default_configs;
+    use conferr_formats::ConfigFormat;
 
     fn start_with(patch: impl Fn(&mut String)) -> (ApacheSim, StartOutcome) {
         let mut sut = ApacheSim::new();

@@ -19,12 +19,12 @@
 use std::sync::Arc;
 
 use conferr_analysis::{Dialect, DirectiveSchema, APPSERVER_SCHEMA};
-use conferr_formats::{xml_parse_attrs, ConfigFormat, XmlFormat};
+use conferr_formats::{xml_parse_attrs, XmlFormat};
 use conferr_tree::Node;
 
 use crate::{
-    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, ParseCache, StartOutcome, SystemUnderTest,
-    TestOutcome,
+    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, FileText, ParseCache, StartOutcome,
+    SystemUnderTest, TestOutcome,
 };
 
 const DEFAULT_SERVER_XML: &str = r#"<?xml version="1.0"?>
@@ -85,9 +85,9 @@ impl AppServerSim {
     /// The full startup path: parse `server.xml`, validate every
     /// element against the schema, enforce the cross-element
     /// constraints. Pure in the configuration text.
-    fn parse_and_validate(text: &str) -> ServerStartup {
-        let tree = XmlFormat::new()
-            .parse(text)
+    fn parse_and_validate(file: &FileText) -> ServerStartup {
+        let tree = file
+            .parse_with(&XmlFormat::new())
             .map_err(|e| Dialect::AppServerXml.parse_failure_diagnostic(&e.to_string()))?;
         let mut state = Running::default();
         let mut hosts = Vec::new();

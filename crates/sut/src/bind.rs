@@ -14,13 +14,13 @@
 //! reverse zone" — zone-liveness SOA probes, not per-record audits.
 
 use conferr_analysis::{Dialect, DirectiveSchema, BIND_SCHEMA};
-use conferr_formats::{ConfigFormat, ZoneFormat};
+use conferr_formats::ZoneFormat;
 use conferr_tree::ConfTree;
 
 use crate::minidns::{QType, ZoneStore};
 use crate::{
-    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, ParseCache, StartOutcome, SystemUnderTest,
-    TestOutcome,
+    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, FileText, ParseCache, StartOutcome,
+    SystemUnderTest, TestOutcome,
 };
 
 const DEFAULT_FORWARD_ZONE: &str = "\
@@ -87,9 +87,9 @@ impl BindSim {
 
     /// The full per-zone startup path: parse the master file and run
     /// BIND's zone sanity checks. Pure in `(file, text)`.
-    fn parse_zone(file: &str, text: &str) -> ZoneParse {
-        let tree = ZoneFormat::new()
-            .parse(text)
+    fn parse_zone(file: &str, text: &FileText) -> ZoneParse {
+        let tree = text
+            .parse_with(&ZoneFormat::new())
             .map_err(|e| Dialect::BindZone.parse_failure_diagnostic(&e.to_string()))?;
         Self::load_zone(file, &tree)
     }

@@ -16,12 +16,12 @@ use std::sync::Arc;
 
 use conferr_analysis::tinydns::check_line;
 use conferr_analysis::{Dialect, DirectiveSchema, DJBDNS_SCHEMA};
-use conferr_formats::{tinydns_fields, ConfigFormat, TinyDnsFormat};
+use conferr_formats::{tinydns_fields, TinyDnsFormat};
 
 use crate::minidns::{QType, ZoneStore};
 use crate::{
-    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, ParseCache, StartOutcome, SystemUnderTest,
-    TestOutcome,
+    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, FileText, ParseCache, StartOutcome,
+    SystemUnderTest, TestOutcome,
 };
 
 const DEFAULT_DATA: &str = "\
@@ -70,9 +70,9 @@ impl DjbdnsSim {
     /// shared syntax check (the same `conferr_analysis::tinydns`
     /// model the static linter uses), then load every line. Pure in
     /// the text.
-    fn parse_data(text: &str) -> DataParse {
-        let tree = TinyDnsFormat::new()
-            .parse(text)
+    fn parse_data(file: &FileText) -> DataParse {
+        let tree = file
+            .parse_with(&TinyDnsFormat::new())
             .map_err(|e| Dialect::TinyDns.parse_failure_diagnostic(&e.to_string()))?;
         let mut store = ZoneStore::new();
         for (i, node) in tree.root().children().iter().enumerate() {

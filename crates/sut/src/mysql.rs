@@ -37,8 +37,8 @@ use conferr_formats::{ConfigFormat, IniFormat};
 use crate::directive::ValueType;
 use crate::minidb::{Engine, EngineLimits};
 use crate::{
-    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, ParseCache, StartOutcome, SystemUnderTest,
-    TestOutcome,
+    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, FileText, ParseCache, StartOutcome,
+    SystemUnderTest, TestOutcome,
 };
 
 const DEFAULT_MY_CNF: &str = "\
@@ -152,9 +152,9 @@ impl MySqlSim {
     /// The full startup path: parse `my.cnf`, absorb the `[mysqld]`
     /// group with MySQL's lenient value discipline, check path-valued
     /// directives. Pure in the configuration text.
-    fn parse_and_validate(text: &str) -> MySqlStartup {
-        let tree = IniFormat::new()
-            .parse(text)
+    fn parse_and_validate(file: &FileText) -> MySqlStartup {
+        let tree = file
+            .parse_with(&IniFormat::new())
             .map_err(|e| Dialect::MySqlIni.parse_failure_diagnostic(&e.to_string()))?;
         // The lenient value discipline, section skipping and path
         // checks live in `conferr_analysis::mysql` — shared verbatim

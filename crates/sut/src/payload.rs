@@ -31,11 +31,23 @@
 //!   mutated-origin entries live in a FIFO-bounded window so unbounded
 //!   campaigns cannot grow the cache without limit.
 //!
+//! A [`FileText`] can also carry a parse of its own bytes
+//! ([`FileText::with_parse`]). The campaign engine parses each freshly
+//! prepared mutated file once, judges that parse statically, and hands
+//! the same parse to the start, where a cache miss uses it instead of
+//! parsing the bytes again ([`FileText::parse_with`]). Cache entries
+//! keep only the text and the derived value, never the carried parse,
+//! and a disabled cache ignores it: the reference path always parses
+//! the bytes itself.
+//!
 //! [`SystemUnderTest::start`]: crate::SystemUnderTest::start
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
+
+use conferr_formats::{ConfigFormat, ParseError};
+use conferr_tree::ConfTree;
 
 /// Stable identity of one exact configuration text: the 64-bit
 /// FNV-1a hash of its bytes.
@@ -94,13 +106,35 @@ pub struct FileText {
     text: Arc<str>,
     id: ContentId,
     origin: TextOrigin,
+    parsed: Option<Arc<CarriedParse>>,
+}
+
+/// A parse of a [`FileText`]'s own bytes, tagged with the name of the
+/// format that produced it.
+struct CarriedParse {
+    format: String,
+    tree: Result<ConfTree, ParseError>,
+}
+
+impl fmt::Debug for CarriedParse {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CarriedParse")
+            .field("format", &self.format)
+            .field("ok", &self.tree.is_ok())
+            .finish()
+    }
 }
 
 impl FileText {
     fn new(text: impl Into<Arc<str>>, origin: TextOrigin) -> Self {
         let text = text.into();
         let id = ContentId::of(&text);
-        FileText { text, id, origin }
+        FileText {
+            text,
+            id,
+            origin,
+            parsed: None,
+        }
     }
 
     /// Wraps baseline text (pinned when cached).
@@ -132,6 +166,56 @@ impl FileText {
     /// The retention class this text was tagged with.
     pub fn origin(&self) -> TextOrigin {
         self.origin
+    }
+
+    /// This text, carrying its parse by `format`. The parse runs here,
+    /// once; clones share it, and [`FileText::parse_with`] hands it to
+    /// every caller asking for a format of the same name.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use conferr_formats::KvFormat;
+    /// use conferr_sut::FileText;
+    /// use conferr_tree::Node;
+    ///
+    /// let file = FileText::mutated("port = 5432\n").with_parse(&KvFormat::new());
+    /// let a = file.parse_with(&KvFormat::new()).unwrap();
+    /// let b = file.parse_with(&KvFormat::new()).unwrap();
+    /// assert!(Node::ptr_eq(a.root(), b.root()), "one parse, shared");
+    /// ```
+    #[must_use]
+    pub fn with_parse(mut self, format: &dyn ConfigFormat) -> Self {
+        self.parsed = Some(Arc::new(CarriedParse {
+            format: format.name().to_string(),
+            tree: format.parse(&self.text),
+        }));
+        self
+    }
+
+    /// Parses the text with `format`: the carried parse when
+    /// [`FileText::with_parse`] attached one by a format of the same
+    /// name, a fresh parse of the bytes otherwise. Either way the
+    /// result equals `format.parse(self.text())`.
+    ///
+    /// # Errors
+    ///
+    /// The format's [`ParseError`] when the text does not parse.
+    pub fn parse_with(&self, format: &dyn ConfigFormat) -> Result<ConfTree, ParseError> {
+        match &self.parsed {
+            Some(parsed) if parsed.format == format.name() => parsed.tree.clone(),
+            _ => format.parse(&self.text),
+        }
+    }
+
+    /// The same text without any carried parse.
+    fn without_parse(&self) -> FileText {
+        FileText {
+            text: Arc::clone(&self.text),
+            id: self.id,
+            origin: self.origin,
+            parsed: None,
+        }
     }
 }
 
@@ -340,7 +424,7 @@ impl<T> FileCache<T> {
 /// let mut cache: ParseCache<usize> = ParseCache::new();
 /// let conf = FileText::baseline("listen 80\n");
 ///
-/// let parsed = cache.get_or_parse("app.conf", &conf, |text| text.len());
+/// let parsed = cache.get_or_parse("app.conf", &conf, |file| file.text().len());
 /// assert_eq!(*parsed, 10);
 ///
 /// // Same content: memoized, the closure does not run again.
@@ -350,7 +434,7 @@ impl<T> FileCache<T> {
 ///
 /// // Different content under the same name: full parse.
 /// let edited = FileText::mutated("listen 8080\n");
-/// assert_eq!(*cache.get_or_parse("app.conf", &edited, |text| text.len()), 12);
+/// assert_eq!(*cache.get_or_parse("app.conf", &edited, |file| file.text().len()), 12);
 /// assert_eq!(cache.stats().misses, 2);
 /// ```
 pub struct ParseCache<T> {
@@ -405,8 +489,9 @@ impl<T> ParseCache<T> {
     }
 
     /// Enables or disables memoization. While disabled every lookup
-    /// runs `parse` and nothing is stored — the reference cold path
-    /// used by benches and equivalence tests.
+    /// runs `parse` on the file stripped of any carried parse, and
+    /// nothing is stored — the reference cold path used by benches and
+    /// equivalence tests.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
@@ -418,21 +503,24 @@ impl<T> ParseCache<T> {
 
     /// Returns the memoized representation of `file`'s exact text
     /// under `file_name`, running `parse` (the full paper-faithful
-    /// parse-and-validate path) when no byte-identical entry exists.
+    /// parse-and-validate path) on the file when no byte-identical
+    /// entry exists. `parse` may take the parse the file carries (see
+    /// [`FileText::parse_with`]); a disabled cache hands it the bare
+    /// text instead.
     pub fn get_or_parse<F>(&mut self, file_name: &str, file: &FileText, parse: F) -> Arc<T>
     where
-        F: FnOnce(&str) -> T,
+        F: FnOnce(&FileText) -> T,
     {
         if !self.enabled {
             self.bypassed += 1;
-            return Arc::new(parse(file.text()));
+            return Arc::new(parse(&file.without_parse()));
         }
         if let Some(hit) = self.files.get(file_name).and_then(|fc| fc.lookup(file)) {
             self.hits += 1;
             return hit;
         }
         self.misses += 1;
-        let value = Arc::new(parse(file.text()));
+        let value = Arc::new(parse(file));
         self.files.entry(file_name.to_string()).or_default().store(
             file,
             Arc::clone(&value),
@@ -486,9 +574,9 @@ mod tests {
     fn identical_content_is_parsed_once() {
         let mut cache: ParseCache<String> = ParseCache::new();
         let runs = Cell::new(0);
-        let parse = |text: &str| {
+        let parse = |file: &FileText| {
             runs.set(runs.get() + 1);
-            text.to_uppercase()
+            file.text().to_uppercase()
         };
         let file = FileText::mutated("abc");
         let a = cache.get_or_parse("f", &file, parse);
@@ -529,6 +617,45 @@ mod tests {
         cache.set_enabled(true);
         cache.get_or_parse("f", &file, |_| 3);
         assert_eq!(cache.stats().misses, 1);
+    }
+
+    /// Two `parse_with` calls that share one root: the file carries
+    /// its parse by `format`.
+    fn carries_parse(file: &FileText, format: &dyn ConfigFormat) -> bool {
+        let (a, b) = (file.parse_with(format), file.parse_with(format));
+        conferr_tree::Node::ptr_eq(a.unwrap().root(), b.unwrap().root())
+    }
+
+    #[test]
+    fn carried_parse_serves_its_own_format_only() {
+        use conferr_formats::{IniFormat, KvFormat};
+        let file = FileText::mutated("port = 5432\n").with_parse(&KvFormat::new());
+        assert!(carries_parse(&file, &KvFormat::new()));
+        assert!(carries_parse(&file.clone(), &KvFormat::new()));
+        // Another format parses the bytes afresh.
+        assert!(!carries_parse(&file, &IniFormat::new()));
+        assert!(!carries_parse(
+            &FileText::mutated("port = 5432\n"),
+            &KvFormat::new()
+        ));
+        // A parse error is carried as well.
+        let bad = FileText::mutated("[mysqld\n").with_parse(&IniFormat::new());
+        assert_eq!(
+            bad.parse_with(&IniFormat::new()),
+            IniFormat::new().parse("[mysqld\n")
+        );
+    }
+
+    #[test]
+    fn only_an_enabled_cache_hands_over_the_carried_parse() {
+        use conferr_formats::KvFormat;
+        let file = FileText::mutated("port = 5432\n").with_parse(&KvFormat::new());
+        let mut cache: ParseCache<bool> = ParseCache::new();
+        let miss = cache.get_or_parse("f", &file, |f| carries_parse(f, &KvFormat::new()));
+        assert!(*miss, "a miss builds from the carried parse");
+        cache.set_enabled(false);
+        let bypass = cache.get_or_parse("f", &file, |f| carries_parse(f, &KvFormat::new()));
+        assert!(!*bypass, "the reference path parses the bytes itself");
     }
 
     #[test]

@@ -21,13 +21,13 @@ use std::sync::Arc;
 
 use conferr_analysis::postgres::{validate_config, REGISTRY};
 use conferr_analysis::{Dialect, DirectiveSchema, POSTGRES_SCHEMA};
-use conferr_formats::{ConfigFormat, KvFormat};
+use conferr_formats::KvFormat;
 
 use crate::directive::ValueType;
 use crate::minidb::{Engine, EngineLimits};
 use crate::{
-    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, ParseCache, StartOutcome, SystemUnderTest,
-    TestOutcome,
+    CacheStats, ConfigFileSpec, ConfigPayload, Deadline, FileText, ParseCache, StartOutcome,
+    SystemUnderTest, TestOutcome,
 };
 
 /// Postgres 8.2's default `postgresql.conf` ships with exactly these
@@ -117,9 +117,9 @@ impl PostgresSim {
     /// parameter strictly, enforce the cross-directive constraints.
     /// Pure in the configuration text; errors carry the exact FATAL
     /// diagnostic.
-    fn parse_and_validate(text: &str) -> PostgresStartup {
-        let tree = KvFormat::new()
-            .parse(text)
+    fn parse_and_validate(file: &FileText) -> PostgresStartup {
+        let tree = file
+            .parse_with(&KvFormat::new())
             .map_err(|e| Dialect::PostgresKv.parse_failure_diagnostic(&e.to_string()))?;
         // Strict per-parameter validation and the cross-directive
         // constraints live in `conferr_analysis::postgres` — shared

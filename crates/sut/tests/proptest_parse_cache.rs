@@ -94,9 +94,9 @@ proptest! {
         let mut cache: ParseCache<usize> = ParseCache::new();
         for text in &texts {
             let file = FileText::mutated(text.as_str());
-            let value = cache.get_or_parse("f", &file, |t| {
-                *runs.borrow_mut().entry(t.to_string()).or_insert(0) += 1;
-                t.len()
+            let value = cache.get_or_parse("f", &file, |f| {
+                *runs.borrow_mut().entry(f.text().to_string()).or_insert(0) += 1;
+                f.text().len()
             });
             prop_assert_eq!(*value, text.len());
         }

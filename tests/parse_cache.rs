@@ -12,20 +12,29 @@
 //! * a `start` served from a cache hit yields a `StartOutcome`
 //!   identical to a cold parse of the same payload, fault by fault;
 //! * repeated fault loads actually hit the cache (the speedup is
-//!   real, not a no-op flag).
+//!   real, not a no-op flag);
+//! * the engine parses each cold fault's mutated file once and the
+//!   start receives that parse, while memo hits and the uncached
+//!   reference path parse the bytes themselves.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashSet};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use conferr::{profile_to_json, Campaign, ResilienceProfile};
+use conferr::{
+    profile_to_json, Campaign, CampaignExecutor, ExecutorCampaign, ResilienceProfile, SutFactory,
+};
 use conferr_bench::{table1_faultload, DEFAULT_SEED};
 use conferr_formats::{format_by_name, ConfigFormat};
 use conferr_keyboard::Keyboard;
 use conferr_model::{ConfigSet, GeneratedFault};
 use conferr_sut::{
-    ApacheSim, BindSim, ConfigPayload, Deadline, DjbdnsSim, FileText, MySqlSim, PostgresSim,
-    SystemUnderTest,
+    ApacheSim, BindSim, CacheStats, ConfigFileSpec, ConfigPayload, Deadline, DirectiveSchema,
+    DjbdnsSim, FileText, MySqlSim, PostgresSim, StartOutcome, SystemUnderTest, TestOutcome,
+    TextOrigin,
 };
+use conferr_tree::Node;
 
 /// Runs the full Table 1 fault load through a serial campaign with
 /// every cache layer (SUT parse cache + engine fault memo) on or off.
@@ -37,7 +46,9 @@ fn table1_profile(sut: &mut dyn SystemUnderTest, caching: bool) -> ResiliencePro
     campaign.run_faults(faults).expect("run")
 }
 
-fn assert_cached_equals_uncached(make_sut: impl Fn() -> Box<dyn SystemUnderTest>) {
+fn assert_cached_equals_uncached(
+    make_sut: impl Fn() -> Box<dyn SystemUnderTest + Send> + Send + Sync + 'static,
+) {
     let mut cold_sut = make_sut();
     let uncached = table1_profile(cold_sut.as_mut(), false);
     let stats = cold_sut
@@ -56,6 +67,22 @@ fn assert_cached_equals_uncached(make_sut: impl Fn() -> Box<dyn SystemUnderTest>
     // Byte-identical, not merely equal: every id, description, diff
     // line and diagnostic in the exported JSON matches exactly.
     assert_eq!(profile_to_json(&uncached), profile_to_json(&cached));
+
+    // The cached side on a 2-thread pool, twice over one engine. The
+    // second pass is all fault-memo hits, whose payloads carry no
+    // parse, and each lands on a worker whose parse cache may never
+    // have seen that text: the start must parse it itself.
+    let campaign = ExecutorCampaign::new(SutFactory::from_boxed(make_sut)).expect("campaign");
+    let faults = table1_faultload(campaign.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
+    let executor = CampaignExecutor::new(2);
+    for pass in ["cold", "memo hits"] {
+        let pooled = executor.run_faults(&campaign, faults.clone()).expect("run");
+        assert_eq!(
+            profile_to_json(&uncached),
+            profile_to_json(&pooled),
+            "2 threads, {pass}"
+        );
+    }
 }
 
 #[test]
@@ -279,4 +306,117 @@ fn unchanged_files_of_multi_file_suts_parse_once() {
     );
     assert!(stats.hits > starts / 2, "untouched zones must mostly hit");
     assert_eq!(stats.pinned, 2, "both baseline zone files are pinned");
+}
+
+/// Forwards to a simulator and logs, for each mutated file a start
+/// receives, whether it carries a parse: two `parse_with` calls that
+/// share one root. Files that do not parse are not logged.
+#[derive(Debug)]
+struct ParseProbe {
+    inner: Box<dyn SystemUnderTest>,
+    formats: BTreeMap<String, Box<dyn ConfigFormat>>,
+    carried: Rc<RefCell<Vec<bool>>>,
+}
+
+impl ParseProbe {
+    fn new(inner: Box<dyn SystemUnderTest>) -> Self {
+        let formats = inner
+            .config_files()
+            .into_iter()
+            .map(|spec| (spec.name, format_by_name(&spec.format).expect("format")))
+            .collect();
+        ParseProbe {
+            inner,
+            formats,
+            carried: Rc::default(),
+        }
+    }
+}
+
+impl SystemUnderTest for ParseProbe {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn config_files(&self) -> Vec<ConfigFileSpec> {
+        self.inner.config_files()
+    }
+
+    fn start(&mut self, configs: &ConfigPayload, deadline: &Deadline) -> StartOutcome {
+        for (name, file) in configs.iter() {
+            if file.origin() != TextOrigin::Mutated {
+                continue;
+            }
+            let format = self.formats[name].as_ref();
+            if let (Ok(a), Ok(b)) = (file.parse_with(format), file.parse_with(format)) {
+                self.carried
+                    .borrow_mut()
+                    .push(Node::ptr_eq(a.root(), b.root()));
+            }
+        }
+        self.inner.start(configs, deadline)
+    }
+
+    fn test_names(&self) -> Vec<String> {
+        self.inner.test_names()
+    }
+
+    fn run_test(&mut self, test: &str, deadline: &Deadline) -> TestOutcome {
+        self.inner.run_test(test, deadline)
+    }
+
+    fn stop(&mut self) {
+        self.inner.stop();
+    }
+
+    fn set_parse_caching(&mut self, enabled: bool) {
+        self.inner.set_parse_caching(enabled);
+    }
+
+    fn parse_cache_stats(&self) -> Option<CacheStats> {
+        self.inner.parse_cache_stats()
+    }
+
+    fn schema(&self) -> Option<&'static DirectiveSchema> {
+        self.inner.schema()
+    }
+}
+
+#[test]
+fn cold_faults_start_from_the_engines_parse_and_memo_hits_do_not() {
+    for make_sut in [
+        || -> Box<dyn SystemUnderTest> { Box::new(MySqlSim::new()) },
+        || -> Box<dyn SystemUnderTest> { Box::new(PostgresSim::new()) },
+        || -> Box<dyn SystemUnderTest> { Box::new(ApacheSim::new()) },
+    ] {
+        let mut probe = ParseProbe::new(make_sut());
+        let carried = Rc::clone(&probe.carried);
+        let mut campaign = Campaign::new(&mut probe).expect("campaign");
+        // Distinct edit lists, so the first pass is all memo misses.
+        let mut seen = HashSet::new();
+        let faults: Vec<GeneratedFault> =
+            table1_faultload(campaign.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED)
+                .into_iter()
+                .filter(|fault| match fault {
+                    GeneratedFault::Scenario(s) => seen.insert(s.edits.clone()),
+                    GeneratedFault::Inexpressible { .. } => false,
+                })
+                .collect();
+
+        campaign.run_faults(faults.clone()).expect("cold pass");
+        let cold = carried.take();
+        assert!(cold.len() > 50, "the load must start on many mutated files");
+        assert!(
+            cold.iter().all(|&c| c),
+            "every cold start must receive the engine's parse"
+        );
+
+        campaign.run_faults(faults).expect("memo pass");
+        let hits = carried.take();
+        assert_eq!(hits.len(), cold.len());
+        assert!(
+            hits.iter().all(|&c| !c),
+            "a memo hit must hand over text without a parse"
+        );
+    }
 }

@@ -23,6 +23,7 @@ use conferr::{
     profile_to_json, sut_factory, Campaign, CampaignExecutor, CollectingSink, ExecutorCampaign,
     InjectionResult, LintedSource, ResilienceProfile, StaticVerdict,
 };
+use conferr_analysis::{Dialect, DirectiveSchema, FileSchema};
 use conferr_bench::{all_typos, table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
 use conferr_model::{
@@ -31,7 +32,8 @@ use conferr_model::{
 };
 use conferr_plugins::{VariationClass, VariationPlugin};
 use conferr_sut::{
-    ApacheSim, AppServerSim, BindSim, DjbdnsSim, MySqlSim, PostgresSim, SystemUnderTest,
+    ApacheSim, AppServerSim, BindSim, ConfigFileSpec, ConfigPayload, Deadline, DjbdnsSim, MySqlSim,
+    PostgresSim, StartOutcome, SystemUnderTest, TestOutcome,
 };
 use conferr_tree::NodeQuery;
 use proptest::prelude::*;
@@ -364,17 +366,22 @@ fn pruned_profile_is_byte_identical_over_table2_variations() {
 // LintedSource inside a real campaign.
 // ---------------------------------------------------------------------------
 
-#[test]
-fn linted_source_observes_every_fault_and_stays_transparent() {
-    let mut sut = MySqlSim::new();
-    let mut campaign = Campaign::new(&mut sut).expect("campaign");
+/// Streams one system's Table 1 load through a [`LintedSource`] over
+/// the campaign's own linter and checks two things: the stream is
+/// transparent, and the standalone `FaultLinter::lint` round trip the
+/// observer sees agrees, verdict for verdict, with the lint the engine
+/// judges from its own parse.
+fn assert_linted_source_is_transparent(make_sut: impl Fn() -> Box<dyn SystemUnderTest>) {
+    let mut sut = make_sut();
+    let mut campaign = Campaign::new(sut.as_mut()).expect("campaign");
     let faults = table1_faultload(campaign.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
     let total = faults.len();
     let reference = campaign.run_faults(faults.clone()).expect("run");
 
-    let mut sut = MySqlSim::new();
-    let mut campaign = Campaign::new(&mut sut).expect("campaign");
-    let linter = campaign.linter().expect("mysql publishes a schema");
+    let mut sut = make_sut();
+    let name = sut.name().to_string();
+    let mut campaign = Campaign::new(sut.as_mut()).expect("campaign");
+    let linter = campaign.linter().expect("the system publishes a schema");
     let mut observed = Vec::new();
     let mut source = LintedSource::new(EagerSource::new(faults), linter, |fault, lint| {
         let id = match fault {
@@ -387,7 +394,7 @@ fn linted_source_observes_every_fault_and_stays_transparent() {
     campaign
         .run_source(&mut source, &mut sink)
         .expect("streamed run");
-    let streamed = sink.into_profile("mysql-sim");
+    let streamed = sink.into_profile(&name);
     drop(source);
 
     // Transparent: the streamed profile is byte-identical to the plain
@@ -412,9 +419,85 @@ fn linted_source_observes_every_fault_and_stays_transparent() {
                 verdict,
                 outcome.verdict
             ),
-            v => assert_eq!(v, &outcome.verdict, "{id}"),
+            v => assert_eq!(v, &outcome.verdict, "{name} {id}"),
         }
     }
+}
+
+#[test]
+fn linted_source_observes_every_fault_and_stays_transparent() {
+    assert_linted_source_is_transparent(|| Box::new(MySqlSim::new()));
+    assert_linted_source_is_transparent(|| Box::new(PostgresSim::new()));
+    assert_linted_source_is_transparent(|| Box::new(ApacheSim::new()));
+}
+
+// ---------------------------------------------------------------------------
+// A schema must read files in the formats the SUT declares.
+// ---------------------------------------------------------------------------
+
+/// MySQL's schema, except that it reads `my.cnf` as key/value text.
+static KV_READ_MYSQL_SCHEMA: DirectiveSchema = DirectiveSchema {
+    system: "mysql-sim",
+    files: &[FileSchema {
+        file: "my.cnf",
+        format: "kv",
+        dialect: Dialect::MySqlIni,
+    }],
+    tests: &[],
+};
+
+/// The MySQL simulator publishing [`KV_READ_MYSQL_SCHEMA`], while its
+/// `config_files()` still declare `my.cnf` as INI.
+#[derive(Debug, Default)]
+struct MisreadSchemaSim(MySqlSim);
+
+impl SystemUnderTest for MisreadSchemaSim {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn config_files(&self) -> Vec<ConfigFileSpec> {
+        self.0.config_files()
+    }
+
+    fn start(&mut self, configs: &ConfigPayload, deadline: &Deadline) -> StartOutcome {
+        self.0.start(configs, deadline)
+    }
+
+    fn test_names(&self) -> Vec<String> {
+        self.0.test_names()
+    }
+
+    fn run_test(&mut self, test: &str, deadline: &Deadline) -> TestOutcome {
+        self.0.run_test(test, deadline)
+    }
+
+    fn stop(&mut self) {
+        self.0.stop();
+    }
+
+    fn schema(&self) -> Option<&'static DirectiveSchema> {
+        Some(&KV_READ_MYSQL_SCHEMA)
+    }
+}
+
+#[test]
+fn schema_reading_another_format_gets_no_analysis() {
+    let mut sut = MisreadSchemaSim::default();
+    let mut campaign = Campaign::new(&mut sut).expect("campaign");
+    assert!(
+        campaign.linter().is_none(),
+        "a schema that misreads a file's format must not be linted"
+    );
+    // No analysis: every verdict Unknown, nothing triaged.
+    campaign.set_static_triage(true);
+    let faults = table1_faultload(campaign.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
+    let profile = campaign.run_faults(faults).expect("run");
+    assert!(profile
+        .outcomes()
+        .iter()
+        .all(|o| o.verdict == StaticVerdict::Unknown));
+    assert_eq!(campaign.triage_stats().1, 0);
 }
 
 // ---------------------------------------------------------------------------
