@@ -1,5 +1,7 @@
-//! Machine-readable campaign-engine timings — the repo's perf
-//! trajectory anchor.
+//! Machine-readable campaign-engine timings and gates — the repo's
+//! perf trajectory anchor. The repository benchmark proper, with its
+//! distinct-fault workloads and per-layer metrics, is `perfbench/`
+//! (declared in `BENCHMARK.json`; see `perfbench/README.md`).
 //!
 //! Runs the full §5.2 fault load (Table 1 protocol: every-directive
 //! deletion plus sampled name/value typos) against MySQL, Postgres
@@ -28,13 +30,13 @@
 //! * **streaming** — the same fault load pulled from a live
 //!   `FaultSource` chunk by chunk and drained into an `OutcomeSink`
 //!   through the executor's bounded reorder window, with the observed
-//!   peak buffering asserted against the `chunk × threads` bound.
+//!   peak buffering asserted against the `CHUNK_SIZE × threads` bound.
 //!
 //! All profiles are asserted **byte-identical** before any timing is
 //! reported — caches, the pool, the batch scheduler, the streaming
 //! pipeline and test-impact pruning must be pure wall-clock/memory
 //! optimisations — then the numbers go to `BENCH_campaign.json`
-//! (schema v9). A **scheduler** section (v8) prices the sharded
+//! (schema v10). A **scheduler** section (v8) prices the sharded
 //! executor core: the warm 3-system batch best-of-5 on the
 //! persistent pool, gated no slower than the cached serial total
 //! (under the v7 global-lock scheduler the pooled executor *lost* to
@@ -42,12 +44,7 @@
 //! static-triage fast path against its
 //! `set_static_triage(false)` reference — byte-identity plus the
 //! skip-rate gate (at least 50% of the dynamic starts must be
-//! replaced). A dedicated **isolation** section times the same
-//! serial 1-thread workload in strict mode (no `catch_unwind`, panics
-//! poison) and in the default isolated mode (per-fault `catch_unwind`
-//! plus watchdog bookkeeping) over five back-to-back pairs, and gates
-//! the isolated run at <= 3% over strict — fault isolation must be a
-//! safety net, not a tax. The
+//! replaced). The
 //! parallel/executor/batch speedups scale with core count; on a
 //! single-core machine they only measure scheduling overhead (and the
 //! batch profile exercises the executor's serial fast path). A
@@ -78,7 +75,7 @@ use std::time::Instant;
 
 use conferr::{
     sut_factory, Campaign, CampaignBatch, CampaignExecutor, CollectingSink, CountingSink,
-    ExecutorCampaign, ResilienceProfile, SutFactory,
+    ExecutorCampaign, ResilienceProfile, SutFactory, CHUNK_SIZE,
 };
 use conferr_bench::{
     deep_copy_tree, httpd_apply_fixture, million_fault_source, table1_faultload, threads_from_env,
@@ -217,7 +214,7 @@ fn run_system(
         .expect("streaming run");
     let streaming_ms = start.elapsed().as_secs_f64() * 1e3;
     let streamed = sink.into_profile(work.campaign.system());
-    let window = executor.chunk_size() * executor.threads();
+    let window = CHUNK_SIZE * executor.threads();
     assert!(
         stats.peak_buffered <= window,
         "streaming buffered {} outcomes, window is {window}",
@@ -251,7 +248,7 @@ fn run_system(
 /// [`million_fault_source`]) streamed into a counting sink. The fault
 /// space is never materialized, no outcome is retained, and the
 /// executor's reorder buffer is asserted to stay within the
-/// `chunk × threads` window.
+/// `CHUNK_SIZE × threads` window.
 struct SmokeBench {
     faults: usize,
     ms: f64,
@@ -270,7 +267,7 @@ fn million_fault_smoke(threads: usize) -> SmokeBench {
     let source = million_fault_source(base, SMOKE_TARGET);
 
     let executor = CampaignExecutor::new(threads);
-    let window = executor.chunk_size() * executor.threads();
+    let window = CHUNK_SIZE * executor.threads();
     let mut sink = CountingSink::new();
     let start = Instant::now();
     let stats = executor
@@ -295,83 +292,6 @@ fn million_fault_smoke(threads: usize) -> SmokeBench {
         peak_buffered: stats.peak_buffered,
         window,
         detected_at_startup: summary.detected_at_startup,
-    }
-}
-
-/// Strict vs isolated serial executor timings over one system's
-/// repeated Table 1 load — the cost of the per-fault `catch_unwind`
-/// boundary, deadline bookkeeping and retry plumbing when nothing
-/// ever goes wrong.
-struct IsolationBench {
-    faults: usize,
-    serial_strict_ms: f64,
-    serial_isolated_ms: f64,
-    overhead_pct: f64,
-}
-
-fn isolation_bench(repeat: usize) -> IsolationBench {
-    // Floor the workload: a warmed serial run is sub-millisecond per
-    // few hundred faults, and a 3% gate needs more signal than that.
-    let work = workload(sut_factory(MySqlSim::new), repeat.max(50));
-    let executor = CampaignExecutor::new(1);
-    // Warm the pool, the worker's SUT cache and the engine's fault
-    // memo once so both modes time the same steady state.
-    let reference = executor
-        .run_faults(&work.campaign, work.faults.clone())
-        .expect("warm-up run");
-
-    // Back-to-back pairs, alternating which mode goes first, scored
-    // per round: a busy machine phase then slows both sides of a pair
-    // instead of penalizing whichever mode it happened to overlap.
-    // The reported numbers come from the best (least-interfered)
-    // round; the gate takes the best per-round overhead.
-    let mut serial_strict_ms = f64::INFINITY;
-    let mut serial_isolated_ms = f64::INFINITY;
-    let mut overhead_pct = f64::INFINITY;
-    for round in 0..5 {
-        let timed = |isolate: bool| {
-            executor.set_fault_isolation(isolate);
-            let start = Instant::now();
-            let profile = executor
-                .run_faults(&work.campaign, work.faults.clone())
-                .expect("timed run");
-            let ms = start.elapsed().as_secs_f64() * 1e3;
-            let who = if isolate {
-                "isolated serial"
-            } else {
-                "strict serial"
-            };
-            assert_profiles_identical(&reference, &profile, who);
-            ms
-        };
-        let (strict, isolated) = if round % 2 == 0 {
-            let s = timed(false);
-            (s, timed(true))
-        } else {
-            let i = timed(true);
-            (timed(false), i)
-        };
-        let round_pct = (isolated - strict) / strict * 100.0;
-        if round_pct < overhead_pct {
-            overhead_pct = round_pct;
-            serial_strict_ms = strict;
-            serial_isolated_ms = isolated;
-        }
-    }
-    executor.set_fault_isolation(true);
-    // The perf gate: isolation-on must cost <= 3% over the strict
-    // serial bench (plus 1 ms of slack for timer noise on runs this
-    // short).
-    assert!(
-        serial_isolated_ms <= serial_strict_ms * 1.03 + 1.0,
-        "fault isolation costs {overhead_pct:.1}% over strict \
-         ({serial_isolated_ms:.1} ms vs {serial_strict_ms:.1} ms); the gate is 3%"
-    );
-    IsolationBench {
-        faults: work.faults.len(),
-        serial_strict_ms,
-        serial_isolated_ms,
-        overhead_pct,
     }
 }
 
@@ -474,7 +394,7 @@ fn scheduler_bench(
     total_serial: f64,
 ) -> SchedulerBench {
     // Warm 3-system batch, best of 5 rounds (the least-interfered
-    // round scores, like the isolation gate): every cache and thread
+    // round scores): every cache and thread
     // already exists, so this is the steady-state scheduling cost the
     // sharded producer shards + batched completions pay for.
     let mut warm_batch_ms = f64::INFINITY;
@@ -773,16 +693,6 @@ fn main() {
         scheduler.skip_rate,
     );
 
-    let isolation = isolation_bench(repeat);
-    println!(
-        "fault isolation (serial, 1 thread, {} faults): strict {:.1} ms, \
-         isolated {:.1} ms ({:+.1}%, gate 3%)",
-        isolation.faults,
-        isolation.serial_strict_ms,
-        isolation.serial_isolated_ms,
-        isolation.overhead_pct
-    );
-
     let process = process_bench(threads);
     if process.available {
         println!(
@@ -826,7 +736,7 @@ fn main() {
 
     let mut json = String::new();
     json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": \"conferr-bench-campaign/v9\",");
+    let _ = writeln!(json, "  \"schema\": \"conferr-bench-campaign/v10\",");
     let _ = writeln!(json, "  \"repeat\": {repeat},");
     let _ = writeln!(json, "  \"threads\": {threads},");
     let _ = writeln!(
@@ -922,19 +832,6 @@ fn main() {
          completion batching: warm_batch_ms is the best of 5 warm 3-system batches on the \
          persistent pool, gated no slower than the cached serial total\"\n  }},"
     );
-    let _ = writeln!(
-        json,
-        "  \"isolation\": {{\"faults\": {}, \"serial_strict_ms\": {:.1}, \
-         \"serial_isolated_ms\": {:.1}, \"overhead_pct\": {:.1}, \
-         \"note\": \"the same serial 1-thread MySQL workload with fault isolation off \
-         (strict mode: panics poison the run) and on (the default: per-fault catch_unwind, \
-         deadline bookkeeping, retry/quarantine plumbing), min of 3 runs each on a warmed \
-         pool; the binary asserts isolated <= strict x 1.03\"}},",
-        isolation.faults,
-        isolation.serial_strict_ms,
-        isolation.serial_isolated_ms,
-        isolation.overhead_pct
-    );
     if process.available {
         let _ = writeln!(
             json,
@@ -967,7 +864,7 @@ fn main() {
          \"note\": \"a lazily enumerated space of 10^6 compound faults (MySQL Table 1 load \
          crossed with itself twice, seeded 90% sample, capped) streamed into a counting \
          sink: the fault space is never materialized, no outcome is retained, and the \
-         executor's reorder buffer is asserted to stay within chunk_size x threads\"}},",
+         executor's reorder buffer is asserted to stay within CHUNK_SIZE x threads\"}},",
         smoke.faults,
         smoke.ms,
         smoke.faults as f64 / (smoke.ms / 1e3),

@@ -38,7 +38,7 @@ use conferr_sut::{
 use conferr_tree::diff;
 use parking_lot::Mutex;
 
-use crate::executor::{serial_loop, ExecPolicy, SutSlot};
+use crate::executor::{serial_loop, SutSlot};
 use crate::{InjectionOutcome, InjectionResult, ResilienceProfile};
 
 /// Maximum number of diff lines recorded per injection.
@@ -1019,14 +1019,15 @@ impl<'s> Campaign<'s> {
     /// outcome to `sink` **as it completes, in fault order** —
     /// serially, the bounded-memory path for fault spaces too large to
     /// materialize. Memory held by the driver is O(chunk size): at
-    /// most [`crate::DEFAULT_CHUNK_SIZE`] faults are in flight and no
-    /// outcome is ever buffered.
+    /// most [`crate::CHUNK_SIZE`] faults are in flight and no outcome
+    /// is ever buffered.
     ///
     /// This is the [`crate::CampaignExecutor`]'s 1-thread loop with
     /// the borrowed SUT as its one-slot SUT cache, under the
-    /// executor's default contract: a harness panic on one fault is
-    /// recorded as [`crate::InjectionResult::HarnessFailure`] for that
-    /// fault, the SUT is `stop()`ped, and the campaign keeps running.
+    /// executor's failure contract with no retry: a harness panic on
+    /// one fault is recorded as
+    /// [`crate::InjectionResult::HarnessFailure`] for that fault, the
+    /// SUT is `stop()`ped, and the campaign keeps running.
     ///
     /// # Errors
     ///
@@ -1047,8 +1048,7 @@ impl<'s> Campaign<'s> {
             &mut SutSlot::Borrowed(&mut *self.sut),
             source,
             sink,
-            crate::DEFAULT_CHUNK_SIZE,
-            &ExecPolicy::default(),
+            &crate::RetryPolicy::none(),
             &mut |_| {},
         )?;
         Ok(())

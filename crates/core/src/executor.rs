@@ -31,23 +31,22 @@
 //! # Streaming data flow
 //!
 //! Scheduling state is **sharded per batch entry**: every entry owns
-//! its fault feed behind its own producer lock, its own
-//! `chunk_size × threads` outstanding window, and its own reorder
+//! its fault source behind its own producer lock, its own
+//! `CHUNK_SIZE × threads` outstanding window, and its own reorder
 //! buffer. A lock-free atomic cursor rotates claiming threads across
 //! the entries, so threads pulling work for different systems never
 //! contend on a shared queue lock (the global producer bottleneck
 //! this design replaced), and entries generate concurrently with each
 //! other.
 //!
-//! Faults are handed out in **chunks** ([`DEFAULT_CHUNK_SIZE`] per
-//! claim, configurable via [`CampaignExecutor::set_chunk_size`])
-//! rather than one at a time: a claiming thread takes one entry's
-//! shard lock, pulls the next chunk from that entry's fault source
-//! (for eager entries this is just an index bump over the owned
-//! `Vec`), and works the whole chunk before claiming again — so
-//! generation for an entry runs on at most one thread at a time
-//! *while every other thread injects*, and queue contention drops by
-//! the chunk factor.
+//! Faults are handed out in fixed **chunks** of [`CHUNK_SIZE`] rather
+//! than one at a time: a claiming thread takes one entry's shard
+//! lock, pulls the next chunk from that entry's fault source (for
+//! eager entries this is just an index bump over the owned `Vec`),
+//! and works the whole chunk before claiming again — so generation
+//! for an entry runs on at most one thread at a time *while every
+//! other thread injects*, and queue contention drops by the chunk
+//! factor.
 //!
 //! Completed outcomes are published in **batches**: each thread
 //! accumulates up to eight outcomes in a thread-local buffer and
@@ -57,7 +56,7 @@
 //! unchanged. The submitting thread drains each entry's contiguous
 //! completed prefix to its [`OutcomeSink`](crate::OutcomeSink)
 //! **in fault order**. Production is throttled per entry by a window
-//! of `chunk_size × threads` faults outstanding (produced but not yet
+//! of `CHUNK_SIZE × threads` faults outstanding (produced but not yet
 //! sunk), which bounds both the in-flight faults and the buffered
 //! outcomes for each entry: a million-fault campaign streamed into a
 //! counting sink never holds more than the window in memory
@@ -74,7 +73,9 @@
 //! same loop over its borrowed SUT, so both share one failure
 //! contract: per-fault isolation, retry and quarantine, source panics
 //! as [`CampaignError::Generate`] and sink failures as
-//! [`CampaignError::SinkIo`].
+//! [`CampaignError::SinkIo`]. The only panics that escape it — a shed
+//! SUT whose `Drop` panics, or a panicking sink — re-raise on the
+//! submitting thread, and the pool stays serviceable.
 //!
 //! # Examples
 //!
@@ -109,7 +110,7 @@
 //! sink:
 //!
 //! ```
-//! use conferr::{sut_factory, CampaignExecutor, CountingSink, ExecutorCampaign};
+//! use conferr::{sut_factory, CampaignExecutor, CountingSink, ExecutorCampaign, CHUNK_SIZE};
 //! use conferr_keyboard::Keyboard;
 //! use conferr_model::IntoFaultSource;
 //! use conferr_plugins::{TokenClass, TypoPlugin};
@@ -123,7 +124,7 @@
 //! let mut sink = CountingSink::new();
 //! let stats = executor.run_source(&campaign, Box::new(source), &mut sink)?;
 //! assert_eq!(sink.summary().total, stats.outcomes);
-//! assert!(stats.peak_buffered <= executor.chunk_size() * executor.threads());
+//! assert!(stats.peak_buffered <= CHUNK_SIZE * executor.threads());
 //! # Ok(())
 //! # }
 //! ```
@@ -145,14 +146,14 @@ use crate::campaign::InjectionEngine;
 use crate::sink::{CollectingSink, OutcomeSink};
 use crate::{CampaignError, InjectionOutcome, ResilienceProfile};
 
-/// Faults handed out per queue claim by default — the middle of the
-/// ROADMAP's 8–32 chunked-stealing range. Tune per executor with
-/// [`CampaignExecutor::set_chunk_size`].
-pub const DEFAULT_CHUNK_SIZE: usize = 16;
+/// Faults handed out per queue claim — the middle of the ROADMAP's
+/// 8–32 chunked-stealing range. With `threads` workers each batch
+/// entry's streaming window is `CHUNK_SIZE × threads` faults.
+pub const CHUNK_SIZE: usize = 16;
 
 /// Completed outcomes a thread accumulates locally before publishing
 /// them to an entry's reorder buffer in one lock acquisition — half a
-/// default chunk, so even a thread working one chunk publishes (and
+/// chunk, so even a thread working one chunk publishes (and
 /// releases window space) mid-chunk. Publishing every outcome on its
 /// own measured slower on the warm-rerun workload, where emit-lock
 /// traffic dominates.
@@ -293,25 +294,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// The execution policy snapshot one submission runs under: knob
-/// changes mid-flight never affect a batch already running.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ExecPolicy {
-    isolate: bool,
-    retry: RetryPolicy,
-}
-
-impl Default for ExecPolicy {
-    /// The executor's defaults — isolation on, no retry — and the
-    /// only policy [`crate::Campaign`] runs under.
-    fn default() -> Self {
-        ExecPolicy {
-            isolate: true,
-            retry: RetryPolicy::none(),
-        }
-    }
-}
-
 /// Faults remembered as repeatedly failing before the quarantine list
 /// stops growing — a diagnostic aid, not a correctness structure.
 const QUARANTINE_CAPACITY: usize = 1024;
@@ -388,35 +370,30 @@ struct FaultRun {
     exhausted: bool,
 }
 
-/// Runs one fault under `policy`.
+/// Runs one fault in isolation, retrying under `retry`.
 ///
-/// Isolated (the default), the harness is contained: a panic anywhere
-/// from SUT construction through classification is caught, the
-/// panicking SUT is shed ([`SutSlot::shed`]), and the fault is
-/// recorded as a [`InjectionResult::HarnessFailure`]. Harness panics
-/// and deadline overruns are retried per `policy.retry`; anything
-/// else returns immediately. Strict, the fault runs bare and a panic
-/// unwinds to the caller.
+/// A panic anywhere from SUT construction through classification is
+/// caught, the panicking SUT is shed ([`SutSlot::shed`]), and the
+/// fault is recorded as a [`InjectionResult::HarnessFailure`].
+/// Harness panics and deadline overruns are retried per `retry`;
+/// anything else returns immediately.
+///
+/// Every exit leaves no SUT marked live in a cache: a completed
+/// attempt [`SutSlot::release`]s it, and a contained panic's
+/// [`SutSlot::shed`] takes the live mark before it drops the SUT. So
+/// even the one panic that escapes — a shed SUT whose `Drop` panics —
+/// leaves the cache consistent for the next fault.
 fn run_fault(
     engine: &InjectionEngine,
     slot: &mut SutSlot<'_>,
     fault: GeneratedFault,
-    policy: &ExecPolicy,
+    retry: &RetryPolicy,
 ) -> FaultRun {
-    if !policy.isolate {
-        let outcome = engine.outcome(slot.get(), fault);
-        slot.release();
-        return FaultRun {
-            outcome,
-            retries: 0,
-            exhausted: false,
-        };
-    }
-    let attempts = policy.retry.max_attempts.max(1);
+    let attempts = retry.max_attempts.max(1);
     let mut last = None;
     for attempt in 1..=attempts {
         if attempt > 1 {
-            let backoff = policy.retry.backoff(attempt - 1);
+            let backoff = retry.backoff(attempt - 1);
             if !backoff.is_zero() {
                 std::thread::sleep(backoff);
             }
@@ -456,40 +433,34 @@ fn run_fault(
 
 /// The one serial campaign loop, shared by
 /// [`crate::Campaign::run_source`] and the executor's 1-thread path:
-/// pull a chunk from `source`, run each fault under `policy`, hand
-/// each outcome to `sink` the moment it completes, and surface the
-/// sink's first I/O failure after each chunk. Returns
-/// `(outcomes, retries)`.
+/// pull a [`CHUNK_SIZE`] chunk from `source`, run each fault in
+/// isolation under `retry`, hand each outcome to `sink` the moment it
+/// completes, and surface the sink's first I/O failure after each
+/// chunk. Returns `(outcomes, retries)`.
 ///
-/// Isolated, a panicking source becomes [`CampaignError::Generate`].
-/// On any error, outcomes already handed to the sink stay handed.
+/// A panicking source becomes [`CampaignError::Generate`]. On any
+/// error, outcomes already handed to the sink stay handed.
 pub(crate) fn serial_loop(
     engine: &InjectionEngine,
     slot: &mut SutSlot<'_>,
     source: &mut dyn FaultSource,
     sink: &mut dyn OutcomeSink,
-    chunk_size: usize,
-    policy: &ExecPolicy,
+    retry: &RetryPolicy,
     quarantine: &mut dyn FnMut(&str),
 ) -> Result<(usize, usize), CampaignError> {
     let mut outcomes = 0;
     let mut retries = 0;
-    let mut chunk = Vec::with_capacity(chunk_size);
+    let mut chunk = Vec::with_capacity(CHUNK_SIZE);
     loop {
         chunk.clear();
-        if policy.isolate {
-            pull_contained(source, chunk_size, &mut chunk)
-        } else {
-            source.next_chunk(chunk_size, &mut chunk)
-        }
-        .map_err(CampaignError::Generate)?;
+        pull_contained(source, CHUNK_SIZE, &mut chunk).map_err(CampaignError::Generate)?;
         // Exhaustion is judged by what was appended, not the returned
         // count, so a source that miscounts cannot loop forever.
         if chunk.is_empty() {
             return Ok((outcomes, retries));
         }
         for fault in chunk.drain(..) {
-            let run = run_fault(engine, slot, fault, policy);
+            let run = run_fault(engine, slot, fault, retry);
             retries += run.retries;
             if run.exhausted {
                 quarantine(&run.outcome.id);
@@ -727,49 +698,13 @@ impl ExecutorCampaign {
     }
 }
 
-/// One batch entry's fault supply: an owned eager load (behind the
-/// model's [`EagerSource`] adapter — one chunk-drain implementation,
-/// not two), or a live source pulled chunk by chunk as the batch
-/// executes. Only the `Eager` variant's size is trusted as exact.
-enum FaultFeed {
-    Eager(EagerSource),
-    Source(BoxFaultSource),
-}
-
-impl FaultFeed {
-    fn as_source(&mut self) -> &mut (dyn FaultSource + Send) {
-        match self {
-            FaultFeed::Eager(faults) => faults,
-            FaultFeed::Source(source) => source.as_mut(),
-        }
-    }
-
-    /// Exact remaining count for eager feeds, the source's lower
-    /// bound otherwise.
-    fn min_remaining(&self) -> usize {
-        match self {
-            FaultFeed::Eager(faults) => faults.size_hint().0,
-            FaultFeed::Source(source) => source.size_hint().0,
-        }
-    }
-
-    /// Exact remaining count, when known.
-    fn exact_remaining(&self) -> Option<usize> {
-        match self {
-            FaultFeed::Eager(faults) => Some(faults.size_hint().0),
-            FaultFeed::Source(_) => None,
-        }
-    }
-}
-
-impl fmt::Debug for FaultFeed {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultFeed::Eager(faults) => write!(f, "Eager({} faults)", faults.size_hint().0),
-            FaultFeed::Source(source) => {
-                write!(f, "Source(size_hint = {:?})", source.size_hint())
-            }
-        }
+/// The exact number of faults `source` has left, when the two bounds
+/// of its size hint agree. A source that lies here can only send a
+/// batch down the serial path, which gives identical results.
+fn exact_len(source: &dyn FaultSource) -> Option<usize> {
+    match source.size_hint() {
+        (lower, Some(upper)) if lower == upper => Some(lower),
+        _ => None,
     }
 }
 
@@ -780,9 +715,21 @@ impl fmt::Debug for FaultFeed {
 /// one profile per entry, in push order, each merged in fault order —
 /// and the sink-based runner delivers each entry's outcomes to its
 /// sink in fault order.
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct CampaignBatch {
-    entries: Vec<(ExecutorCampaign, FaultFeed)>,
+    entries: Vec<(ExecutorCampaign, BoxFaultSource)>,
+}
+
+impl fmt::Debug for CampaignBatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries(
+                self.entries
+                    .iter()
+                    .map(|(campaign, source)| (campaign.system(), source.size_hint())),
+            )
+            .finish()
+    }
 }
 
 impl CampaignBatch {
@@ -797,8 +744,7 @@ impl CampaignBatch {
     /// intended way to group outcomes (e.g. per directive) while
     /// sharing one engine.
     pub fn push(&mut self, campaign: &ExecutorCampaign, faults: Vec<GeneratedFault>) {
-        self.entries
-            .push((campaign.clone(), FaultFeed::Eager(EagerSource::new(faults))));
+        self.push_source(campaign, Box::new(EagerSource::new(faults)));
     }
 
     /// Appends one campaign backed by a live
@@ -806,8 +752,7 @@ impl CampaignBatch {
     /// chunk by chunk *while the batch runs*, so generation overlaps
     /// injection and the fault space is never materialized.
     pub fn push_source(&mut self, campaign: &ExecutorCampaign, source: BoxFaultSource) {
-        self.entries
-            .push((campaign.clone(), FaultFeed::Source(source)));
+        self.entries.push((campaign.clone(), source));
     }
 
     /// Number of campaigns in the batch.
@@ -823,7 +768,7 @@ impl CampaignBatch {
     /// Total faults across all entries — exact for eager entries, the
     /// source's lower bound for streaming ones.
     pub fn fault_count(&self) -> usize {
-        self.entries.iter().map(|(_, f)| f.min_remaining()).sum()
+        self.entries.iter().map(|(_, s)| s.size_hint().0).sum()
     }
 }
 
@@ -834,7 +779,7 @@ pub struct StreamStats {
     pub outcomes: usize,
     /// The largest number of completed-but-not-yet-sunk outcomes ever
     /// buffered across the reorder windows — bounded by
-    /// `chunk_size × threads` *per batch entry* by construction (and
+    /// `CHUNK_SIZE × threads` *per batch entry* by construction (and
     /// `0` on the serial fast path, which sinks each outcome the
     /// moment it completes).
     pub peak_buffered: usize,
@@ -866,14 +811,14 @@ enum Produced {
     Failed(CampaignError),
 }
 
-/// The producer half of one batch entry: its fault feed and fault
+/// The producer half of one batch entry: its fault source and fault
 /// index, guarded by the entry's own shard lock — so production on
 /// different entries never contends, and at most one thread generates
 /// per entry (the lock *is* the "dedicated producer path" — every
 /// other thread injects meanwhile).
 struct EntryShard {
-    /// `None` once the feed is drained, failed, or aborted.
-    feed: Option<FaultFeed>,
+    /// `None` once the source is drained, failed, or aborted.
+    feed: Option<BoxFaultSource>,
     /// Faults produced so far (= the next fault index for this
     /// entry).
     produced: usize,
@@ -896,7 +841,7 @@ struct EntryState {
     campaign: ExecutorCampaign,
     shard: Mutex<EntryShard>,
     /// Faults produced for this entry but not yet drained to its
-    /// sink. Production requires `outstanding + chunk ≤ window`,
+    /// sink. Production requires `outstanding + CHUNK_SIZE ≤ window`,
     /// which is what bounds this entry's reorder-buffer memory.
     outstanding: AtomicUsize,
     /// Set (permanently) under the shard lock when the feed is
@@ -919,12 +864,11 @@ struct ProgressState {
 /// never touched by workers.
 struct StreamState {
     entries: Vec<EntryState>,
-    chunk: usize,
-    /// `chunk × threads`: the *per-entry* cap on faults produced but
-    /// not sunk.
+    /// `CHUNK_SIZE × threads`: the *per-entry* cap on faults produced
+    /// but not sunk.
     window: usize,
-    /// Isolation/retry policy snapshotted at submission.
-    policy: ExecPolicy,
+    /// Retry policy snapshotted at submission.
+    retry: RetryPolicy,
     /// Shared with the executor: faults whose every attempt failed
     /// retryably.
     quarantine: Arc<Mutex<Vec<String>>>,
@@ -946,21 +890,23 @@ struct StreamState {
     space_ready: Condvar,
     progress: Mutex<ProgressState>,
     progress_ready: Condvar,
-    /// Set when a participant panicked mid-fault or mid-production.
-    /// The submitter re-raises instead of waiting for a drain that
-    /// will never finish — the panic-propagation behaviour the scoped
-    /// driver this pool replaced had for free.
+    /// Set when a panic escaped isolation: on a worker (a shed SUT
+    /// whose `Drop` panics), the submitter re-raises instead of
+    /// waiting for a drain that will never finish; on the submitter
+    /// (a panicking sink), workers stop waiting for window space
+    /// that will never be released.
     poisoned: AtomicBool,
     /// Completed-but-not-sunk outcomes, and the high-water mark.
     buffered: AtomicUsize,
     peak_buffered: AtomicUsize,
 }
 
-/// Arms a [`StreamState`] against a panic while one fault executes or
-/// one chunk is produced: dropped during unwinding (normal completion
-/// disarms it with [`std::mem::forget`]), it poisons the batch and
-/// wakes every waiter so `run_batch` re-raises instead of
-/// deadlocking.
+/// Arms a [`StreamState`] against a panic that escapes isolation —
+/// while one fault executes, or while the submitting thread drives
+/// the batch and feeds its sinks: dropped during unwinding (normal
+/// completion disarms it with [`std::mem::forget`]), it poisons the
+/// batch and wakes every waiter, so `run_batch` re-raises instead of
+/// deadlocking and no worker is left waiting for window space.
 ///
 /// Both wake-ups go through epoch bumps under the respective mutex: a
 /// claimer that read `poisoned == false` but has not yet entered
@@ -1059,33 +1005,16 @@ impl Drop for CompletionBatch<'_> {
     }
 }
 
-/// Sheds the submitting thread's *live* SUT when a fault panics on
-/// the submitting thread itself (normal completion disarms it with
-/// [`std::mem::forget`]): the panic propagates to the caller, and the
-/// one SUT left half-mutated mid-`start` must not be reused by a
-/// later submission — while every other cached SUT keeps its warmed
-/// parse cache. Pool workers do the same for their own caches in
-/// [`worker_loop`].
-struct ShedLiveOnPanic<'a>(&'a mut SutCache);
-
-impl Drop for ShedLiveOnPanic<'_> {
-    fn drop(&mut self) {
-        self.0.shed_live();
-    }
-}
-
 impl StreamState {
     fn new(
-        entries: Vec<(ExecutorCampaign, FaultFeed)>,
-        chunk: usize,
+        entries: Vec<(ExecutorCampaign, BoxFaultSource)>,
         threads: usize,
-        policy: ExecPolicy,
+        retry: RetryPolicy,
         quarantine: Arc<Mutex<Vec<String>>>,
     ) -> Self {
         StreamState {
-            chunk,
-            window: chunk.saturating_mul(threads),
-            policy,
+            window: CHUNK_SIZE.saturating_mul(threads),
+            retry,
             quarantine,
             retries: AtomicUsize::new(0),
             cursor: AtomicUsize::new(0),
@@ -1119,25 +1048,15 @@ impl StreamState {
         }
     }
 
-    /// Pulls one chunk from entry `unit` under its held shard lock.
+    /// Pulls one chunk from entry `unit` under its held shard lock (a
+    /// panicking source becomes a generation error).
     fn produce(&self, unit: usize, shard: &mut EntryShard) -> Produced {
         let entry = &self.entries[unit];
         let Some(feed) = shard.feed.as_mut() else {
             return Produced::Exhausted;
         };
-        let mut faults = Vec::with_capacity(self.chunk);
-        // Under isolation a panicking source is contained and
-        // becomes a generation error; in strict mode the armed
-        // guard poisons the batch so the submitter is never
-        // stranded.
-        let pulled = if self.policy.isolate {
-            pull_contained(feed.as_source(), self.chunk, &mut faults)
-        } else {
-            let guard = PoisonOnPanic { state: self };
-            let pulled = feed.as_source().next_chunk(self.chunk, &mut faults);
-            std::mem::forget(guard);
-            pulled
-        };
+        let mut faults = Vec::with_capacity(CHUNK_SIZE);
+        let pulled = pull_contained(feed.as_mut(), CHUNK_SIZE, &mut faults);
         // Window/index bookkeeping trusts what was actually
         // appended, never the source's returned count — a
         // miscounting third-party source must not be able to
@@ -1216,13 +1135,13 @@ impl StreamState {
                 if entry.exhausted.load(Ordering::Acquire) {
                     continue;
                 }
-                if entry.outstanding.load(Ordering::Acquire) + self.chunk > self.window {
+                if entry.outstanding.load(Ordering::Acquire) + CHUNK_SIZE > self.window {
                     continue;
                 }
                 let mut shard = lock(&entry.shard);
                 // Re-check under the lock: another claimer may have
                 // filled the window while we waited for the shard.
-                if entry.outstanding.load(Ordering::Acquire) + self.chunk > self.window {
+                if entry.outstanding.load(Ordering::Acquire) + CHUNK_SIZE > self.window {
                     continue;
                 }
                 match self.produce(unit, &mut shard) {
@@ -1276,19 +1195,18 @@ impl StreamState {
         fault: GeneratedFault,
     ) -> InjectionOutcome {
         let campaign = &self.entries[unit].campaign;
-        // Armed before SUT construction: in strict mode the fault is
-        // already claimed, so a panic anywhere from the factory
-        // closure onward must poison the batch or the submitter waits
+        // `run_fault` contains every harness panic but one: a shed
+        // SUT whose `Drop` panics. The fault is already claimed, so
+        // that panic must poison the batch or the submitter waits
         // forever on it. The unwind also flushes the caller's
         // completion batch (its `Drop` runs after this guard's), so
-        // completed outcomes are never lost. Isolated runs contain
-        // their panics and never trip it.
+        // completed outcomes are never lost.
         let guard = PoisonOnPanic { state: self };
         let mut slot = SutSlot::Cached {
             cache: suts,
             factory: &campaign.factory,
         };
-        let run = run_fault(&campaign.engine, &mut slot, fault, &self.policy);
+        let run = run_fault(&campaign.engine, &mut slot, fault, &self.retry);
         std::mem::forget(guard);
         self.retries.fetch_add(run.retries, Ordering::Relaxed);
         if run.exhausted {
@@ -1472,14 +1390,12 @@ fn worker_loop(shared: Arc<PoolShared>) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        // Contain a mid-fault panic so the pool never shrinks: the
-        // batch is already poisoned (and the submitter woken) by
-        // `PoisonOnPanic`, so this worker only needs to shed the one
-        // SUT the panic left half-mutated and keep serving — every
-        // other cached SUT keeps its warmed parse cache.
-        if catch_unwind(AssertUnwindSafe(|| batch.work(&mut suts))).is_err() {
-            suts.shed_live();
-        }
+        // Contain a panic that escaped isolation so the pool never
+        // shrinks: the batch is already poisoned (and the submitter
+        // woken) by `PoisonOnPanic`, and `run_fault` left no SUT
+        // live, so the worker keeps serving with every cached SUT.
+        let _ = catch_unwind(AssertUnwindSafe(|| batch.work(&mut suts)));
+        debug_assert!(suts.live.is_none(), "run_fault left a SUT live");
     }
 }
 
@@ -1499,12 +1415,6 @@ fn worker_loop(shared: Arc<PoolShared>) {
 /// submissions.
 pub struct CampaignExecutor {
     threads: usize,
-    /// Faults handed out per claim; see
-    /// [`CampaignExecutor::set_chunk_size`].
-    chunk_size: AtomicUsize,
-    /// Per-fault isolation (default on); see
-    /// [`CampaignExecutor::set_fault_isolation`].
-    isolate_faults: AtomicBool,
     /// Retry policy for retryable isolated failures.
     retry: Mutex<RetryPolicy>,
     /// Faults whose every attempt failed retryably, across
@@ -1522,7 +1432,6 @@ impl fmt::Debug for CampaignExecutor {
         f.debug_struct("CampaignExecutor")
             .field("threads", &self.threads)
             .field("workers", &self.workers.len())
-            .field("chunk_size", &self.chunk_size())
             .finish()
     }
 }
@@ -1551,8 +1460,6 @@ impl CampaignExecutor {
             .collect();
         CampaignExecutor {
             threads,
-            chunk_size: AtomicUsize::new(DEFAULT_CHUNK_SIZE),
-            isolate_faults: AtomicBool::new(true),
             retry: Mutex::new(RetryPolicy::none()),
             quarantine: Arc::new(Mutex::new(Vec::new())),
             shared,
@@ -1573,53 +1480,12 @@ impl CampaignExecutor {
         self.threads
     }
 
-    /// Sets the number of faults handed out per queue claim (clamped
-    /// to 1..=4096; default [`DEFAULT_CHUNK_SIZE`]). Larger chunks
-    /// cut queue contention on many-core runners; smaller chunks
-    /// shrink the streaming window (`chunk × threads`) and with it
-    /// the reorder-buffer memory bound and straggler skew. Results
-    /// are byte-identical at every setting, and the 1-thread serial
-    /// fast path is unaffected.
-    pub fn set_chunk_size(&self, chunk: usize) -> &Self {
-        self.chunk_size
-            .store(chunk.clamp(1, 4096), Ordering::Relaxed);
-        self
-    }
-
-    /// The current per-claim chunk size.
-    pub fn chunk_size(&self) -> usize {
-        self.chunk_size.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Enables or disables per-fault isolation (default: **on**).
-    ///
-    /// Isolated, each inject → start → test runs under
-    /// `catch_unwind`: a harness panic (SUT adapter bug, factory bug,
-    /// engine bug) is recorded as a
-    /// [`crate::InjectionResult::HarnessFailure`] outcome for that
-    /// fault — annotated in the CSV/JSONL exports next to the static
-    /// verdict — the panicking SUT alone is shed, and the campaign
-    /// keeps running. Disabled (strict mode), a panic poisons the
-    /// whole submission and re-raises on the submitting thread — the
-    /// right behaviour for CI runs that should fail loudly on any
-    /// harness bug. Non-chaotic outcomes are byte-identical either
-    /// way (asserted by `tests/robust_executor.rs`).
-    pub fn set_fault_isolation(&self, enabled: bool) -> &Self {
-        self.isolate_faults.store(enabled, Ordering::Relaxed);
-        self
-    }
-
-    /// `true` while per-fault isolation is on.
-    pub fn fault_isolation(&self) -> bool {
-        self.isolate_faults.load(Ordering::Relaxed)
-    }
-
     /// Sets the retry policy for retryable isolated failures —
     /// harness panics and [`crate::InjectionResult::TimedOut`]
     /// overruns (default: [`RetryPolicy::none`]). A fault whose every
     /// attempt fails retryably keeps its last outcome and is added to
-    /// the [`CampaignExecutor::quarantined`] list. Ignored in strict
-    /// mode.
+    /// the [`CampaignExecutor::quarantined`] list. A submission runs
+    /// under the policy set when it started.
     pub fn set_retry_policy(&self, policy: RetryPolicy) -> &Self {
         *lock(&self.retry) = policy;
         self
@@ -1730,7 +1596,7 @@ impl CampaignExecutor {
         let mut collectors: Vec<CollectingSink> = batch
             .entries
             .iter()
-            .map(|(_, feed)| CollectingSink::with_capacity(feed.min_remaining()))
+            .map(|(_, source)| CollectingSink::with_capacity(source.size_hint().0))
             .collect();
         {
             let mut sinks: Vec<&mut dyn OutcomeSink> = collectors
@@ -1749,9 +1615,9 @@ impl CampaignExecutor {
     /// Runs a batch with one caller-provided sink per entry
     /// (`sinks[i]` receives entry `i`'s outcomes, in fault order, as
     /// they complete). This is the bounded-memory entry point: the
-    /// executor never buffers more than `chunk_size × threads`
-    /// outcomes, and with O(1) sinks (counting, CSV/JSONL writers) a
-    /// million-fault batch runs in constant memory.
+    /// executor never buffers more than [`CHUNK_SIZE`] × `threads`
+    /// outcomes per entry, and with O(1) sinks (counting, CSV/JSONL
+    /// writers) a million-fault batch runs in constant memory.
     ///
     /// Sinks stay on the submitting thread — they need not be `Send`
     /// — and are only written to between faults, never concurrently.
@@ -1763,8 +1629,10 @@ impl CampaignExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if `sinks.len() != batch.len()`, and re-raises a worker
-    /// panic on the submitting thread.
+    /// Panics if `sinks.len() != batch.len()`. A panic that escapes
+    /// per-fault isolation — a shed SUT whose `Drop` panics, or a
+    /// panicking sink — re-raises on the submitting thread; the
+    /// executor stays usable and drops cleanly afterwards.
     pub fn run_batch_with_sinks(
         &self,
         batch: CampaignBatch,
@@ -1782,34 +1650,29 @@ impl CampaignExecutor {
                 retries: 0,
             });
         }
-        // Snapshot the policy for the whole submission: flipping the
-        // knobs mid-flight never affects a batch already running.
-        let policy = ExecPolicy {
-            isolate: self.fault_isolation(),
-            retry: self.retry_policy(),
-        };
+        // Snapshot the retry policy for the whole submission: changing
+        // it mid-flight never affects a batch already running.
+        let retry = self.retry_policy();
 
         // Serial fast path: with no pool workers (threads == 1) — or
-        // an eager batch too small to parallelize — run the entries
+        // a batch known to hold at most one fault — run the entries
         // in order on this thread, with zero queue, window or reorder
         // overhead: each outcome goes straight to its sink. This is
         // the serial campaign loop `Campaign` runs, over the
         // persistent SUT cache.
-        let eager_total: Option<usize> = entries
-            .iter()
-            .try_fold(0usize, |acc, (_, feed)| Some(acc + feed.exact_remaining()?));
-        if self.workers.is_empty() || eager_total.is_some_and(|t| t <= 1) {
-            let cache = ShedLiveOnPanic(&mut caller);
-            let result = self.run_serial(entries, sinks, cache.0, &policy);
-            std::mem::forget(cache);
+        let exact_total: Option<usize> = entries.iter().try_fold(0usize, |acc, (_, source)| {
+            Some(acc + exact_len(source.as_ref())?)
+        });
+        if self.workers.is_empty() || exact_total.is_some_and(|t| t <= 1) {
+            let result = self.run_serial(entries, sinks, &mut caller, &retry);
+            debug_assert!(caller.live.is_none(), "run_fault left a SUT live");
             return result;
         }
 
         let state = Arc::new(StreamState::new(
             entries,
-            self.chunk_size(),
             self.threads,
-            policy,
+            retry,
             Arc::clone(&self.quarantine),
         ));
         {
@@ -1819,17 +1682,19 @@ impl CampaignExecutor {
         }
         self.shared.work_ready.notify_all();
 
-        // The submitting thread steals work too, and owns the sinks.
-        let cache = ShedLiveOnPanic(&mut caller);
-        let outcomes = state.drive(&mut *cache.0, sinks);
-        std::mem::forget(cache);
+        // The submitting thread steals work too, and owns the sinks. A
+        // panic here (a sink's, or one escaping a fault it runs)
+        // propagates to the caller directly; the guard poisons the
+        // batch first, so no worker is left waiting on a window only
+        // this thread can drain.
+        let guard = PoisonOnPanic { state: &state };
+        let outcomes = state.drive(&mut caller, sinks);
+        std::mem::forget(guard);
+        debug_assert!(caller.live.is_none(), "run_fault left a SUT live");
 
         lock(&self.shared.job).batch = None;
-        // Re-raise a worker's panic on the submitting thread, as the
-        // scoped driver's join did. (A panic on the submitting thread
-        // itself propagates out of `drive` above directly.) Under
-        // isolation this fires only for panics outside the contained
-        // per-fault scope.
+        // Re-raise a worker's escaped panic on the submitting thread,
+        // as the scoped driver's join did.
         assert!(
             !state.poisoned.load(Ordering::Acquire),
             "a campaign worker panicked while executing a fault"
@@ -1849,17 +1714,17 @@ impl CampaignExecutor {
     /// (`peak_buffered = 0`).
     fn run_serial(
         &self,
-        entries: Vec<(ExecutorCampaign, FaultFeed)>,
+        entries: Vec<(ExecutorCampaign, BoxFaultSource)>,
         sinks: &mut [&mut dyn OutcomeSink],
         suts: &mut SutCache,
-        policy: &ExecPolicy,
+        retry: &RetryPolicy,
     ) -> Result<StreamStats, CampaignError> {
         let mut stats = StreamStats {
             outcomes: 0,
             peak_buffered: 0,
             retries: 0,
         };
-        for ((campaign, mut feed), sink) in entries.into_iter().zip(sinks.iter_mut()) {
+        for ((campaign, mut source), sink) in entries.into_iter().zip(sinks.iter_mut()) {
             let mut slot = SutSlot::Cached {
                 cache: &mut *suts,
                 factory: &campaign.factory,
@@ -1867,10 +1732,9 @@ impl CampaignExecutor {
             let (outcomes, retries) = serial_loop(
                 &campaign.engine,
                 &mut slot,
-                feed.as_source(),
+                source.as_mut(),
                 &mut **sink,
-                self.chunk_size(),
-                policy,
+                retry,
                 &mut |id| push_quarantine(&self.quarantine, id),
             )?;
             stats.outcomes += outcomes;
@@ -1932,39 +1796,6 @@ mod tests {
             assert_eq!(profile.outcomes(), serial.outcomes(), "threads = {threads}");
             assert_eq!(profile.system(), "postgres-sim");
         }
-    }
-
-    #[test]
-    fn chunk_size_never_changes_results() {
-        let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).unwrap();
-        let faults = plugin().generate(campaign.baseline()).unwrap();
-        let reference = {
-            let mut sut = PostgresSim::new();
-            let mut c = Campaign::new(&mut sut).unwrap();
-            c.run_faults(faults.clone()).unwrap()
-        };
-        for threads in [1, 3] {
-            let executor = CampaignExecutor::new(threads);
-            for chunk in [1, 2, 7, 64] {
-                executor.set_chunk_size(chunk);
-                assert_eq!(executor.chunk_size(), chunk);
-                let profile = executor.run_faults(&campaign, faults.clone()).unwrap();
-                assert_eq!(
-                    profile.outcomes(),
-                    reference.outcomes(),
-                    "threads = {threads}, chunk = {chunk}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_size_is_clamped() {
-        let executor = CampaignExecutor::new(1);
-        executor.set_chunk_size(0);
-        assert_eq!(executor.chunk_size(), 1);
-        executor.set_chunk_size(1 << 20);
-        assert_eq!(executor.chunk_size(), 4096);
     }
 
     #[test]
@@ -2040,10 +1871,10 @@ mod tests {
                 .unwrap();
             assert_eq!(stats.outcomes, faults.len());
             assert!(
-                stats.peak_buffered <= executor.chunk_size() * threads,
+                stats.peak_buffered <= CHUNK_SIZE * threads,
                 "peak {} vs window {} at {threads} threads",
                 stats.peak_buffered,
-                executor.chunk_size() * threads
+                CHUNK_SIZE * threads
             );
             let profile = sink.into_profile(campaign.system());
             assert_eq!(profile.outcomes(), eager.outcomes(), "threads = {threads}");
@@ -2073,10 +1904,12 @@ mod tests {
 
         /// Violates the `FaultSource` contract in both directions:
         /// claims more faults than it appends, then claims progress
-        /// while appending nothing.
+        /// while appending nothing — and reports `hint` as its size,
+        /// whatever it holds.
         #[derive(Debug)]
         struct Lying {
             remaining: Vec<GeneratedFault>,
+            hint: (usize, Option<usize>),
         }
         impl FaultSource for Lying {
             fn next_chunk(
@@ -2089,27 +1922,43 @@ mod tests {
                 }
                 Ok(max + 5) // never the truth
             }
+
+            fn size_hint(&self) -> (usize, Option<usize>) {
+                self.hint
+            }
         }
 
         let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).unwrap();
         let faults = plugin().generate(campaign.baseline()).unwrap();
-        for threads in [1, 3] {
-            let executor = CampaignExecutor::new(threads);
-            executor.set_chunk_size(4);
-            let mut sink = CountingSink::new();
-            let stats = executor
-                .run_source(
-                    &campaign,
-                    Box::new(Lying {
-                        remaining: faults.iter().take(9).cloned().collect(),
-                    }),
-                    &mut sink,
-                )
-                .unwrap();
-            // The executor counts what actually arrived; the batch
-            // terminates instead of waiting on phantom faults.
-            assert_eq!(stats.outcomes, 9, "threads = {threads}");
-            assert_eq!(sink.summary().total, 9);
+        let nine: Vec<GeneratedFault> = faults.iter().take(9).cloned().collect();
+        let reference = CampaignExecutor::new(1)
+            .run_faults(&campaign, nine.iter().rev().cloned().collect())
+            .unwrap();
+        // An unknown size; an exact size of one, which sends the batch
+        // down the serial path; an exact size far above the truth.
+        for hint in [(0, None), (1, Some(1)), (100, Some(100))] {
+            for threads in [1, 3] {
+                let executor = CampaignExecutor::new(threads);
+                let mut sink = crate::CollectingSink::new();
+                let stats = executor
+                    .run_source(
+                        &campaign,
+                        Box::new(Lying {
+                            remaining: nine.clone(),
+                            hint,
+                        }),
+                        &mut sink,
+                    )
+                    .unwrap();
+                // The executor counts what actually arrived; the batch
+                // terminates instead of waiting on phantom faults.
+                assert_eq!(stats.outcomes, 9, "threads = {threads}, hint = {hint:?}");
+                assert_eq!(
+                    sink.into_outcomes(),
+                    reference.outcomes(),
+                    "threads = {threads}, hint = {hint:?}"
+                );
+            }
         }
     }
 
@@ -2220,28 +2069,83 @@ mod tests {
         })
     }
 
+    /// [`PanickingSim`] with a teardown bug: once its `start` has
+    /// panicked, dropping it panics too. Isolation contains the start
+    /// panic and sheds the SUT; the shed SUT's `Drop` is the panic
+    /// that escapes.
+    #[derive(Debug)]
+    struct TeardownPanickingSim {
+        tripped: bool,
+    }
+
+    impl conferr_sut::SystemUnderTest for TeardownPanickingSim {
+        fn name(&self) -> &str {
+            PanickingSim.name()
+        }
+        fn config_files(&self) -> Vec<conferr_sut::ConfigFileSpec> {
+            PanickingSim.config_files()
+        }
+        fn start(
+            &mut self,
+            configs: &conferr_sut::ConfigPayload,
+            deadline: &conferr_sut::Deadline,
+        ) -> conferr_sut::StartOutcome {
+            // Stays set only if the start below unwinds.
+            self.tripped = true;
+            let outcome = PanickingSim.start(configs, deadline);
+            self.tripped = false;
+            outcome
+        }
+        fn test_names(&self) -> Vec<String> {
+            Vec::new()
+        }
+        fn run_test(
+            &mut self,
+            _test: &str,
+            _deadline: &conferr_sut::Deadline,
+        ) -> conferr_sut::TestOutcome {
+            conferr_sut::TestOutcome::Passed
+        }
+        fn stop(&mut self) {}
+    }
+
+    impl Drop for TeardownPanickingSim {
+        fn drop(&mut self) {
+            assert!(
+                !self.tripped || std::thread::panicking(),
+                "simulator teardown bug"
+            );
+        }
+    }
+
     #[test]
     fn strict_mode_worker_panic_propagates_instead_of_deadlocking() {
-        // Many benign faults plus one that trips the simulator bug,
-        // across enough threads that a pool worker (not just the
-        // submitting thread) can hit it. Before the poison guard this
-        // hung forever when a worker took the panicking fault.
-        let campaign = ExecutorCampaign::new(sut_factory(|| PanickingSim)).unwrap();
-        let mut faults: Vec<GeneratedFault> = (0..64).map(|i| panic_fault("2", i)).collect();
-        faults.insert(32, panic_fault("BOOM", 64));
+        // Many benign faults plus one whose start panics and whose
+        // shed SUT then panics in `Drop` — outside the per-fault
+        // isolation — across enough threads that a pool worker (not
+        // just the submitting thread) can hit it. Without the poison
+        // guard a worker taking that fault leaves the submitter
+        // waiting forever.
+        let campaign =
+            ExecutorCampaign::new(sut_factory(|| TeardownPanickingSim { tripped: false })).unwrap();
+        for threads in [1, 4] {
+            let mut faults: Vec<GeneratedFault> = (0..64).map(|i| panic_fault("2", i)).collect();
+            faults.insert(32, panic_fault("BOOM", 64));
 
-        let executor = CampaignExecutor::new(4);
-        executor.set_fault_isolation(false);
-        assert!(!executor.fault_isolation());
-        let result = catch_unwind(AssertUnwindSafe(|| executor.run_faults(&campaign, faults)));
-        assert!(result.is_err(), "the worker panic must propagate");
+            let executor = CampaignExecutor::new(threads);
+            let result = catch_unwind(AssertUnwindSafe(|| executor.run_faults(&campaign, faults)));
+            assert!(
+                result.is_err(),
+                "the escaped panic must propagate (threads = {threads})"
+            );
 
-        // The pool survives a poisoned submission: later submissions
-        // on the same executor still complete.
-        let profile = executor
-            .run_faults(&campaign, (0..8).map(|i| panic_fault("3", i)).collect())
-            .unwrap();
-        assert_eq!(profile.len(), 8);
+            // The pool survives a poisoned submission: later
+            // submissions on the same executor still complete.
+            let profile = executor
+                .run_faults(&campaign, (0..8).map(|i| panic_fault("3", i)).collect())
+                .unwrap();
+            assert_eq!(profile.len(), 8, "threads = {threads}");
+        }
     }
 
     #[test]
@@ -2253,7 +2157,6 @@ mod tests {
         let campaign = ExecutorCampaign::new(sut_factory(|| PanickingSim)).unwrap();
         for threads in [1, 4] {
             let executor = CampaignExecutor::new(threads);
-            assert!(executor.fault_isolation());
             let mut faults: Vec<GeneratedFault> = (0..24).map(|i| panic_fault("2", i)).collect();
             faults.insert(12, panic_fault("BOOM", 24));
             let profile = executor.run_faults(&campaign, faults).unwrap();
@@ -2375,32 +2278,10 @@ mod tests {
             }
         }
 
+        // The source panic is contained into a generation error:
+        // completed outcomes still arrive, no panic escapes.
         let campaign = ExecutorCampaign::new(sut_factory(|| PanickingSim)).unwrap();
         let executor = CampaignExecutor::new(3);
-        executor.set_chunk_size(4);
-        executor.set_fault_isolation(false);
-        let mut sink = CountingSink::new();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            executor.run_source(
-                &campaign,
-                Box::new(PanickingSource {
-                    remaining: (0..8).map(|i| panic_fault("2", i)).collect(),
-                }),
-                &mut sink,
-            )
-        }));
-        assert!(result.is_err(), "the producer panic must propagate");
-
-        // The pool is still serviceable.
-        let profile = executor
-            .run_faults(&campaign, (0..8).map(|i| panic_fault("3", i)).collect())
-            .unwrap();
-        assert_eq!(profile.len(), 8);
-
-        // Isolated (the default), the same source panic is contained
-        // into a generation error: completed outcomes still arrive,
-        // no panic escapes.
-        executor.set_fault_isolation(true);
         let mut sink = CountingSink::new();
         let err = executor
             .run_source(
@@ -2416,27 +2297,12 @@ mod tests {
             "{err}"
         );
         assert_eq!(sink.summary().total, 8);
-    }
 
-    #[test]
-    fn strict_mode_factory_panic_during_batch_propagates_instead_of_deadlocking() {
-        // The scout instance (create #0) builds the campaign; every
-        // later construction — which happens on whichever thread
-        // claims the first fault — panics. The claimed chunk must
-        // still poison the batch (the guard is armed before SUT
-        // construction), or the submitter waits forever.
-        let creates = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&creates);
-        let factory = SutFactory::new(move || {
-            assert!(counter.fetch_add(1, Ordering::Relaxed) == 0, "factory bug");
-            PanickingSim
-        });
-        let campaign = ExecutorCampaign::new(factory).unwrap();
-        let faults: Vec<GeneratedFault> = (0..16).map(|i| panic_fault("2", i)).collect();
-        let executor = CampaignExecutor::new(3);
-        executor.set_fault_isolation(false);
-        let result = catch_unwind(AssertUnwindSafe(|| executor.run_faults(&campaign, faults)));
-        assert!(result.is_err(), "the factory panic must propagate");
+        // The pool is still serviceable.
+        let profile = executor
+            .run_faults(&campaign, (0..8).map(|i| panic_fault("3", i)).collect())
+            .unwrap();
+        assert_eq!(profile.len(), 8);
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub use conferr_analysis::{FaultLinter, Lint, LintedSource, StaticVerdict, Valid
 pub use conferr_sut::Tier;
 pub use executor::{
     default_threads, sut_factory, CampaignBatch, CampaignExecutor, ExecutorCampaign, RetryPolicy,
-    StreamStats, SutFactory, DEFAULT_CHUNK_SIZE,
+    StreamStats, SutFactory, CHUNK_SIZE,
 };
 pub use export::{
     outcome_to_csv_row, outcome_to_json, outcome_to_jsonl, profile_to_csv, profile_to_json,

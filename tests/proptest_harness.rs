@@ -4,8 +4,8 @@
 use std::sync::OnceLock;
 
 use conferr::{
-    profile_to_json, sut_factory, Campaign, CampaignExecutor, CollectingSink, ExecutorCampaign,
-    InjectionResult,
+    sut_factory, Campaign, CampaignExecutor, CollectingSink, ExecutorCampaign, InjectionOutcome,
+    InjectionResult, CHUNK_SIZE,
 };
 use conferr_keyboard::Keyboard;
 use conferr_model::{
@@ -24,11 +24,11 @@ fn arb_value() -> impl Strategy<Value = String> {
 
 /// A small shared workload for the scheduler properties: one
 /// Postgres campaign, a modest typo load, and its serial reference
-/// profile — built once, reused by every proptest case.
+/// outcomes — built once, reused by every proptest case.
 struct SchedulerFixture {
     campaign: ExecutorCampaign,
     faults: Vec<GeneratedFault>,
-    reference: String,
+    reference: Vec<InjectionOutcome>,
 }
 
 fn scheduler_fixture() -> &'static SchedulerFixture {
@@ -46,7 +46,11 @@ fn scheduler_fixture() -> &'static SchedulerFixture {
         let reference = {
             let mut sut = PostgresSim::new();
             let mut serial = Campaign::new(&mut sut).expect("campaign");
-            profile_to_json(&serial.run_faults(faults.clone()).expect("serial run"))
+            serial
+                .run_faults(faults.clone())
+                .expect("serial run")
+                .outcomes()
+                .to_vec()
         };
         SchedulerFixture {
             campaign,
@@ -149,40 +153,39 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Completion batching is a pure lock-traffic optimisation: at
-    /// ANY chunk size and thread count — chunks smaller than, equal
-    /// to and larger than the batch — a streamed run delivers its
-    /// outcomes to the sink in fault order, byte-identical to the
-    /// serial campaign, and the reorder buffer never exceeds the
-    /// per-entry `chunk × threads` window.
+    /// Completion batching is a pure lock-traffic optimisation: for
+    /// ANY load length and thread count — partial last chunks and
+    /// partial completion batches included — a streamed run delivers
+    /// its outcomes to the sink in fault order, identical to the
+    /// serial campaign's, and the reorder buffer never exceeds the
+    /// per-entry `CHUNK_SIZE × threads` window. Loads hold at least
+    /// two faults, so every case takes the pooled path.
     #[test]
     fn completion_batching_preserves_sink_order_and_window_bound(
-        chunk in 1usize..=32,
+        len in 2usize..=48,
         threads in 2usize..=4,
     ) {
         let fixture = scheduler_fixture();
         let executor = CampaignExecutor::new(threads);
-        executor.set_chunk_size(chunk);
         let mut sink = CollectingSink::new();
         let stats = executor
             .run_source(
                 &fixture.campaign,
-                Box::new(EagerSource::new(fixture.faults.clone())),
+                Box::new(EagerSource::new(fixture.faults[..len].to_vec())),
                 &mut sink,
             )
             .expect("streamed run");
-        prop_assert_eq!(stats.outcomes, fixture.faults.len());
+        prop_assert_eq!(stats.outcomes, len);
         prop_assert!(
-            stats.peak_buffered <= chunk * threads,
-            "peak {} exceeds window {} (chunk = {}, threads = {})",
-            stats.peak_buffered, chunk * threads, chunk, threads
+            stats.peak_buffered <= CHUNK_SIZE * threads,
+            "peak {} exceeds window {} (len = {}, threads = {})",
+            stats.peak_buffered, CHUNK_SIZE * threads, len, threads
         );
-        let streamed = sink.into_profile(fixture.campaign.system());
         prop_assert_eq!(
-            &profile_to_json(&streamed),
-            &fixture.reference,
-            "diverged at chunk = {}, threads = {}",
-            chunk, threads
+            sink.into_outcomes().as_slice(),
+            &fixture.reference[..len],
+            "diverged at len = {}, threads = {}",
+            len, threads
         );
     }
 }

@@ -2,7 +2,7 @@
 //! checkpoint resume, exercised end to end with the shared
 //! [`ChaosSut`] wrapper over the full Table 1 fault load.
 //!
-//! The load-bearing claims (ISSUE acceptance):
+//! The load-bearing claims:
 //!
 //! * a seeded chaos batch at 1/2/4 threads yields **non-chaos**
 //!   outcomes byte-identical to a clean reference run, and the chaos
@@ -10,29 +10,37 @@
 //! * killing a campaign mid-flight and resuming from the recovered
 //!   checkpoint reproduces the uninterrupted run's final profile
 //!   byte-identically;
-//! * strict mode (`set_fault_isolation(false)`) still poisons the
-//!   submission on a harness panic;
 //! * the serial `Campaign` keeps the executor's failure contract: a
 //!   harness panic becomes one `HarnessFailure` row, a panicking
-//!   source a `Generate` error, a failing sink a `SinkIo` error.
+//!   source a `Generate` error, a failing sink a `SinkIo` error;
+//! * a panic that escapes isolation — a panicking sink — poisons the
+//!   pooled submission and re-raises on the submitting thread, and
+//!   the executor then takes another submission and drops cleanly;
+//! * a warm, reused SUT gives the same profile as a fresh SUT for
+//!   every start, on all six simulators: the assumption behind SUT
+//!   reuse, and behind `stop()`ping a borrowed SUT after a contained
+//!   panic.
 
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use conferr::{
-    Campaign, CampaignError, CampaignExecutor, Checkpoint, CheckpointSink, CollectingSink,
-    ExecutorCampaign, InjectionResult, RetryPolicy, SutFactory,
+    profile_to_json, Campaign, CampaignError, CampaignExecutor, Checkpoint, CheckpointSink,
+    CollectingSink, ExecutorCampaign, InjectionOutcome, InjectionResult, OutcomeSink, RetryPolicy,
+    SutFactory, Tier,
 };
 use conferr_bench::{table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
 use conferr_model::{
-    EagerSource, ErrorClass, FaultScenario, FaultSource, FaultSourceExt, GenerateError,
-    GeneratedFault, TreeEdit, TypoKind,
+    ConfigSet, EagerSource, ErrorClass, ErrorGenerator, FaultScenario, FaultSource, FaultSourceExt,
+    GenerateError, GeneratedFault, TreeEdit, TypoKind,
 };
+use conferr_plugins::{DnsSemanticPlugin, StructuralPlugin, XmlAttrTypoPlugin};
 use conferr_sut::{
-    ChaosConfig, ChaosSut, ConfigFileSpec, ConfigPayload, Deadline, DirectiveSchema, MySqlSim,
-    StartOutcome, SystemUnderTest, TestOutcome, CHAOS_PREFIX,
+    ApacheSim, AppServerSim, BindSim, CacheStats, ChaosConfig, ChaosSut, ConfigFileSpec,
+    ConfigPayload, Deadline, DirectiveSchema, DjbdnsSim, MySqlSim, PostgresSim, StartOutcome,
+    SystemUnderTest, TestOutcome, CHAOS_PREFIX,
 };
 use conferr_tree::NodeQuery;
 
@@ -205,31 +213,6 @@ fn kill_and_resume_reproduces_the_uninterrupted_profile() {
     let mut spliced = killed_outcomes[..recovered.completed].to_vec();
     spliced.extend(resumed_outcomes.into_outcomes());
     assert_eq!(spliced.as_slice(), reference.outcomes());
-}
-
-#[test]
-fn strict_mode_still_poisons_on_chaos_panics() {
-    let config = ChaosConfig {
-        seed: DEFAULT_SEED,
-        panic_rate: 1.0,
-        ..ChaosConfig::default()
-    };
-    let (_, chaotic, faults) = fixtures(config);
-    let executor = CampaignExecutor::new(2);
-    executor.set_fault_isolation(false);
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        executor.run_faults(&chaotic, faults.iter().take(16).cloned().collect())
-    }));
-    assert!(result.is_err(), "strict mode re-raises the harness panic");
-
-    // The pool survives and, back in isolated mode, the same load
-    // completes with every fault recorded.
-    executor.set_fault_isolation(true);
-    let profile = executor
-        .run_faults(&chaotic, faults.iter().take(16).cloned().collect())
-        .expect("isolated run completes");
-    assert_eq!(profile.len(), 16);
-    assert!(profile.summary().harness_failures > 0);
 }
 
 #[test]
@@ -482,7 +465,177 @@ fn serial_campaign_turns_a_source_panic_into_a_generate_error() {
     // Both chunks pulled before the panic are already in the sink, in
     // fault order.
     let delivered = sink.into_outcomes();
-    assert_eq!(delivered.len(), 2 * conferr::DEFAULT_CHUNK_SIZE);
+    assert_eq!(delivered.len(), 2 * conferr::CHUNK_SIZE);
     let reference = campaign.run_faults(faults).expect("clean run");
     assert_eq!(delivered, reference.outcomes()[..delivered.len()]);
+}
+
+/// Runs `step` on a thread of its own and waits at most a minute for
+/// it, so a hang fails the test instead of wedging the suite.
+fn within_a_minute<T: Send + 'static>(step: &str, run: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, finished) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || done.send(run()));
+    let value = finished
+        .recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|e| panic!("{step} did not return within a minute: {e}"));
+    worker
+        .join()
+        .expect("the step thread ends once it has sent")
+        .expect("the receiver is alive");
+    value
+}
+
+#[test]
+fn a_panicking_sink_poisons_the_batch_and_the_executor_still_drops() {
+    /// A sink with a bug: it panics on its third outcome.
+    struct PanicsOnThird(usize);
+    impl OutcomeSink for PanicsOnThird {
+        fn accept(&mut self, _outcome: InjectionOutcome) {
+            self.0 += 1;
+            assert!(self.0 < 3, "sink bug");
+        }
+    }
+
+    let (clean, _, faults) = fixtures(ChaosConfig::default());
+    let executor = Arc::new(CampaignExecutor::new(2));
+    // More faults than the streaming window, so the worker fills it
+    // and then waits for the submitting thread to drain the sink.
+    assert!(faults.len() > conferr::CHUNK_SIZE * executor.threads());
+
+    let (pool, campaign, load) = (Arc::clone(&executor), clean.clone(), faults.clone());
+    let raised = within_a_minute("the panicking submission", move || {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.run_source(
+                &campaign,
+                Box::new(EagerSource::new(load)),
+                &mut PanicsOnThird(0),
+            )
+        }))
+        .is_err()
+    });
+    assert!(raised, "the sink panic re-raises on the submitting thread");
+
+    let (pool, campaign, load) = (Arc::clone(&executor), clean, faults.clone());
+    let outcomes = within_a_minute("the next submission", move || {
+        pool.run_faults(&campaign, load).map(|p| p.len())
+    });
+    assert_eq!(outcomes.expect("the next submission runs"), faults.len());
+
+    // A worker still waiting for window space would hang this join.
+    within_a_minute("dropping the executor", move || drop(executor));
+}
+
+/// Builds one boxed simulator.
+type Build = fn() -> Box<dyn SystemUnderTest + Send>;
+
+/// A SUT that is a new simulator at every `start` — the reference
+/// for warm reuse, where one instance serves fault after fault.
+#[derive(Debug)]
+struct FreshPerStart {
+    build: Build,
+    inner: Box<dyn SystemUnderTest + Send>,
+}
+
+impl FreshPerStart {
+    fn new(build: Build) -> Self {
+        FreshPerStart {
+            build,
+            inner: build(),
+        }
+    }
+}
+
+impl SystemUnderTest for FreshPerStart {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn config_files(&self) -> Vec<ConfigFileSpec> {
+        self.inner.config_files()
+    }
+    fn start(&mut self, configs: &ConfigPayload, deadline: &Deadline) -> StartOutcome {
+        self.inner = (self.build)();
+        self.inner.start(configs, deadline)
+    }
+    fn test_names(&self) -> Vec<String> {
+        self.inner.test_names()
+    }
+    fn run_test(&mut self, test: &str, deadline: &Deadline) -> TestOutcome {
+        self.inner.run_test(test, deadline)
+    }
+    fn stop(&mut self) {
+        self.inner.stop();
+    }
+    fn set_parse_caching(&mut self, enabled: bool) {
+        self.inner.set_parse_caching(enabled);
+    }
+    fn parse_cache_stats(&self) -> Option<CacheStats> {
+        self.inner.parse_cache_stats()
+    }
+    fn schema(&self) -> Option<&'static DirectiveSchema> {
+        self.inner.schema()
+    }
+    fn tier(&self) -> Tier {
+        self.inner.tier()
+    }
+}
+
+/// Runs `load` through a 1-thread executor twice — on one warm,
+/// reused `build` SUT and on a fresh one per start — and asserts the
+/// two profiles are byte-identical.
+fn assert_warm_matches_fresh(build: Build, load: impl FnOnce(&ConfigSet) -> Vec<GeneratedFault>) {
+    let executor = CampaignExecutor::new(1);
+    let warm = ExecutorCampaign::new(SutFactory::from_boxed(build)).expect("campaign");
+    let fresh = ExecutorCampaign::new(SutFactory::new(move || FreshPerStart::new(build)))
+        .expect("campaign");
+    let faults = load(warm.baseline());
+    assert!(!faults.is_empty(), "{}", warm.system());
+    let reused = executor
+        .run_faults(&warm, faults.clone())
+        .expect("warm run");
+    let reference = executor.run_faults(&fresh, faults).expect("fresh run");
+    assert_eq!(
+        profile_to_json(&reused),
+        profile_to_json(&reference),
+        "{} diverged from a fresh SUT per start",
+        warm.system()
+    );
+}
+
+#[test]
+fn warm_suts_match_a_fresh_sut_per_start_on_all_six_simulators() {
+    let keyboard = Keyboard::qwerty_us();
+    let table1 = |baseline: &ConfigSet| table1_faultload(baseline, &keyboard, DEFAULT_SEED);
+    assert_warm_matches_fresh(|| Box::new(MySqlSim::new()), table1);
+    assert_warm_matches_fresh(|| Box::new(PostgresSim::new()), table1);
+    assert_warm_matches_fresh(|| Box::new(ApacheSim::new()), table1);
+    assert_warm_matches_fresh(
+        || Box::new(BindSim::new()),
+        |baseline| {
+            DnsSemanticPlugin::bind()
+                .generate(baseline)
+                .expect("generate")
+        },
+    );
+    assert_warm_matches_fresh(
+        || Box::new(DjbdnsSim::new()),
+        |baseline| {
+            DnsSemanticPlugin::tinydns()
+                .generate(baseline)
+                .expect("generate")
+        },
+    );
+    assert_warm_matches_fresh(
+        || Box::new(AppServerSim::new()),
+        |baseline| {
+            let mut faults = StructuralPlugin::new()
+                .generate(baseline)
+                .expect("generate");
+            faults.extend(
+                XmlAttrTypoPlugin::new(Keyboard::qwerty_us())
+                    .generate(baseline)
+                    .expect("generate"),
+            );
+            faults
+        },
+    );
 }

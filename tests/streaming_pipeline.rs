@@ -3,8 +3,7 @@
 //! `FaultSource` and drained into an `OutcomeSink` must produce
 //! byte-identical results to the eager, fully-materialized path —
 //! every id, diff line and diagnostic included — at every thread
-//! count and chunk size, while never buffering more than the
-//! streaming window.
+//! count, while never buffering more than the streaming window.
 
 use conferr::{
     profile_to_csv, profile_to_json, sut_factory, Campaign, CampaignBatch, CampaignError,
@@ -59,7 +58,7 @@ fn table1_streaming_is_byte_identical_to_eager_across_threads() {
                 .expect("streamed run");
             assert_eq!(stats.outcomes, faults.len());
             assert!(
-                stats.peak_buffered <= executor.chunk_size() * threads,
+                stats.peak_buffered <= conferr::CHUNK_SIZE * threads,
                 "{}: peak {} exceeds window at {threads} threads",
                 campaign.system(),
                 stats.peak_buffered
