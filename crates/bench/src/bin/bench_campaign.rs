@@ -24,9 +24,9 @@
 //!   three systems: worker threads and per-worker SUT caches are
 //!   constructed once and reused across every `run_faults` call;
 //! * **batch** — all three systems' fault loads as **one**
-//!   `CampaignBatch`, drained off a single campaign-tagged queue
-//!   (cross-system work stealing), timed cold (fresh engines and
-//!   pool) and warm (resubmitted to the persistent executor);
+//!   `CampaignBatch`, one entry per system (cross-system work
+//!   stealing), timed cold (fresh engines and pool) and warm
+//!   (resubmitted to the persistent executor);
 //! * **streaming** — the same fault load pulled from a live
 //!   `FaultSource` chunk by chunk and drained into an `OutcomeSink`
 //!   through the executor's bounded reorder window, with the observed
@@ -548,12 +548,11 @@ fn main() {
         references.push(reference);
     }
 
-    // Batch profile, cold: all three systems through one
-    // campaign-tagged queue, with *fresh* engines and a fresh pool so
-    // the number measures batch-scheduling cost with every cache as
-    // cold as the serial runs'. Best of 3 rounds (cold state rebuilt
-    // each round, construction untimed), because this one carries a
-    // gate.
+    // Batch profile, cold: all three systems in one batch, with
+    // *fresh* engines and a fresh pool so the number measures
+    // batch-scheduling cost with every cache as cold as the serial
+    // runs'. Best of 3 rounds (cold state rebuilt each round,
+    // construction untimed), because this one carries a gate.
     //
     // The cold gate's reference is the *parallel* total, not the
     // serial one: a multi-worker cold batch keeps one SUT (and one
@@ -658,7 +657,7 @@ fn main() {
         total_serial / total_pruned
     );
     println!(
-        "batch (all systems, one queue): cold {batch_cold_ms:.1} ms \
+        "batch (all systems, one submission): cold {batch_cold_ms:.1} ms \
          ({batch_overhead_pct:+.1}% vs serial total, {batch_vs_parallel_pct:+.1}% vs parallel \
          total, gate 15%), warm rerun {batch_warm_ms:.1} ms ({:.2}x vs serial total)",
         total_serial / batch_warm_ms

@@ -257,7 +257,7 @@ fn table12_factories() -> [(&'static str, SutFactory); 3] {
 
 /// The full Table 1 — MySQL, Postgres and Apache columns of the §5.2
 /// protocol — scheduled on `executor` as **one batch across all three
-/// systems**: workers drain a single fault queue, so a worker done
+/// systems**: every system is its own batch entry, and a worker done
 /// with MySQL's faults immediately steals Postgres or Apache work.
 /// The numbers are identical at every thread count.
 ///
@@ -323,7 +323,7 @@ impl Table2 {
 /// Runs the §5.3 accepted-variations experiment (10 variant files per
 /// class per system) and builds Table 2, as **one executor batch**:
 /// every applicable (class, system) cell becomes a batch entry — 14
-/// small campaigns in one submission, drained off a single queue —
+/// small campaigns in one submission, workers stealing across them —
 /// with the three systems' engines shared across their five cells
 /// each. This is the many-small-campaign workload the persistent pool
 /// exists for; the verdicts are identical at every thread count.

@@ -195,8 +195,8 @@ impl fmt::Display for ComparisonReport {
 ///
 /// The full-coverage configuration is parsed into **one** shared
 /// engine, every directive's fault load becomes one [`CampaignBatch`]
-/// entry against it, and the executor's workers steal directives off
-/// the shared queue, reusing their cached SUT instances. Results are
+/// entry against it, and the executor's workers steal directives
+/// across the entries, reusing their cached SUT instances. Results are
 /// identical at every thread count: the per-directive seeds depend
 /// only on the directive's index.
 ///

@@ -18,10 +18,9 @@
 //!   backed either by an eager fault `Vec` ([`CampaignBatch::push`])
 //!   or by a live, lazily-pulled
 //!   [`FaultSource`](conferr_model::FaultSource)
-//!   ([`CampaignBatch::push_source`]). The executor schedules the
-//!   batch through a single shared queue tagged by campaign, so
-//!   workers steal across *systems* as well as within each system's
-//!   fault list.
+//!   ([`CampaignBatch::push_source`]). The executor gives every
+//!   entry its own scheduling shard, and workers steal across
+//!   *systems* as well as within each system's fault list.
 //! * [`ExecutorCampaign`] — the shareable half of a campaign (system
 //!   name, [`SutFactory`], `Arc`-shared injection engine). Cloning is
 //!   a handful of refcount bumps, so many batch entries can share one
@@ -62,6 +61,11 @@
 //! counting sink never holds more than the window in memory
 //! ([`StreamStats::peak_buffered`] reports the observed maximum).
 //!
+//! A thread with nothing to do — a worker facing full windows, the
+//! submitter waiting on in-flight faults — sleeps on the batch's one
+//! wake-up signal. Every event that can unblock either one (a drain,
+//! a completion-batch flush, an abort, poisoning) bumps that signal.
+//!
 //! Scheduling never affects results: every profile is byte-identical
 //! to a serial [`crate::Campaign::run_faults`] over the same faults
 //! (asserted by the integration tests and the campaign bench). When
@@ -90,7 +94,7 @@
 //! let executor = CampaignExecutor::new(2);
 //! let plugin = TypoPlugin::new(Keyboard::qwerty_us(), TokenClass::DirectiveNames);
 //!
-//! // One batch, two systems, one shared fault queue.
+//! // One batch, two systems; workers steal across both.
 //! let mut batch = CampaignBatch::new();
 //! for campaign in [
 //!     ExecutorCampaign::new(sut_factory(MySqlSim::new))?,
@@ -131,7 +135,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -698,16 +702,6 @@ impl ExecutorCampaign {
     }
 }
 
-/// The exact number of faults `source` has left, when the two bounds
-/// of its size hint agree. A source that lies here can only send a
-/// batch down the serial path, which gives identical results.
-fn exact_len(source: &dyn FaultSource) -> Option<usize> {
-    match source.size_hint() {
-        (lower, Some(upper)) if lower == upper => Some(lower),
-        _ => None,
-    }
-}
-
 /// N campaigns with their fault supplies, submitted to a
 /// [`CampaignExecutor`] as one scheduling unit.
 ///
@@ -773,7 +767,7 @@ impl CampaignBatch {
 }
 
 /// What a streaming run reports beyond the sinks' own contents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// Outcomes handed to sinks across all batch entries.
     pub outcomes: usize,
@@ -795,20 +789,6 @@ struct Chunk {
     unit: usize,
     base: usize,
     faults: Vec<GeneratedFault>,
-}
-
-/// What one production attempt on an entry shard yielded.
-enum Produced {
-    /// A chunk was pulled; the entry's window bookkeeping is already
-    /// updated.
-    Chunk(Chunk),
-    /// The feed ran dry (or was already drained by another claimer);
-    /// the entry is now exhausted.
-    Exhausted,
-    /// The feed failed. The caller must abort the batch — *after*
-    /// releasing the shard lock, so two concurrently failing entries
-    /// never lock each other's shards in opposite orders.
-    Failed(CampaignError),
 }
 
 /// The producer half of one batch entry: its fault source and fault
@@ -851,12 +831,15 @@ struct EntryState {
     emit: Mutex<EmitUnit>,
 }
 
-/// The submitter's wake-up channel: workers bump `epoch` after every
-/// completion; the submitter sleeps only while the epoch stands
-/// still.
-struct ProgressState {
+/// A batch's one wake-up channel. Every event that may let a sleeper
+/// proceed bumps `epoch`; a thread reads the epoch before it checks
+/// for work and sleeps only while the epoch stands still, so a missed
+/// wake-up is impossible.
+#[derive(Default)]
+struct Signal {
     epoch: u64,
-    submitter_waiting: bool,
+    /// Threads asleep on the signal; a bump notifies only when some.
+    sleepers: usize,
 }
 
 /// One streaming batch in flight. Shared by the pool workers and the
@@ -881,15 +864,11 @@ struct StreamState {
     /// The first source or sink failure; ends production, reported
     /// after the in-flight faults drain.
     error: Mutex<Option<CampaignError>>,
-    /// Epoch bumped whenever window space may have appeared (drain,
-    /// abort, poisoning). Claimers read it before scanning and sleep
-    /// on `space_ready` only while it stands still — the read-epoch
-    /// protocol that makes a missed notification impossible.
-    space_epoch: Mutex<u64>,
-    /// Waited on by claimers when every live entry's window is full.
-    space_ready: Condvar,
-    progress: Mutex<ProgressState>,
-    progress_ready: Condvar,
+    /// Bumped on every drain, completion-batch flush, abort and
+    /// poisoning; claimers facing full windows and the submitter
+    /// waiting on in-flight faults both sleep on `wake`.
+    signal: Mutex<Signal>,
+    wake: Condvar,
     /// Set when a panic escaped isolation: on a worker (a shed SUT
     /// whose `Drop` panics), the submitter re-raises instead of
     /// waiting for a drain that will never finish; on the submitter
@@ -899,38 +878,6 @@ struct StreamState {
     /// Completed-but-not-sunk outcomes, and the high-water mark.
     buffered: AtomicUsize,
     peak_buffered: AtomicUsize,
-}
-
-/// Arms a [`StreamState`] against a panic that escapes isolation —
-/// while one fault executes, or while the submitting thread drives
-/// the batch and feeds its sinks: dropped during unwinding (normal
-/// completion disarms it with [`std::mem::forget`]), it poisons the
-/// batch and wakes every waiter, so `run_batch` re-raises instead of
-/// deadlocking and no worker is left waiting for window space.
-///
-/// Both wake-ups go through epoch bumps under the respective mutex: a
-/// claimer that read `poisoned == false` but has not yet entered
-/// `space_ready.wait` re-reads the space epoch under the lock before
-/// sleeping, so the bump here either changes the epoch it compares
-/// against or the notification finds it already waiting — a missed
-/// wake-up is impossible without ever re-taking a shard lock (which
-/// the production path may already hold).
-struct PoisonOnPanic<'a> {
-    state: &'a StreamState,
-}
-
-impl Drop for PoisonOnPanic<'_> {
-    fn drop(&mut self) {
-        self.state.poisoned.store(true, Ordering::Release);
-        {
-            let mut epoch = lock(&self.state.space_epoch);
-            *epoch += 1;
-        }
-        self.state.space_ready.notify_all();
-        let mut progress = lock(&self.state.progress);
-        progress.epoch += 1;
-        self.state.progress_ready.notify_all();
-    }
 }
 
 /// A thread-local buffer of completed outcomes for one batch entry,
@@ -970,7 +917,7 @@ impl<'a> CompletionBatch<'a> {
     }
 
     /// Publishes every buffered outcome under one emit-lock
-    /// acquisition and wakes the submitter once.
+    /// acquisition and bumps the signal once.
     fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -991,11 +938,7 @@ impl<'a> CompletionBatch<'a> {
                 emit.pending.insert(index, outcome);
             }
         }
-        let mut progress = lock(&self.state.progress);
-        progress.epoch += 1;
-        if progress.submitter_waiting {
-            self.state.progress_ready.notify_all();
-        }
+        self.state.bump();
     }
 }
 
@@ -1019,13 +962,8 @@ impl StreamState {
             retries: AtomicUsize::new(0),
             cursor: AtomicUsize::new(0),
             error: Mutex::new(None),
-            space_epoch: Mutex::new(0),
-            space_ready: Condvar::new(),
-            progress: Mutex::new(ProgressState {
-                epoch: 0,
-                submitter_waiting: false,
-            }),
-            progress_ready: Condvar::new(),
+            signal: Mutex::default(),
+            wake: Condvar::new(),
             poisoned: AtomicBool::new(false),
             buffered: AtomicUsize::new(0),
             peak_buffered: AtomicUsize::new(0),
@@ -1048,12 +986,17 @@ impl StreamState {
         }
     }
 
-    /// Pulls one chunk from entry `unit` under its held shard lock (a
-    /// panicking source becomes a generation error).
-    fn produce(&self, unit: usize, shard: &mut EntryShard) -> Produced {
+    /// Pulls one chunk from entry `unit` under its held shard lock.
+    /// `Ok(None)` means the feed ran dry (or another claimer already
+    /// drained it) and the entry is now exhausted. A failing or
+    /// panicking source is an `Err`, on which the caller must abort
+    /// the batch *after* releasing the shard lock, so two concurrently
+    /// failing entries never lock each other's shards in opposite
+    /// orders.
+    fn produce(&self, unit: usize, shard: &mut EntryShard) -> Result<Option<Chunk>, CampaignError> {
         let entry = &self.entries[unit];
         let Some(feed) = shard.feed.as_mut() else {
-            return Produced::Exhausted;
+            return Ok(None);
         };
         let mut faults = Vec::with_capacity(CHUNK_SIZE);
         let pulled = pull_contained(feed.as_mut(), CHUNK_SIZE, &mut faults);
@@ -1066,29 +1009,67 @@ impl StreamState {
             Err(e) => {
                 shard.feed = None;
                 entry.exhausted.store(true, Ordering::Release);
-                Produced::Failed(CampaignError::Generate(e))
+                Err(CampaignError::Generate(e))
             }
             Ok(_) if faults.is_empty() => {
                 shard.feed = None;
                 entry.exhausted.store(true, Ordering::Release);
-                Produced::Exhausted
+                Ok(None)
             }
             Ok(_) => {
                 let n = faults.len();
                 let base = shard.produced;
                 shard.produced += n;
                 entry.outstanding.fetch_add(n, Ordering::AcqRel);
-                Produced::Chunk(Chunk { unit, base, faults })
+                Ok(Some(Chunk { unit, base, faults }))
             }
         }
     }
 
+    /// The signal's current epoch: read it *before* checking for
+    /// work, then pass it to [`StreamState::sleep_since`].
+    fn epoch(&self) -> u64 {
+        lock(&self.signal).epoch
+    }
+
+    /// Publishes an event that may let a sleeper proceed, notifying
+    /// only when some thread sleeps.
+    fn bump(&self) {
+        let mut signal = lock(&self.signal);
+        signal.epoch += 1;
+        if signal.sleepers > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Sleeps until the next bump, unless the epoch has moved since
+    /// `seen` or the batch is poisoned. May return spuriously: callers
+    /// re-check and loop.
+    fn sleep_since(&self, seen: u64) {
+        let mut signal = lock(&self.signal);
+        if signal.epoch == seen && !self.poisoned.load(Ordering::Acquire) {
+            signal.sleepers += 1;
+            signal = self
+                .wake
+                .wait(signal)
+                .unwrap_or_else(PoisonError::into_inner);
+            signal.sleepers -= 1;
+        }
+    }
+
+    /// Poisons the batch after a panic escaped isolation and wakes
+    /// every sleeper: workers stop claiming, and the submitter stops
+    /// waiting and re-raises.
+    fn poison(&self) {
+        self.poisoned.store(true, Ordering::Release);
+        self.bump();
+    }
+
     /// Aborts the whole batch after a source or sink failure: records
-    /// the first error, drains every feed, and wakes all waiters
-    /// (claimers via the space epoch, the submitter via the progress
-    /// epoch — without the latter a submitter already asleep when the
-    /// last in-flight outcome drained would never learn the batch is
-    /// over). Must not be called with any shard lock held.
+    /// the first error, drains every feed, and bumps the signal (a
+    /// submitter already asleep when the last in-flight outcome
+    /// drained would otherwise never learn the batch is over). Must
+    /// not be called with any shard lock held.
     fn abort(&self, error: CampaignError) {
         {
             let mut slot = lock(&self.error);
@@ -1101,29 +1082,21 @@ impl StreamState {
             shard.feed = None;
             entry.exhausted.store(true, Ordering::Release);
         }
-        {
-            let mut epoch = lock(&self.space_epoch);
-            *epoch += 1;
-        }
-        self.space_ready.notify_all();
-        let mut progress = lock(&self.progress);
-        progress.epoch += 1;
-        self.progress_ready.notify_all();
+        self.bump();
     }
 
     /// Claims the next chunk of work, scanning the entry shards
-    /// round-robin from an atomically advanced start point. Blocks on
-    /// the space epoch when every live entry's window is full and
-    /// `block` is set (pool workers); returns `None` immediately
-    /// otherwise (the submitting thread, which must keep draining).
-    /// `None` with `block` means the batch is over for this thread.
+    /// round-robin from an atomically advanced start point. Sleeps on
+    /// the signal when every live entry's window is full and `block`
+    /// is set (pool workers); returns `None` immediately otherwise
+    /// (the submitting thread, which must keep draining). `None` with
+    /// `block` means the batch is over for this thread.
     fn claim(&self, block: bool) -> Option<Chunk> {
         let n = self.entries.len();
         loop {
             // Read before scanning: any space created after this read
-            // bumps the epoch, so the pre-sleep comparison below
-            // cannot miss it.
-            let epoch = *lock(&self.space_epoch);
+            // bumps the epoch, so the sleep below cannot miss it.
+            let seen = self.epoch();
             if self.poisoned.load(Ordering::Acquire) {
                 return None;
             }
@@ -1145,9 +1118,9 @@ impl StreamState {
                     continue;
                 }
                 match self.produce(unit, &mut shard) {
-                    Produced::Chunk(chunk) => return Some(chunk),
-                    Produced::Exhausted => continue,
-                    Produced::Failed(e) => {
+                    Ok(Some(chunk)) => return Some(chunk),
+                    Ok(None) => continue,
+                    Err(e) => {
                         // Abort outside the shard lock (see `abort`).
                         drop(shard);
                         failure = Some(e);
@@ -1174,15 +1147,8 @@ impl StreamState {
             }
             // Every live entry's window is full: outstanding > 0
             // somewhere, so a future drain (or abort, or poisoning)
-            // will bump the epoch and notify. Sleep only if nothing
-            // already did since the read above.
-            let space = lock(&self.space_epoch);
-            if *space == epoch && !self.poisoned.load(Ordering::Acquire) {
-                let _space = self
-                    .space_ready
-                    .wait(space)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
+            // will bump the signal.
+            self.sleep_since(seen);
         }
     }
 
@@ -1195,19 +1161,11 @@ impl StreamState {
         fault: GeneratedFault,
     ) -> InjectionOutcome {
         let campaign = &self.entries[unit].campaign;
-        // `run_fault` contains every harness panic but one: a shed
-        // SUT whose `Drop` panics. The fault is already claimed, so
-        // that panic must poison the batch or the submitter waits
-        // forever on it. The unwind also flushes the caller's
-        // completion batch (its `Drop` runs after this guard's), so
-        // completed outcomes are never lost.
-        let guard = PoisonOnPanic { state: self };
         let mut slot = SutSlot::Cached {
             cache: suts,
             factory: &campaign.factory,
         };
         let run = run_fault(&campaign.engine, &mut slot, fault, &self.retry);
-        std::mem::forget(guard);
         self.retries.fetch_add(run.retries, Ordering::Relaxed);
         if run.exhausted {
             push_quarantine(&self.quarantine, &run.outcome.id);
@@ -1268,11 +1226,7 @@ impl StreamState {
             }
         }
         if drained > 0 {
-            {
-                let mut epoch = lock(&self.space_epoch);
-                *epoch += 1;
-            }
-            self.space_ready.notify_all();
+            self.bump();
         }
         if let Some(e) = sink_error {
             // A failed export aborts production: no new faults are
@@ -1305,12 +1259,11 @@ impl StreamState {
         let mut scratch = Vec::new();
         let mut sunk = 0;
         loop {
-            let epoch = lock(&self.progress).epoch;
+            // Read before draining: a flush after this read bumps the
+            // epoch, so the sleep below cannot miss it.
+            let seen = self.epoch();
             sunk += self.drain(sinks, &mut scratch);
-            if self.poisoned.load(Ordering::Acquire) {
-                return sunk;
-            }
-            if self.finished() {
+            if self.poisoned.load(Ordering::Acquire) || self.finished() {
                 return sunk;
             }
             if let Some(chunk) = self.claim(false) {
@@ -1335,17 +1288,8 @@ impl StreamState {
                 }
                 // Otherwise faults are in flight on workers: wait for
                 // a completion-batch flush (or poisoning, or an
-                // abort) unless one already happened since we read
-                // the epoch above.
-                let mut progress = lock(&self.progress);
-                if progress.epoch == epoch {
-                    progress.submitter_waiting = true;
-                    progress = self
-                        .progress_ready
-                        .wait(progress)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    progress.submitter_waiting = false;
-                }
+                // abort).
+                self.sleep_since(seen);
             }
         }
     }
@@ -1390,11 +1334,15 @@ fn worker_loop(shared: Arc<PoolShared>) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        // Contain a panic that escaped isolation so the pool never
-        // shrinks: the batch is already poisoned (and the submitter
-        // woken) by `PoisonOnPanic`, and `run_fault` left no SUT
-        // live, so the worker keeps serving with every cached SUT.
-        let _ = catch_unwind(AssertUnwindSafe(|| batch.work(&mut suts)));
+        // A panic that escaped isolation (a shed SUT whose `Drop`
+        // panics) leaves its claimed chunk unfinished, so it must
+        // poison the batch or the submitter waits forever. The unwind
+        // has already flushed this worker's completed outcomes.
+        // Containing it keeps the pool at full size, and `run_fault`
+        // left no SUT live, so the worker keeps every cached SUT.
+        if catch_unwind(AssertUnwindSafe(|| batch.work(&mut suts))).is_err() {
+            batch.poison();
+        }
         debug_assert!(suts.live.is_none(), "run_fault left a SUT live");
     }
 }
@@ -1576,10 +1524,10 @@ impl CampaignExecutor {
         self.run_source(campaign, Box::new(source.skip(checkpoint.completed)), sink)
     }
 
-    /// Runs a whole batch through one shared, campaign-tagged chunk
-    /// queue and returns one profile per entry (push order, outcomes
-    /// in fault order — byte-identical to running every entry through
-    /// a serial campaign). Streaming entries
+    /// Runs a whole batch, every entry on its own scheduling shard,
+    /// and returns one profile per entry (push order, outcomes in
+    /// fault order — byte-identical to running every entry through a
+    /// serial campaign). Streaming entries
     /// ([`CampaignBatch::push_source`]) are pulled lazily while the
     /// batch runs.
     ///
@@ -1644,26 +1592,18 @@ impl CampaignExecutor {
         let mut caller = lock(&self.caller);
         let entries = batch.entries;
         if entries.is_empty() {
-            return Ok(StreamStats {
-                outcomes: 0,
-                peak_buffered: 0,
-                retries: 0,
-            });
+            return Ok(StreamStats::default());
         }
         // Snapshot the retry policy for the whole submission: changing
         // it mid-flight never affects a batch already running.
         let retry = self.retry_policy();
 
-        // Serial fast path: with no pool workers (threads == 1) — or
-        // a batch known to hold at most one fault — run the entries
-        // in order on this thread, with zero queue, window or reorder
-        // overhead: each outcome goes straight to its sink. This is
-        // the serial campaign loop `Campaign` runs, over the
+        // Serial fast path: with no pool workers (threads == 1), run
+        // the entries in order on this thread, with zero queue, window
+        // or reorder overhead: each outcome goes straight to its sink.
+        // This is the serial campaign loop `Campaign` runs, over the
         // persistent SUT cache.
-        let exact_total: Option<usize> = entries.iter().try_fold(0usize, |acc, (_, source)| {
-            Some(acc + exact_len(source.as_ref())?)
-        });
-        if self.workers.is_empty() || exact_total.is_some_and(|t| t <= 1) {
+        if self.workers.is_empty() {
             let result = self.run_serial(entries, sinks, &mut caller, &retry);
             debug_assert!(caller.live.is_none(), "run_fault left a SUT live");
             return result;
@@ -1684,12 +1624,14 @@ impl CampaignExecutor {
 
         // The submitting thread steals work too, and owns the sinks. A
         // panic here (a sink's, or one escaping a fault it runs)
-        // propagates to the caller directly; the guard poisons the
-        // batch first, so no worker is left waiting on a window only
-        // this thread can drain.
-        let guard = PoisonOnPanic { state: &state };
-        let outcomes = state.drive(&mut caller, sinks);
-        std::mem::forget(guard);
+        // propagates to the caller, but poisons the batch first, so no
+        // worker is left waiting on a window only this thread can
+        // drain.
+        let outcomes = catch_unwind(AssertUnwindSafe(|| state.drive(&mut caller, sinks)))
+            .unwrap_or_else(|payload| {
+                state.poison();
+                resume_unwind(payload)
+            });
         debug_assert!(caller.live.is_none(), "run_fault left a SUT live");
 
         lock(&self.shared.job).batch = None;
@@ -1719,11 +1661,7 @@ impl CampaignExecutor {
         suts: &mut SutCache,
         retry: &RetryPolicy,
     ) -> Result<StreamStats, CampaignError> {
-        let mut stats = StreamStats {
-            outcomes: 0,
-            peak_buffered: 0,
-            retries: 0,
-        };
+        let mut stats = StreamStats::default();
         for ((campaign, mut source), sink) in entries.into_iter().zip(sinks.iter_mut()) {
             let mut slot = SutSlot::Cached {
                 cache: &mut *suts,
@@ -1934,8 +1872,8 @@ mod tests {
         let reference = CampaignExecutor::new(1)
             .run_faults(&campaign, nine.iter().rev().cloned().collect())
             .unwrap();
-        // An unknown size; an exact size of one, which sends the batch
-        // down the serial path; an exact size far above the truth.
+        // An unknown size; an exact size of one; an exact size far
+        // above the truth. None of them steers scheduling.
         for hint in [(0, None), (1, Some(1)), (100, Some(100))] {
             for threads in [1, 3] {
                 let executor = CampaignExecutor::new(threads);
@@ -2069,16 +2007,52 @@ mod tests {
         })
     }
 
-    /// [`PanickingSim`] with a teardown bug: once its `start` has
-    /// panicked, dropping it panics too. Isolation contains the start
-    /// panic and sheds the SUT; the shed SUT's `Drop` is the panic
-    /// that escapes.
+    /// Which thread a [`SidedTeardownSim`]'s escape fires on, and
+    /// whether that side has started a fault yet.
     #[derive(Debug)]
-    struct TeardownPanickingSim {
+    struct EscapeSide {
+        submitter: std::thread::ThreadId,
+        on_submitter: bool,
+        started: Mutex<bool>,
+        started_cv: Condvar,
+    }
+
+    impl EscapeSide {
+        fn escapes_here(&self) -> bool {
+            (std::thread::current().id() == self.submitter) == self.on_submitter
+        }
+
+        /// On the escaping side, records that it has started a fault;
+        /// on the other side, waits (up to 30 s) until it has.
+        fn rendezvous(&self) {
+            let mut started = lock(&self.started);
+            if self.escapes_here() {
+                *started = true;
+                self.started_cv.notify_all();
+            } else {
+                let _ = self.started_cv.wait_timeout_while(
+                    started,
+                    Duration::from_secs(30),
+                    |started| !*started,
+                );
+            }
+        }
+    }
+
+    /// A simulator whose every `start` panics. Isolation contains that
+    /// panic and sheds the SUT, and on the escaping side the shed
+    /// SUT's `Drop` panics too: the panic that gets past isolation. A
+    /// start on the other side first waits (up to 30 s) until the
+    /// escaping side has started a fault, so that side always runs
+    /// one.
+    #[derive(Debug)]
+    struct SidedTeardownSim {
+        side: Arc<EscapeSide>,
+        /// Set by `start` just before it panics.
         tripped: bool,
     }
 
-    impl conferr_sut::SystemUnderTest for TeardownPanickingSim {
+    impl conferr_sut::SystemUnderTest for SidedTeardownSim {
         fn name(&self) -> &str {
             PanickingSim.name()
         }
@@ -2087,14 +2061,12 @@ mod tests {
         }
         fn start(
             &mut self,
-            configs: &conferr_sut::ConfigPayload,
-            deadline: &conferr_sut::Deadline,
+            _configs: &conferr_sut::ConfigPayload,
+            _deadline: &conferr_sut::Deadline,
         ) -> conferr_sut::StartOutcome {
-            // Stays set only if the start below unwinds.
+            self.side.rendezvous();
             self.tripped = true;
-            let outcome = PanickingSim.start(configs, deadline);
-            self.tripped = false;
-            outcome
+            panic!("simulator bug");
         }
         fn test_names(&self) -> Vec<String> {
             Vec::new()
@@ -2109,42 +2081,83 @@ mod tests {
         fn stop(&mut self) {}
     }
 
-    impl Drop for TeardownPanickingSim {
+    impl Drop for SidedTeardownSim {
         fn drop(&mut self) {
             assert!(
-                !self.tripped || std::thread::panicking(),
+                !(self.tripped && self.side.escapes_here()) || std::thread::panicking(),
                 "simulator teardown bug"
             );
         }
     }
 
+    /// Runs one escape case with the calling thread as the submitter.
+    /// Returns the message of the panic the submission re-raised,
+    /// after a benign submission on the same executor and its drop.
+    fn escape_case(threads: usize, on_submitter: bool) -> String {
+        let side = Arc::new(EscapeSide {
+            submitter: std::thread::current().id(),
+            on_submitter,
+            started: Mutex::new(false),
+            started_cv: Condvar::new(),
+        });
+        let campaign = ExecutorCampaign::new(sut_factory(move || SidedTeardownSim {
+            side: Arc::clone(&side),
+            tripped: false,
+        }))
+        .unwrap();
+        let executor = CampaignExecutor::new(threads);
+        // Four chunks, so whichever thread claims first leaves work
+        // for the other.
+        let faults = (0..64).map(|i| panic_fault("2", i)).collect();
+        let Err(payload) =
+            catch_unwind(AssertUnwindSafe(|| executor.run_faults(&campaign, faults)))
+        else {
+            panic!("the escaped panic must propagate");
+        };
+        // The pool survives a poisoned submission.
+        let benign = ExecutorCampaign::new(sut_factory(|| PanickingSim)).unwrap();
+        let profile = executor
+            .run_faults(&benign, (0..8).map(|i| panic_fault("3", i)).collect())
+            .unwrap();
+        assert_eq!(profile.len(), 8);
+        drop(executor);
+        panic_message(payload.as_ref())
+    }
+
     #[test]
     fn strict_mode_worker_panic_propagates_instead_of_deadlocking() {
-        // Many benign faults plus one whose start panics and whose
-        // shed SUT then panics in `Drop` — outside the per-fault
-        // isolation — across enough threads that a pool worker (not
-        // just the submitting thread) can hit it. Without the poison
-        // guard a worker taking that fault leaves the submitter
-        // waiting forever.
-        let campaign =
-            ExecutorCampaign::new(sut_factory(|| TeardownPanickingSim { tripped: false })).unwrap();
-        for threads in [1, 4] {
-            let mut faults: Vec<GeneratedFault> = (0..64).map(|i| panic_fault("2", i)).collect();
-            faults.insert(32, panic_fault("BOOM", 64));
+        use std::sync::mpsc::RecvTimeoutError;
 
-            let executor = CampaignExecutor::new(threads);
-            let result = catch_unwind(AssertUnwindSafe(|| executor.run_faults(&campaign, faults)));
-            assert!(
-                result.is_err(),
-                "the escaped panic must propagate (threads = {threads})"
-            );
-
-            // The pool survives a poisoned submission: later
-            // submissions on the same executor still complete.
-            let profile = executor
-                .run_faults(&campaign, (0..8).map(|i| panic_fault("3", i)).collect())
-                .unwrap();
-            assert_eq!(profile.len(), 8, "threads = {threads}");
+        // A shed SUT whose `Drop` panics gets past per-fault
+        // isolation. Each case forces that escape onto one side, and
+        // the submission must re-raise it rather than wait forever on
+        // the fault it left unfinished. Each case runs on a helper
+        // thread with a bounded wait, so a lost wake-up fails the test
+        // instead of hanging it.
+        for (threads, on_submitter, expected) in [
+            (1, true, "simulator teardown bug"),
+            (2, false, "a campaign worker panicked"),
+            (2, true, "simulator teardown bug"),
+        ] {
+            let case = format!("threads = {threads}, on_submitter = {on_submitter}");
+            let (done, outcome) = std::sync::mpsc::channel();
+            let helper = std::thread::spawn(move || {
+                // The receiver is gone only once the wait below timed out.
+                let _ = done.send(escape_case(threads, on_submitter));
+            });
+            let message = match outcome.recv_timeout(Duration::from_secs(60)) {
+                Ok(message) => message,
+                // The helper panicked before sending: surface its panic.
+                Err(RecvTimeoutError::Disconnected) => {
+                    resume_unwind(helper.join().expect_err("the helper sent nothing"))
+                }
+                // A hung helper cannot be joined; it is left detached.
+                Err(RecvTimeoutError::Timeout) => {
+                    panic!("{case}: no re-raise and no return within 60 s")
+                }
+            };
+            helper.join().expect("the helper returns after sending");
+            assert!(message.starts_with(expected), "{case}: {message}");
         }
     }
 

@@ -47,7 +47,6 @@ mod appserver;
 mod bind;
 pub mod chaos;
 mod deadline;
-mod directive;
 mod djbdns;
 pub mod minidb;
 pub mod minidns;
@@ -61,10 +60,6 @@ pub use appserver::AppServerSim;
 pub use bind::BindSim;
 pub use chaos::{ChaosAction, ChaosConfig, ChaosSut, CHAOS_PREFIX};
 pub use deadline::Deadline;
-pub use directive::{
-    parse_bool_mysql, parse_bool_pg, parse_int_prefix, parse_int_strict, parse_size_mysql,
-    parse_size_strict, resolve_prefix, DirectiveSpec, MySqlParse, PrefixError, ValueType,
-};
 pub use djbdns::DjbdnsSim;
 pub use mysql::MySqlSim;
 pub use payload::{CacheStats, ConfigPayload, ContentId, FileText, ParseCache, TextOrigin};
@@ -72,6 +67,11 @@ pub use postgres::PostgresSim;
 
 // The declarative schemas the simulators expose for static analysis.
 pub use conferr_analysis::{schema_for, DirectiveSchema};
+// The directive-value parsers the simulators share with the linter.
+pub use conferr_analysis::value::{
+    parse_bool_mysql, parse_bool_pg, parse_int_prefix, parse_int_strict, parse_size_mysql,
+    parse_size_strict, resolve_prefix, DirectiveSpec, MySqlParse, PrefixError, ValueType,
+};
 
 use std::collections::BTreeMap;
 use std::fmt;

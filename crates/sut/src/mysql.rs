@@ -31,10 +31,10 @@ use std::sync::Arc;
 use conferr_analysis::mysql::{
     check_dump_config, validate_server_config, DEFAULT_PORT, SERVER_REGISTRY,
 };
+use conferr_analysis::value::ValueType;
 use conferr_analysis::{Dialect, DirectiveSchema, MYSQL_SCHEMA};
 use conferr_formats::{ConfigFormat, IniFormat};
 
-use crate::directive::ValueType;
 use crate::minidb::{Engine, EngineLimits};
 use crate::{
     CacheStats, ConfigFileSpec, ConfigPayload, Deadline, FileText, ParseCache, StartOutcome,

@@ -368,7 +368,7 @@ impl<T> FileCache<T> {
         (*entry.text == *file.text()).then(|| Arc::clone(&entry.value))
     }
 
-    fn store(&mut self, file: &FileText, value: Arc<T>, capacity: usize) {
+    fn store(&mut self, file: &FileText, value: Arc<T>) {
         let id = file.content_id();
         let entry = Entry {
             text: file.shared_text(),
@@ -379,7 +379,7 @@ impl<T> FileCache<T> {
                 self.pinned.insert(id, entry);
             }
             TextOrigin::Mutated => {
-                if capacity == 0 || self.recent.contains_key(&id) || self.pinned.contains_key(&id) {
+                if self.recent.contains_key(&id) || self.pinned.contains_key(&id) {
                     // A collision under the same id keeps the older
                     // entry; the newer text simply stays uncached (a
                     // pinned-id collision in particular must not park
@@ -387,7 +387,7 @@ impl<T> FileCache<T> {
                     // lookups check `pinned` first).
                     return;
                 }
-                while self.recent.len() >= capacity {
+                while self.recent.len() >= CAPACITY_PER_FILE {
                     let Some(oldest) = self.order.pop_front() else {
                         break;
                     };
@@ -439,7 +439,6 @@ impl<T> FileCache<T> {
 /// ```
 pub struct ParseCache<T> {
     files: HashMap<String, FileCache<T>>,
-    capacity_per_file: usize,
     enabled: bool,
     hits: u64,
     misses: u64,
@@ -449,7 +448,7 @@ pub struct ParseCache<T> {
 /// Transient (mutated-origin) entries retained per file. Sized to
 /// hold several full Table 1 fault loads' worth of distinct texts;
 /// beyond that, the oldest entries are evicted first.
-const DEFAULT_CAPACITY_PER_FILE: usize = 1024;
+const CAPACITY_PER_FILE: usize = 1024;
 
 impl<T> Default for ParseCache<T> {
     fn default() -> Self {
@@ -467,20 +466,12 @@ impl<T> fmt::Debug for ParseCache<T> {
 }
 
 impl<T> ParseCache<T> {
-    /// Creates an enabled cache with the default per-file transient
-    /// capacity.
+    /// Creates an enabled cache. Each file keeps a bounded FIFO
+    /// window of mutated-origin entries; baseline-origin entries are
+    /// always pinned and not counted against it.
     pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY_PER_FILE)
-    }
-
-    /// Creates an enabled cache retaining at most `capacity_per_file`
-    /// mutated-origin entries per file (baseline-origin entries are
-    /// always pinned and not counted against the capacity). A capacity
-    /// of 0 memoizes baseline text only.
-    pub fn with_capacity(capacity_per_file: usize) -> Self {
         ParseCache {
             files: HashMap::new(),
-            capacity_per_file,
             enabled: true,
             hits: 0,
             misses: 0,
@@ -521,11 +512,10 @@ impl<T> ParseCache<T> {
         }
         self.misses += 1;
         let value = Arc::new(parse(file));
-        self.files.entry(file_name.to_string()).or_default().store(
-            file,
-            Arc::clone(&value),
-            self.capacity_per_file,
-        );
+        self.files
+            .entry(file_name.to_string())
+            .or_default()
+            .store(file, Arc::clone(&value));
         value
     }
 
@@ -660,33 +650,27 @@ mod tests {
 
     #[test]
     fn mutated_entries_are_evicted_fifo_and_pinned_entries_are_not() {
-        let mut cache: ParseCache<usize> = ParseCache::with_capacity(2);
+        let mut cache: ParseCache<usize> = ParseCache::new();
         let base = FileText::baseline("base");
         cache.get_or_parse("f", &base, |_| 0);
-        for (i, text) in ["m1", "m2", "m3"].iter().enumerate() {
-            cache.get_or_parse("f", &FileText::mutated(*text), move |_| i + 1);
+        // One mutated text more than the window holds.
+        let texts: Vec<String> = (0..=CAPACITY_PER_FILE).map(|i| format!("m{i}")).collect();
+        for (i, text) in texts.iter().enumerate() {
+            cache.get_or_parse("f", &FileText::mutated(text.as_str()), move |_| i + 1);
         }
         let stats = cache.stats();
         assert_eq!(stats.pinned, 1);
-        assert_eq!(stats.entries, 3, "2 transient + 1 pinned");
-        // m1 (oldest) was evicted, base and m3 still hit.
+        assert_eq!(
+            stats.entries,
+            CAPACITY_PER_FILE + 1,
+            "full window + 1 pinned"
+        );
+        // m0 (oldest) was evicted; base and the newest text still hit.
         cache.get_or_parse("f", &base, |_| unreachable!());
-        cache.get_or_parse("f", &FileText::mutated("m3"), |_| unreachable!());
-        let evicted = cache.get_or_parse("f", &FileText::mutated("m1"), |_| 9);
-        assert_eq!(*evicted, 9);
-    }
-
-    #[test]
-    fn zero_capacity_memoizes_baseline_only() {
-        let mut cache: ParseCache<usize> = ParseCache::with_capacity(0);
-        let mutated = FileText::mutated("m");
-        cache.get_or_parse("f", &mutated, |_| 1);
-        cache.get_or_parse("f", &mutated, |_| 2);
-        assert_eq!(cache.stats().misses, 2);
-        let base = FileText::baseline("b");
-        cache.get_or_parse("f", &base, |_| 3);
-        cache.get_or_parse("f", &base, |_| unreachable!());
-        assert_eq!(cache.stats().hits, 1);
+        let newest = FileText::mutated(texts[CAPACITY_PER_FILE].as_str());
+        cache.get_or_parse("f", &newest, |_| unreachable!());
+        let evicted = cache.get_or_parse("f", &FileText::mutated("m0"), |_| 0);
+        assert_eq!(*evicted, 0, "m0 is parsed afresh");
     }
 
     #[test]

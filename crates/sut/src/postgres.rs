@@ -20,10 +20,10 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use conferr_analysis::postgres::{validate_config, REGISTRY};
+use conferr_analysis::value::ValueType;
 use conferr_analysis::{Dialect, DirectiveSchema, POSTGRES_SCHEMA};
 use conferr_formats::KvFormat;
 
-use crate::directive::ValueType;
 use crate::minidb::{Engine, EngineLimits};
 use crate::{
     CacheStats, ConfigFileSpec, ConfigPayload, Deadline, FileText, ParseCache, StartOutcome,

@@ -20,9 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kinds = DnsFaultKind::ALL;
 
     // Both name servers' fault loads go into one batch on a shared
-    // executor: workers steal across systems off a single
-    // campaign-tagged queue, and outcomes come back per campaign in
-    // fault order — identical to two serial campaigns.
+    // executor: workers steal across the two systems' entries, and
+    // outcomes come back per campaign in fault order — identical to
+    // two serial campaigns.
     let executor = CampaignExecutor::with_default_threads();
     let mut batch = CampaignBatch::new();
     let mut names = Vec::new();

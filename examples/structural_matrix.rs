@@ -19,11 +19,11 @@ use conferr_sut::{ApacheSim, MySqlSim, PostgresSim};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Every (class, system) cell is a tiny campaign — exactly the
     // many-small-campaign workload the persistent executor exists
-    // for. All applicable cells go into ONE batch: a single
-    // campaign-tagged fault queue, workers stealing across systems,
-    // each system's engine shared by its five cells. Cells are pushed
-    // as lazy *sources*, so each cell's variants are generated only
-    // when the queue reaches it — generation overlaps injection.
+    // for. All applicable cells go into ONE batch: one entry per
+    // cell, workers stealing across systems, each system's engine
+    // shared by its five cells. Cells are pushed as lazy *sources*, so
+    // each cell's variants are generated only when a worker claims
+    // them — generation overlaps injection.
     let executor = CampaignExecutor::with_default_threads();
     let systems = [
         ("MySQL", ExecutorCampaign::new(sut_factory(MySqlSim::new))?),

@@ -1,6 +1,6 @@
 //! The persistent executor and the batch scheduler must be pure
 //! wall-clock optimisations: reusing a pool across submissions, or
-//! scheduling many campaigns through one queue, must produce profiles
+//! scheduling many campaigns as one batch, must produce profiles
 //! byte-identical to fresh serial campaigns — every id, diff line and
 //! diagnostic included. A `Campaign` over a freshly built SUT is the
 //! reference throughout.
@@ -247,7 +247,7 @@ fn many_entry_live_source_batch_matches_serial() {
 
 /// A cross-system batch — the Table 1 protocol against all three
 /// systems plus the Table 3 semantic loads against both name servers
-/// (djbdns's inexpressible faults included), all through one queue —
+/// (djbdns's inexpressible faults included), all in one batch —
 /// matches per-system serial runs.
 #[test]
 fn cross_system_table1_batch_matches_serial() {
