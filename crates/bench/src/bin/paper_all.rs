@@ -1,6 +1,6 @@
 //! Runs the complete evaluation — every table and figure of the paper
-//! — in one go, printing each artifact in order. Useful for refreshing
-//! `EXPERIMENTS.md`.
+//! — in one go, printing each artifact in order. The README's "Paper
+//! artifacts" table says what each one reproduces.
 //!
 //! ```text
 //! cargo run -p conferr-bench --bin paper_all [seed]

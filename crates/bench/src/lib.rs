@@ -6,13 +6,13 @@
 //! This crate is the *evaluation layer*, the sink of the workspace DAG
 //! `tree → {keyboard, formats, model} → {plugins, sut} → core → bench`:
 //! it composes generators, simulators and the campaign drivers into
-//! the paper's experiments and the repo's perf-trajectory bench
+//! the paper's experiments and the campaign gate harness
 //! (`bench_campaign` → `BENCH_campaign.json`).
 //!
 //! Every artifact function runs on a caller-provided
 //! [`CampaignExecutor`]; its results are identical at every thread
 //! count, and `CampaignExecutor::new(1)` runs the same serial loop as
-//! a plain [`Campaign`].
+//! a plain [`Campaign`](conferr::Campaign).
 //!
 //! | Artifact | Function | Binary |
 //! |----------|----------|--------|
@@ -20,14 +20,15 @@
 //! | Table 2 — resilience to structural errors | [`table2`] | `cargo run -p conferr-bench --bin table2` |
 //! | Table 3 — resilience to semantic errors | [`table3`] | `cargo run -p conferr-bench --bin table3` |
 //! | Figure 3 — MySQL vs Postgres value-typo resilience | [`figure3`] | `cargo run -p conferr-bench --bin fig3` |
-//! | §5.2 timing claims | Criterion benches | `cargo bench -p conferr-bench` |
+//! | §5.1 ablations — keyboard-aware typos, class-structured sampling | [`all_typos`], [`table1_faultload`] | `cargo test --test paper_findings` |
 //!
 //! Absolute counts differ from the paper (our default configurations
 //! are faithful in structure but not byte-identical to the 2008
 //! distribution tarballs, and our per-injection cost is microseconds
 //! rather than seconds); the *shape* — who detects what, where the
 //! bands fall, which faults are inexpressible — is the reproduction
-//! target. `EXPERIMENTS.md` records paper-vs-measured side by side.
+//! target. The README's "Paper artifacts" table lists every artifact
+//! with the paper section it reproduces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -35,9 +36,9 @@
 use std::sync::LazyLock;
 
 use conferr::{
-    sut_factory, value_typo_resilience, Campaign, CampaignBatch, CampaignError, CampaignExecutor,
-    ComparisonReport, ExecutorCampaign, InjectionResult, ProfileSummary, ResilienceProfile,
-    SutFactory,
+    default_threads, sut_factory, value_typo_resilience, CampaignBatch, CampaignError,
+    CampaignExecutor, ComparisonReport, ExecutorCampaign, InjectionResult, ProfileSummary,
+    ResilienceProfile, SutFactory,
 };
 use conferr_keyboard::Keyboard;
 use conferr_model::{
@@ -48,7 +49,7 @@ use conferr_plugins::{
     typos_of_kind, DnsFaultKind, DnsSemanticPlugin, VariationClass, VariationPlugin,
 };
 use conferr_sut::{ApacheSim, BindSim, ConfigPayload, DjbdnsSim, FileText, MySqlSim, PostgresSim};
-use conferr_tree::{ConfTree, Node, NodeQuery, TreePath};
+use conferr_tree::{Node, NodeQuery, TreePath};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -69,8 +70,6 @@ const DIRECTIVES_PER_FILE: usize = 10;
 /// listening-port directives whose typos only functional tests catch.
 pub const DEFAULT_SEED: u64 = 1912; // RFC 1912, the DNS error catalogue.
 
-pub use conferr::default_threads;
-
 /// Worker-thread count for the paper binaries: the `CONFERR_THREADS`
 /// environment variable when set (and positive), the machine's
 /// available parallelism otherwise. An environment variable rather
@@ -82,51 +81,6 @@ pub fn threads_from_env() -> usize {
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|n| *n > 0)
         .unwrap_or_else(default_threads)
-}
-
-/// Reconstructs a configuration tree node by node, without any
-/// structural sharing — the per-edited-file cost every
-/// [`conferr_model::FaultScenario::apply`] paid before `Node` went
-/// `Arc`-backed. The apply benches use this as the whole-tree-copy
-/// reference against today's path-proportional copy.
-pub fn deep_copy_tree(tree: &ConfTree) -> ConfTree {
-    fn deep_copy(node: &Node) -> Node {
-        let mut out = Node::new(node.kind());
-        for (key, value) in node.attrs() {
-            out.set_attr(key, value);
-        }
-        if let Some(text) = node.text() {
-            out.set_text(Some(text.to_string()));
-        }
-        for child in node.children() {
-            out.push_child(deep_copy(child));
-        }
-        out
-    }
-    ConfTree::new(deep_copy(tree.root()))
-}
-
-/// The `httpd.conf` apply-microbench fixture shared by
-/// `bench_campaign` and the criterion `injection` bench: the Apache
-/// baseline set and one representative §5.2 value-typo scenario
-/// (a leaf edit, the common case) against `httpd.conf`. Both benches
-/// must time the *same* edit or their path-copy vs whole-tree-copy
-/// numbers silently drift apart.
-pub fn httpd_apply_fixture() -> (ConfigSet, FaultScenario) {
-    let keyboard = Keyboard::qwerty_us();
-    let mut sut = ApacheSim::new();
-    let campaign = Campaign::new(&mut sut).expect("apache campaign");
-    let baseline = campaign.baseline().clone();
-    let faults = table1_faultload(&baseline, &keyboard, DEFAULT_SEED);
-    let scenario = faults
-        .iter()
-        .find_map(|f| match f {
-            GeneratedFault::Scenario(s) if s.id.starts_with("t1-value:httpd.conf") => Some(s),
-            _ => None,
-        })
-        .expect("httpd.conf value typo exists")
-        .clone();
-    (baseline, scenario)
 }
 
 /// A lazily enumerated fault space of at least `target` faults built

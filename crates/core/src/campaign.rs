@@ -212,7 +212,7 @@ pub(crate) struct InjectionEngine {
     static_triage: AtomicBool,
     /// Dynamic SUT starts actually performed (one per
     /// `start_and_classify` call) — the denominator of the triage
-    /// skip-rate the bench gates on.
+    /// skip-rate `tests/static_analysis.rs` gates on.
     dynamic_starts: AtomicUsize,
     /// Starts the triage fast path synthesized away.
     triaged_starts: AtomicUsize,
@@ -940,7 +940,7 @@ impl<'s> Campaign<'s> {
     /// no configured fault deadline; outside them the dynamic path
     /// runs as usual. Byte-identity against the
     /// `set_static_triage(false)` reference is asserted by
-    /// `tests/static_analysis.rs` and gated in `bench_campaign`.
+    /// `tests/static_analysis.rs`.
     pub fn set_static_triage(&mut self, enabled: bool) -> &mut Self {
         self.engine.set_static_triage(enabled);
         self

@@ -1,12 +1,20 @@
-//! Every qualitative finding of the paper's §5.2–§5.4 case studies,
-//! reproduced as an end-to-end injection through the public API: the
-//! fault is injected via a campaign (not by poking the simulator), and
-//! the classified outcome must match what the paper reported.
+//! Every qualitative finding of the paper's §5.1–§5.4, reproduced as
+//! an end-to-end injection through the public API: the fault is
+//! injected via a campaign (not by poking the simulator), and the
+//! classified outcome must match what the paper reported. The two
+//! §5.1 design claims are ablations, asserted at nine seeds.
+
+use std::collections::BTreeSet;
 
 use conferr::{Campaign, InjectionResult};
+use conferr_bench::{all_typos, table1_faultload, DEFAULT_SEED};
+use conferr_keyboard::Keyboard;
 use conferr_model::{ConfigSet, ErrorClass, FaultScenario, GeneratedFault, TreeEdit, TypoKind};
 use conferr_sut::{ApacheSim, ConfigPayload, Deadline, MySqlSim, PostgresSim, SystemUnderTest};
 use conferr_tree::{NodeQuery, TreePath};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 /// Builds a one-scenario fault load that rewrites the value of the
 /// named directive.
@@ -36,6 +44,163 @@ fn inject_value(sut: &mut dyn SystemUnderTest, directive: &str, value: &str) -> 
     let faults = set_value_fault(campaign.baseline(), directive, value);
     let profile = campaign.run_faults(faults).expect("run");
     profile.outcomes()[0].result.clone()
+}
+
+// ---------------------------------------------------------------------------
+// Design ablations (§5.1)
+// ---------------------------------------------------------------------------
+
+/// The seeds each ablation runs at: the bench default and 0–7.
+fn ablation_seeds() -> impl Iterator<Item = u64> {
+    std::iter::once(DEFAULT_SEED).chain(0..8)
+}
+
+/// Uniform-random single-character substitutions in a non-empty
+/// `word` (the unrealistic baseline).
+fn uniform_substitutions(word: &str, rng: &mut StdRng, count: usize) -> Vec<(String, String)> {
+    const ALPHABET: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789-_./";
+    let chars: Vec<char> = word.chars().collect();
+    let mut out = Vec::new();
+    for _ in 0..count {
+        let pos = rng.gen_range(0..chars.len());
+        let replacement = ALPHABET[rng.gen_range(0..ALPHABET.len())] as char;
+        if replacement == chars[pos] {
+            continue;
+        }
+        let mut mutated = chars.clone();
+        mutated[pos] = replacement;
+        out.push((
+            mutated.into_iter().collect(),
+            format!("uniform substitution at {pos}"),
+        ));
+    }
+    out
+}
+
+/// Value-typo faults for every directive with a value, built by
+/// `mutator` and capped per directive.
+fn value_faults(
+    set: &ConfigSet,
+    mutator: impl Fn(&str, &mut StdRng) -> Vec<(String, String)>,
+    per_directive: usize,
+    seed: u64,
+) -> Vec<GeneratedFault> {
+    let query: NodeQuery = "//directive".parse().expect("query");
+    let mut out = Vec::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for (file, tree) in set.iter() {
+        for (path, node) in query.select_nodes(tree) {
+            let Some(value) = node.text().filter(|v| !v.is_empty()) else {
+                continue;
+            };
+            let mut variants = mutator(value, &mut rng);
+            variants.truncate(per_directive);
+            for (i, (mutated, label)) in variants.into_iter().enumerate() {
+                out.push(GeneratedFault::Scenario(FaultScenario {
+                    id: format!("abl:{file}:{path}#{i}"),
+                    description: label,
+                    class: ErrorClass::Typo(TypoKind::Substitution),
+                    edits: vec![TreeEdit::SetText {
+                        file: file.to_string(),
+                        path: path.clone(),
+                        text: Some(mutated),
+                    }],
+                }));
+            }
+        }
+    }
+    out
+}
+
+/// Distinct undetected-flaw sites among the first `budget` faults. A
+/// site is the fault id before its `#` variant suffix.
+fn undetected_sites(
+    campaign: &mut Campaign<'_>,
+    mut faults: Vec<GeneratedFault>,
+    budget: usize,
+) -> usize {
+    faults.truncate(budget);
+    let profile = campaign.run_faults(faults).expect("run");
+    profile
+        .outcomes()
+        .iter()
+        .filter(|o| matches!(o.result, InjectionResult::Undetected { .. }))
+        .map(|o| {
+            o.id.rsplit_once('#')
+                .map_or(o.id.as_str(), |(site, _)| site)
+        })
+        .collect::<BTreeSet<_>>()
+        .len()
+}
+
+#[test]
+fn uniform_substitutions_overstate_resilience() {
+    // Typos follow keyboard geometry. A uniform random substitution is
+    // more often garbage the system rejects, so a uniform model makes
+    // the system look more resilient than it is against real slips.
+    let keyboard = Keyboard::qwerty_us();
+    let mut sut = MySqlSim::new();
+    let mut campaign = Campaign::new(&mut sut).expect("campaign");
+    for seed in ablation_seeds() {
+        let keyboard_aware = value_faults(
+            campaign.baseline(),
+            |v, rng| {
+                let mut variants = all_typos(&keyboard, v);
+                variants.shuffle(rng);
+                variants
+            },
+            8,
+            seed,
+        );
+        let uniform = value_faults(
+            campaign.baseline(),
+            |v, rng| uniform_substitutions(v, rng, 8),
+            8,
+            seed,
+        );
+        let mut detection_rate = |faults| {
+            campaign
+                .run_faults(faults)
+                .expect("run")
+                .summary()
+                .detection_rate()
+        };
+        let keyboard_rate = detection_rate(keyboard_aware);
+        let uniform_rate = detection_rate(uniform);
+        assert!(
+            uniform_rate > keyboard_rate,
+            "seed {seed}: uniform substitutions detected at {uniform_rate:.3}, \
+             keyboard-aware typos at {keyboard_rate:.3}"
+        );
+    }
+}
+
+#[test]
+fn class_structured_sampling_finds_more_flaws() {
+    // Sampling through the error-class hierarchy "is considerably more
+    // efficient at finding flaws" than sampling the flat variant pool,
+    // where redundant variants of one site cluster.
+    const BUDGET: usize = 60;
+    let keyboard = Keyboard::qwerty_us();
+    let mut sut = MySqlSim::new();
+    let mut campaign = Campaign::new(&mut sut).expect("campaign");
+    for seed in ablation_seeds() {
+        let structured = table1_faultload(campaign.baseline(), &keyboard, seed);
+        let mut uniform = value_faults(
+            campaign.baseline(),
+            |v, _| all_typos(&keyboard, v),
+            usize::MAX,
+            seed,
+        );
+        uniform.shuffle(&mut StdRng::seed_from_u64(seed));
+        let s = undetected_sites(&mut campaign, structured, BUDGET);
+        let u = undetected_sites(&mut campaign, uniform, BUDGET);
+        assert!(
+            2 * s >= 3 * u,
+            "seed {seed}: in {BUDGET} injections class-structured sampling found {s} flaw \
+             sites and uniform sampling {u}; the claim needs 1.5x"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -588,8 +588,8 @@ fn triaged_profile_is_byte_identical_apache() {
     // strict validation makes the name typos provably fatal
     // (`WillFail*` → `DetectedAtStartup`) and the rest is provably
     // inert (`SemanticallySilent` → warning-free `Undetected`).
-    // Triage must replace at least half the starts (the §4 claim the
-    // bench gates as `triage_speedup`).
+    // Triage must replace at least half the starts (the §4 claim;
+    // these three tests are its only gate).
     let (dynamic, synthesized) = triaged_equals_dynamic_table1(|| Box::new(ApacheSim::new()));
     assert!(
         synthesized >= dynamic,
