@@ -14,14 +14,17 @@
 //! pointer-shared with the baseline is neither re-serialized nor
 //! diffed — its shared text (plus precomputed content identity) is
 //! handed to the SUT, whose [`conferr_sut::ParseCache`] then skips
-//! re-parsing it at startup. A mutated file is parsed once per cold
-//! fault: the static linter judges that parse, and the SUT's start
-//! reuses it. A campaign runs on the executor's serial
-//! loop over its borrowed SUT; for multi-core throughput,
-//! [`crate::CampaignExecutor`] shards fault loads across worker
-//! threads over the same kind of shared engine.
+//! re-parsing it at startup. A mutated file gets at most one parse per
+//! cold fault: the static linter judges that parse, and the SUT's start
+//! reuses it. A single-edit fault whose edited node parses in place
+//! ([`conferr_formats::ConfigFormat::parses_in_place`]) needs none,
+//! because its mutated tree already is the parse of its serialized
+//! bytes and shares every untouched subtree with the baseline. A
+//! campaign runs on the executor's serial loop over its borrowed SUT;
+//! for multi-core throughput, [`crate::CampaignExecutor`] shards fault
+//! loads across worker threads over the same kind of shared engine.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -35,7 +38,7 @@ use conferr_model::{
 use conferr_sut::{
     ConfigPayload, Deadline, FileText, StartOutcome, SystemUnderTest, TextOrigin, Tier,
 };
-use conferr_tree::diff;
+use conferr_tree::{diff, ConfTree};
 use parking_lot::Mutex;
 
 use crate::executor::{serial_loop, SutSlot};
@@ -180,6 +183,10 @@ pub(crate) struct InjectionEngine {
     /// scenario did not touch, and the SUT's parse cache pins their
     /// parsed form.
     baseline_payload: ConfigPayload,
+    /// Files whose baseline serializes back to its source text byte
+    /// for byte, and that text ends in `\n`. A single-edit fault on
+    /// one of them may skip its parse (see [`Self::known_parse`]).
+    splice_ready: BTreeSet<String>,
     /// Memoized apply → diff → serialize → parse → judge results,
     /// keyed by the exact edit list. Repeated fault loads (bench
     /// reruns, Table 2 variation probes) skip the whole preparation;
@@ -250,12 +257,18 @@ impl InjectionEngine {
     /// whether the baseline is healthy (every test passes) and clean
     /// (no startup warnings). Test-impact pruning and
     /// `SemanticallySilent` verdicts are gated on that evidence.
+    ///
+    /// A file is *splice-ready* when its parsed baseline serializes
+    /// back to its source text byte for byte and that text ends in
+    /// `\n`. Deciding this costs no parse beyond the baseline's own.
     pub(crate) fn new(
         sut: &mut dyn SystemUnderTest,
         overrides: Option<&ConfigPayload>,
     ) -> Result<Self, CampaignError> {
         let mut formats = BTreeMap::new();
         let mut baseline = ConfigSet::new();
+        let mut baseline_payload = ConfigPayload::new();
+        let mut splice_ready = BTreeSet::new();
         for spec in sut.config_files() {
             let format =
                 format_by_name(&spec.format).ok_or_else(|| CampaignError::UnknownFormat {
@@ -271,6 +284,20 @@ impl InjectionEngine {
                     file: spec.name.clone(),
                     message: e.to_string(),
                 })?;
+            let serialized =
+                format
+                    .serialize(&tree)
+                    .map_err(|e| CampaignError::BaselineSerialize {
+                        file: spec.name.clone(),
+                        message: e.to_string(),
+                    })?;
+            // The baseline is the parse of `text`, so when `text` is
+            // also its serialization, the baseline is the parse of
+            // its own serialization.
+            if serialized == text && text.ends_with('\n') {
+                splice_ready.insert(spec.name.clone());
+            }
+            baseline_payload.insert(spec.name.clone(), FileText::baseline(serialized));
             baseline.insert(spec.name.clone(), tree);
             formats.insert(spec.name, format);
         }
@@ -284,23 +311,13 @@ impl InjectionEngine {
                 }
             }
         }
-        let mut baseline_payload = ConfigPayload::new();
-        for (file, tree) in baseline.iter() {
-            let text =
-                formats[file]
-                    .serialize(tree)
-                    .map_err(|e| CampaignError::BaselineSerialize {
-                        file: file.to_string(),
-                        message: e.to_string(),
-                    })?;
-            baseline_payload.insert(file.to_string(), FileText::baseline(text));
-        }
         let analysis = Self::scout(sut, &formats, &baseline, &baseline_payload);
         Ok(InjectionEngine {
             tier: sut.tier(),
             formats,
             baseline,
             baseline_payload,
+            splice_ready,
             memo: Mutex::new(HashMap::new()),
             memoize_faults: AtomicBool::new(true),
             analysis,
@@ -528,8 +545,9 @@ impl InjectionEngine {
     ///
     /// A cold preparation also returns this fault's payload with the
     /// engine's parse attached to every mutated file (see
-    /// [`Self::prepare_cold`]). It is handed to this fault's start
-    /// and dropped after it; the memo never keeps a parse.
+    /// [`Self::prepare_cold`]), whether parsed or known without a
+    /// parse. It is handed to this fault's start and dropped after it;
+    /// the memo never keeps a parse.
     fn prepare(&self, scenario: &FaultScenario) -> (Arc<Prepared>, Option<ConfigPayload>) {
         if self.memoize_faults() {
             if let Some(hit) = self.memo.lock().get(&scenario.edits) {
@@ -549,7 +567,9 @@ impl InjectionEngine {
     }
 
     /// The un-memoized preparation path. With a linter, every mutated
-    /// file is parsed here once, with the engine's format for it; the
+    /// file gets its parse by the engine's format for it here, once:
+    /// the mutated tree itself when [`Self::known_parse`] proves it is
+    /// that parse, a full parse of the serialized bytes otherwise. The
     /// linter judges that parse, and the copy of the payload that
     /// carries it goes to the start, whose simulator then skips its
     /// own parse of the same bytes.
@@ -584,12 +604,17 @@ impl InjectionEngine {
             }
         };
         let parsed: Option<ConfigPayload> = linter.map(|_| {
+            let known = self.known_parse(edits, &mutated);
             payload
                 .iter()
                 .map(|(file, text)| {
-                    let text = match text.origin() {
-                        TextOrigin::Mutated => text.clone().with_parse(self.formats[file].as_ref()),
-                        TextOrigin::Baseline => text.clone(),
+                    let format = self.formats[file].as_ref();
+                    let text = match (text.origin(), known) {
+                        (TextOrigin::Baseline, _) => text.clone(),
+                        (TextOrigin::Mutated, Some((edited, tree))) if edited == file => {
+                            text.clone().with_known_parse(format, tree.clone())
+                        }
+                        (TextOrigin::Mutated, _) => text.clone().with_parse(format),
                     };
                     (file.to_string(), text)
                 })
@@ -607,6 +632,39 @@ impl InjectionEngine {
             payload: Ok(payload),
         };
         (prepared, parsed)
+    }
+
+    /// The edited file and its mutated tree, when a single-edit fault
+    /// leaves that tree the parse of its own serialization, so the
+    /// fault needs no parse: the file is splice-ready (see
+    /// [`Self::new`]) and the edit is either a `SetText`/`SetAttr`
+    /// whose edited node parses in place or a non-root `Delete` of a
+    /// baseline node that does (see [`ConfigFormat::parses_in_place`]).
+    /// Every other line of the file then parses as in the baseline.
+    /// `None` sends the fault to the full parse.
+    fn known_parse<'m>(
+        &self,
+        edits: &'m [TreeEdit],
+        mutated: &'m ConfigSet,
+    ) -> Option<(&'m str, &'m ConfTree)> {
+        let [edit] = edits else {
+            return None;
+        };
+        let file = edit.file();
+        if !self.splice_ready.contains(file) {
+            return None;
+        }
+        let (tree, path) = match edit {
+            TreeEdit::SetText { path, .. } | TreeEdit::SetAttr { path, .. } => {
+                (mutated.get(file)?, path)
+            }
+            TreeEdit::Delete { path, .. } => (self.baseline.get(file)?, path),
+            _ => return None,
+        };
+        if path.is_root() || !self.formats[file].parses_in_place(tree.node_at(path).ok()?) {
+            return None;
+        }
+        Some((file, mutated.get(file)?))
     }
 
     /// Starts the SUT on one prepared payload and classifies its
@@ -902,11 +960,15 @@ impl<'s> Campaign<'s> {
     /// so the engine memoizes it by exact edit equality; repeated
     /// faults skip the preparation and the lint while the SUT start
     /// and functional tests still run per injection. Disabling yields
-    /// the reference cold path — profiles are byte-identical either
-    /// way (asserted in `tests/parse_cache.rs`), only wall-clock
-    /// differs. The linter keeps no memo of its own, so pairing this
-    /// with [`conferr_sut::SystemUnderTest::set_parse_caching`]
-    /// disables every cache layer at once.
+    /// the cold path — profiles are byte-identical either way
+    /// (asserted in `tests/parse_cache.rs`), only wall-clock differs.
+    /// The linter keeps no memo of its own, so pairing this with
+    /// [`conferr_sut::SystemUnderTest::set_parse_caching`] disables
+    /// every cache layer at once. That pairing is the reference path:
+    /// the cold path may still skip the engine's parse of a
+    /// single-edit fault whose edited node parses in place, but a
+    /// disabled parse cache drops any parse the engine hands over, so
+    /// the simulator parses every byte itself.
     pub fn set_fault_memoization(&mut self, enabled: bool) -> &mut Self {
         self.engine.set_fault_memoization(enabled);
         self
@@ -1059,9 +1121,10 @@ impl<'s> Campaign<'s> {
 mod tests {
     use super::*;
     use conferr_keyboard::Keyboard;
-    use conferr_model::{StructuralKind, TypoKind};
+    use conferr_model::{ErrorClass, StructuralKind, TypoKind};
     use conferr_plugins::{StructuralPlugin, TokenClass, TypoPlugin};
     use conferr_sut::{MySqlSim, PostgresSim};
+    use conferr_tree::{Node, TreePath};
 
     #[test]
     fn campaign_against_postgres_produces_outcomes() {
@@ -1127,6 +1190,52 @@ mod tests {
             Campaign::with_payload(&mut sut, &ConfigPayload::from_texts(&configs)).unwrap();
         let tree = campaign.baseline().get("postgresql.conf").unwrap();
         assert_eq!(tree.root().children_of_kind("directive").count(), 3);
+    }
+
+    const CRLF_POSTGRES: &str = "port = 5432\r\n# note\r\n\r\nmax_connections = 10\r\n";
+
+    fn crlf_campaign(sut: &mut PostgresSim) -> Campaign<'_> {
+        let mut configs = BTreeMap::new();
+        configs.insert("postgresql.conf".to_string(), CRLF_POSTGRES.to_string());
+        Campaign::with_payload(sut, &ConfigPayload::from_texts(&configs)).unwrap()
+    }
+
+    #[test]
+    fn an_untouched_crlf_override_reaches_the_sut_byte_identical() {
+        let mut sut = PostgresSim::new();
+        let campaign = crlf_campaign(&mut sut);
+        // What the engine hands the SUT for every file a fault leaves
+        // untouched.
+        let payload = campaign.engine.payload_for(campaign.baseline()).unwrap();
+        assert_eq!(payload.text("postgresql.conf"), Some(CRLF_POSTGRES));
+    }
+
+    #[test]
+    fn a_crlf_baseline_is_splice_ready() {
+        let mut sut = PostgresSim::new();
+        let campaign = crlf_campaign(&mut sut);
+        let engine = &campaign.engine;
+        assert!(engine.splice_ready.contains("postgresql.conf"));
+        let scenario = FaultScenario {
+            id: "typo".into(),
+            description: "port typo".into(),
+            class: ErrorClass::Typo(TypoKind::Substitution),
+            edits: vec![TreeEdit::SetText {
+                file: "postgresql.conf".into(),
+                path: TreePath::root().child(0),
+                text: Some("5433".into()),
+            }],
+        };
+        let mutated = scenario.apply(campaign.baseline()).unwrap();
+        let (file, tree) = engine.known_parse(&scenario.edits, &mutated).unwrap();
+        assert_eq!(file, "postgresql.conf");
+        assert!(Node::ptr_eq(
+            &tree.root().children()[1],
+            &campaign.baseline().get(file).unwrap().root().children()[1]
+        ));
+        let (_, parsed) = engine.prepare(&scenario);
+        let text = parsed.unwrap().text(file).unwrap().to_string();
+        assert_eq!(text, CRLF_POSTGRES.replace("5432", "5433"));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use conferr_tree::{ConfTree, Node};
 
-use crate::{ConfigFormat, ParseError, SerializeError};
+use crate::{parses_alone, ConfigFormat, ParseError, SerializeError};
 
 /// Parser/serializer for Apache httpd-style files.
 #[derive(Debug, Clone, Copy, Default)]
@@ -48,7 +48,7 @@ impl ConfigFormat for ApacheFormat {
         }
         // Stack of open sections; the bottom is the root.
         let mut stack: Vec<Node> = vec![root];
-        for (lineno, line) in input.lines().enumerate() {
+        for (lineno, line) in input.split_terminator('\n').enumerate() {
             let lineno = lineno + 1;
             let trimmed = line.trim_start();
             let indent = &line[..line.len() - trimmed.len()];
@@ -140,6 +140,10 @@ impl ConfigFormat for ApacheFormat {
             out.pop();
         }
         Ok(out)
+    }
+
+    fn parses_in_place(&self, node: &Node) -> bool {
+        parses_alone(self, node)
     }
 }
 
@@ -304,6 +308,37 @@ ServerAdmin admin@example.com
     #[test]
     fn round_trips_trailing_whitespace_and_comments() {
         roundtrip("Listen 80   \n  # indented comment\n\t\n");
+    }
+
+    #[test]
+    fn round_trips_crlf_line_endings() {
+        roundtrip(
+            "# c\r\nClearModuleList\r\n<Directory /x>\r\n  Options None\r\n</Directory>\r\n\r\n",
+        );
+    }
+
+    #[test]
+    fn parses_in_place_approves_whole_lines_only() {
+        let fmt = ApacheFormat::new();
+        let tree = fmt.parse(SAMPLE).unwrap();
+        for (_, node) in tree.iter().skip(1) {
+            assert!(fmt.parses_in_place(node), "{node:?}");
+        }
+        let listen = tree.root().children()[1].clone();
+        let mut split = listen.clone();
+        split.set_text(Some("80\n443".to_string()));
+        assert!(!fmt.parses_in_place(&split));
+        let mut commented = listen;
+        commented.set_attr("name", "#Listen");
+        assert!(!fmt.parses_in_place(&commented));
+        // The close tag keeps the parsed name: a renamed section only
+        // parses in place while the names still match.
+        let vhost = tree.root().first_child_of_kind("section").unwrap();
+        let mut renamed = vhost.clone();
+        renamed.set_attr("name", "VirtualHosts");
+        assert!(!fmt.parses_in_place(&renamed));
+        renamed.set_attr("name", "virtualhost");
+        assert!(fmt.parses_in_place(&renamed));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use conferr_tree::{ConfTree, Node};
 
-use crate::{ConfigFormat, ParseError, SerializeError};
+use crate::{parses_alone, ConfigFormat, ParseError, SerializeError};
 
 /// Parser/serializer for MySQL-style INI files.
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,7 +47,7 @@ impl ConfigFormat for IniFormat {
             root.set_attr("final_newline", "no");
         }
         let mut current_section: Option<Node> = None;
-        for (lineno, line) in input.lines().enumerate() {
+        for (lineno, line) in input.split_terminator('\n').enumerate() {
             let lineno = lineno + 1;
             let trimmed = line.trim_start();
             let node = if trimmed.is_empty() {
@@ -102,6 +102,10 @@ impl ConfigFormat for IniFormat {
             out.pop();
         }
         Ok(out)
+    }
+
+    fn parses_in_place(&self, node: &Node) -> bool {
+        parses_alone(self, node)
     }
 }
 
@@ -288,5 +292,31 @@ max_allowed_packet=16M
     #[test]
     fn final_newline_preserved_when_absent() {
         roundtrip("[s]\nx=1");
+    }
+
+    #[test]
+    fn round_trips_crlf_line_endings() {
+        roundtrip("; note\r\n[mysqld]\r\nport=3306\r\nquick\r\n\r\n");
+    }
+
+    #[test]
+    fn parses_in_place_approves_whole_lines_only() {
+        let fmt = IniFormat::new();
+        let tree = fmt.parse(SAMPLE).unwrap();
+        for (_, node) in tree.iter().skip(1) {
+            assert!(fmt.parses_in_place(node), "{node:?}");
+        }
+        let port = tree.root().children()[1].children()[0].clone();
+        let mut split = port.clone();
+        split.set_text(Some("33\n06".to_string()));
+        assert!(!fmt.parses_in_place(&split));
+        let mut commented = port.clone();
+        commented.set_attr("name", "#port");
+        assert!(!fmt.parses_in_place(&commented));
+        // A leaf rendered as a section header.
+        let mut header = port;
+        header.set_attr("name", "[port]");
+        assert!(!fmt.parses_in_place(&header));
+        assert!(!fmt.parses_in_place(&Node::new("blank").with_text("[client]")));
     }
 }

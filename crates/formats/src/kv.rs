@@ -16,7 +16,7 @@
 
 use conferr_tree::{ConfTree, Node};
 
-use crate::{ConfigFormat, ParseError, SerializeError};
+use crate::{parses_alone, ConfigFormat, ParseError, SerializeError};
 
 /// Parser/serializer for Postgres-style key-value files.
 #[derive(Debug, Clone, Copy, Default)]
@@ -43,7 +43,7 @@ impl ConfigFormat for KvFormat {
         if !input.is_empty() && !input.ends_with('\n') {
             root.set_attr("final_newline", "no");
         }
-        for (lineno, line) in input.lines().enumerate() {
+        for (lineno, line) in input.split_terminator('\n').enumerate() {
             root.push_child(parse_line(line, lineno + 1)?);
         }
         Ok(ConfTree::new(root))
@@ -78,6 +78,10 @@ impl ConfigFormat for KvFormat {
             out.pop();
         }
         Ok(out)
+    }
+
+    fn parses_in_place(&self, node: &Node) -> bool {
+        parses_alone(self, node)
     }
 }
 
@@ -233,5 +237,32 @@ mod tests {
         let d = tree.root().first_child_of_kind("directive").unwrap();
         assert_eq!(d.text(), Some("'a=b'"));
         assert_eq!(fmt.serialize(&tree).unwrap(), text);
+    }
+
+    #[test]
+    fn round_trips_crlf_line_endings() {
+        roundtrip("# header\r\nport = 5432\r\n\r\nautovacuum\r\n");
+        let tree = KvFormat::new().parse("port = 5432\r\n").unwrap();
+        let d = tree.root().first_child_of_kind("directive").unwrap();
+        assert_eq!(d.text(), Some("5432"));
+        assert_eq!(d.attr("trailing"), Some("\r"));
+    }
+
+    #[test]
+    fn parses_in_place_approves_whole_lines_only() {
+        let fmt = KvFormat::new();
+        let tree = fmt
+            .parse("port = 5432\n# note\n\t\nlisten = '*'  # all\n")
+            .unwrap();
+        for node in tree.root().children() {
+            assert!(fmt.parses_in_place(node), "{node:?}");
+        }
+        let port = &tree.root().children()[0];
+        let mut split = port.clone();
+        split.set_text(Some("54\n32".to_string()));
+        assert!(!fmt.parses_in_place(&split));
+        let mut commented = port.clone();
+        commented.set_attr("name", "#port");
+        assert!(!fmt.parses_in_place(&commented));
     }
 }

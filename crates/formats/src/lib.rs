@@ -15,22 +15,32 @@
 //! system-specific parsing/serialization plugins that bridge between
 //! on-disk text and [`conferr_tree::ConfTree`]:
 //!
-//! | Format | Type | Used by |
-//! |--------|------|---------|
-//! | [`KvFormat`] | line-oriented `name = value` | Postgres-style configs |
-//! | [`IniFormat`] | `[section]` + directives | MySQL-style configs |
-//! | [`ApacheFormat`] | directives + nested `<Section>` blocks | Apache httpd |
-//! | [`XmlFormat`] | generic XML subset | XML-configured systems |
-//! | [`ZoneFormat`] | DNS master (zone) files | BIND |
-//! | [`TinyDnsFormat`] | tinydns-data lines | djbdns |
+//! | Format | Type | Used by | [Parses in place] |
+//! |--------|------|---------|-------------------|
+//! | [`KvFormat`] | line-oriented `name = value` | Postgres-style configs | yes |
+//! | [`IniFormat`] | `[section]` + directives | MySQL-style configs | yes |
+//! | [`ApacheFormat`] | directives + nested `<Section>` blocks | Apache httpd | yes |
+//! | [`XmlFormat`] | generic XML subset | XML-configured systems | no |
+//! | [`ZoneFormat`] | DNS master (zone) files | BIND | no |
+//! | [`TinyDnsFormat`] | tinydns-data lines | djbdns | no |
+//!
+//! [Parses in place]: ConfigFormat::parses_in_place
 //!
 //! Every parser preserves comments, blank lines and whitespace as tree
 //! nodes/attributes, so `serialize(parse(text)) == text` for
 //! well-formed inputs (the one documented exception: parenthesised
-//! multi-line records in zone files are normalised to one line). This
-//! fidelity matters for error injection: a mutated configuration file
-//! differs from the original *only* by the injected error, exactly as
-//! if a human had made the mistake while editing.
+//! multi-line records in zone files are normalised to one line). The
+//! line-based kv, INI and Apache parsers split lines at `\n` only, so
+//! a CRLF file keeps its `\r`s too. This fidelity matters for error
+//! injection: a mutated configuration file differs from the original
+//! *only* by the injected error, exactly as if a human had made the
+//! mistake while editing.
+//!
+//! The formats marked in the last column also answer
+//! [`ConfigFormat::parses_in_place`]: whether one node's own lines
+//! parse back to that node wherever it stands. The campaign engine
+//! uses the answer to skip the parse of a file that differs from its
+//! baseline in that one node.
 //!
 //! # Examples
 //!
@@ -65,7 +75,7 @@ pub use tinydns::{fields as tinydns_fields, TinyDnsFormat, KNOWN_PREFIXES};
 pub use xml::{parse_attrs as xml_parse_attrs, XmlFormat};
 pub use zone::{ZoneFormat, KNOWN_RTYPES};
 
-use conferr_tree::ConfTree;
+use conferr_tree::{ConfTree, Node};
 
 /// A system-specific configuration parser/serializer pair.
 ///
@@ -94,6 +104,38 @@ pub trait ConfigFormat: std::fmt::Debug + Send + Sync {
     /// expressiveness of the two representations" (§3.2), which
     /// ConfErr reports as an inexpressible fault rather than a bug.
     fn serialize(&self, tree: &ConfTree) -> Result<String, SerializeError>;
+
+    /// `true` iff `node` parses in place: serialized as the only child
+    /// of a fresh root, its text parses back to exactly `node`.
+    ///
+    /// A format answers only when that round trip licenses a shortcut.
+    /// Take a text ending in `\n` whose parse serializes back to that
+    /// text byte for byte. Edit the text or an attribute of one
+    /// non-root node of the parse so that the edited node parses in
+    /// place, or delete one non-root node that parses in place. The
+    /// edited tree must then be the parse of its own serialization.
+    /// This holds where a line's meaning depends on no other line
+    /// except through the sections that the node's own lines open and
+    /// close, which is why only the line-based [`KvFormat`],
+    /// [`IniFormat`] and [`ApacheFormat`] answer. The default, `false`,
+    /// is always sound: it only costs the caller a full parse.
+    fn parses_in_place(&self, _node: &Node) -> bool {
+        false
+    }
+}
+
+/// The round trip behind [`ConfigFormat::parses_in_place`]: `node`,
+/// serialized by `format` as the only child of a fresh root, parses
+/// back to exactly `node`.
+fn parses_alone(format: &dyn ConfigFormat, node: &Node) -> bool {
+    let root = Node::new("config")
+        .with_attr("format", format.name())
+        .with_child(node.clone());
+    format
+        .serialize(&ConfTree::new(root))
+        .ok()
+        .and_then(|text| format.parse(&text).ok())
+        .is_some_and(|tree| tree.root().children() == std::slice::from_ref(node))
 }
 
 /// All built-in formats, for registry-style lookup.
@@ -124,6 +166,18 @@ mod tests {
             .map(|f| f.name().to_string())
             .collect();
         assert_eq!(names, ["kv", "ini", "apache", "xml", "zone", "tinydns"]);
+    }
+
+    #[test]
+    fn formats_that_do_not_opt_in_never_parse_in_place() {
+        let record = TinyDnsFormat::new()
+            .parse("+www.example.com:192.0.2.10:86400\n")
+            .unwrap();
+        assert!(!TinyDnsFormat::new().parses_in_place(&record.root().children()[0]));
+        let zone = ZoneFormat::new().parse("www IN A 192.0.2.10\n").unwrap();
+        assert!(!ZoneFormat::new().parses_in_place(&zone.root().children()[0]));
+        let xml = XmlFormat::new().parse("<a><b>1</b></a>").unwrap();
+        assert!(!XmlFormat::new().parses_in_place(&xml.root().children()[0]));
     }
 
     #[test]

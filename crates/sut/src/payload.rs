@@ -32,13 +32,15 @@
 //!   campaigns cannot grow the cache without limit.
 //!
 //! A [`FileText`] can also carry a parse of its own bytes
-//! ([`FileText::with_parse`]). The campaign engine parses each freshly
-//! prepared mutated file once, judges that parse statically, and hands
-//! the same parse to the start, where a cache miss uses it instead of
-//! parsing the bytes again ([`FileText::parse_with`]). Cache entries
-//! keep only the text and the derived value, never the carried parse,
-//! and a disabled cache ignores it: the reference path always parses
-//! the bytes itself.
+//! ([`FileText::with_parse`]), or a tree its maker knows to be that
+//! parse ([`FileText::with_known_parse`], asserted in debug builds).
+//! The campaign engine gives each freshly prepared mutated file one
+//! of the two, judges that parse statically, and hands the same parse
+//! to the start, where a cache miss uses it instead of parsing the
+//! bytes again ([`FileText::parse_with`]). Cache entries keep only the
+//! text and the derived value, never the carried parse, and a disabled
+//! cache ignores it: the reference path always parses the bytes
+//! itself.
 //!
 //! [`SystemUnderTest::start`]: crate::SystemUnderTest::start
 
@@ -193,10 +195,46 @@ impl FileText {
         self
     }
 
+    /// This text, carrying `tree` as its parse by `format` without
+    /// parsing anything: the caller vouches that `tree` equals
+    /// `format.parse(self.text())`, and debug builds assert it. The
+    /// campaign engine attaches the mutated tree this way when that
+    /// tree is provably the parse of its own serialization (see
+    /// [`ConfigFormat::parses_in_place`]).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use conferr_formats::{ConfigFormat, KvFormat};
+    /// use conferr_sut::FileText;
+    /// use conferr_tree::Node;
+    ///
+    /// let tree = KvFormat::new().parse("port = 5432\n").unwrap();
+    /// let file = FileText::mutated("port = 5432\n").with_known_parse(&KvFormat::new(), tree.clone());
+    /// let carried = file.parse_with(&KvFormat::new()).unwrap();
+    /// assert!(Node::ptr_eq(carried.root(), tree.root()), "no parse ran");
+    /// ```
+    #[must_use]
+    pub fn with_known_parse(mut self, format: &dyn ConfigFormat, tree: ConfTree) -> Self {
+        debug_assert!(
+            format.parse(&self.text).as_ref() == Ok(&tree),
+            "the known {} parse differs from the parse of {:?}",
+            format.name(),
+            self.text
+        );
+        self.parsed = Some(Arc::new(CarriedParse {
+            format: format.name().to_string(),
+            tree: Ok(tree),
+        }));
+        self
+    }
+
     /// Parses the text with `format`: the carried parse when
-    /// [`FileText::with_parse`] attached one by a format of the same
-    /// name, a fresh parse of the bytes otherwise. Either way the
-    /// result equals `format.parse(self.text())`.
+    /// [`FileText::with_parse`] or [`FileText::with_known_parse`]
+    /// attached one by a format of the same name, a fresh parse of the
+    /// bytes otherwise. Either way the result equals
+    /// `format.parse(self.text())`; for a known parse that is the
+    /// attaching caller's promise.
     ///
     /// # Errors
     ///
@@ -634,6 +672,24 @@ mod tests {
             bad.parse_with(&IniFormat::new()),
             IniFormat::new().parse("[mysqld\n")
         );
+    }
+
+    #[test]
+    fn a_known_parse_is_carried_as_given() {
+        use conferr_formats::{IniFormat, KvFormat};
+        let tree = KvFormat::new().parse("port = 5432\n").unwrap();
+        let file = FileText::mutated("port = 5432\n").with_known_parse(&KvFormat::new(), tree);
+        assert!(carries_parse(&file, &KvFormat::new()));
+        assert!(!carries_parse(&file, &IniFormat::new()));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the known kv parse differs")]
+    fn a_wrong_known_parse_fails_in_debug_builds() {
+        use conferr_formats::KvFormat;
+        let tree = KvFormat::new().parse("port = 5432\n").unwrap();
+        let _ = FileText::mutated("port = 5433\n").with_known_parse(&KvFormat::new(), tree);
     }
 
     #[test]

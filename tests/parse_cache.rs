@@ -15,7 +15,10 @@
 //!   real, not a no-op flag);
 //! * the engine parses each cold fault's mutated file once and the
 //!   start receives that parse, while memo hits and the uncached
-//!   reference path parse the bytes themselves.
+//!   reference path parse the bytes themselves;
+//! * a single-edit fault whose edited node parses in place carries its
+//!   mutated tree as that parse, and the tree equals a full parse of
+//!   the bytes the start receives.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashSet};
@@ -28,13 +31,16 @@ use conferr::{
 use conferr_bench::{table1_faultload, DEFAULT_SEED};
 use conferr_formats::{format_by_name, ConfigFormat};
 use conferr_keyboard::Keyboard;
-use conferr_model::{ConfigSet, GeneratedFault};
+use conferr_model::{
+    ConfigSet, ErrorClass, ErrorGenerator, FaultScenario, GeneratedFault, StructuralKind, TreeEdit,
+};
+use conferr_plugins::{StructuralPlugin, TokenClass, TypoPlugin};
 use conferr_sut::{
     ApacheSim, BindSim, CacheStats, ConfigFileSpec, ConfigPayload, Deadline, DirectiveSchema,
     DjbdnsSim, FileText, MySqlSim, PostgresSim, StartOutcome, SystemUnderTest, TestOutcome,
     TextOrigin,
 };
-use conferr_tree::Node;
+use conferr_tree::{ConfTree, Node};
 
 /// Runs the full Table 1 fault load through a serial campaign with
 /// every cache layer (SUT parse cache + engine fault memo) on or off.
@@ -310,12 +316,38 @@ fn unchanged_files_of_multi_file_suts_parse_once() {
 
 /// Forwards to a simulator and logs, for each mutated file a start
 /// receives, whether it carries a parse: two `parse_with` calls that
-/// share one root. Files that do not parse are not logged.
+/// share one root. Files that do not parse are not logged. It also
+/// checks every mutated file's parse against a fresh parse of its
+/// bytes, and counts the parses the engine spliced (see [`SpliceLog`]).
 #[derive(Debug)]
 struct ParseProbe {
     inner: Box<dyn SystemUnderTest>,
     formats: BTreeMap<String, Box<dyn ConfigFormat>>,
     carried: Rc<RefCell<Vec<bool>>>,
+    splices: Rc<RefCell<SpliceLog>>,
+}
+
+/// What a [`ParseProbe`] learned about the parses its starts received.
+#[derive(Debug, Default)]
+struct SpliceLog {
+    /// The engine's baseline, set once the campaign is built.
+    baseline: ConfigSet,
+    /// Parses (carried or not) that differ from `format.parse(text)`.
+    mismatches: usize,
+    /// Parses sharing an untouched root child with `baseline`: the
+    /// engine kept the mutated tree instead of parsing the bytes,
+    /// since a parse allocates every node afresh.
+    spliced: usize,
+}
+
+/// `true` iff a root child of `tree` is the very node at the same
+/// place in `base`, counting from either end.
+fn shares_a_root_child(tree: &ConfTree, base: &ConfTree) -> bool {
+    let (a, b) = (tree.root().children(), base.root().children());
+    a.iter()
+        .zip(b)
+        .chain(a.iter().rev().zip(b.iter().rev()))
+        .any(|(x, y)| Node::ptr_eq(x, y))
 }
 
 impl ParseProbe {
@@ -329,6 +361,7 @@ impl ParseProbe {
             inner,
             formats,
             carried: Rc::default(),
+            splices: Rc::default(),
         }
     }
 }
@@ -348,7 +381,17 @@ impl SystemUnderTest for ParseProbe {
                 continue;
             }
             let format = self.formats[name].as_ref();
-            if let (Ok(a), Ok(b)) = (file.parse_with(format), file.parse_with(format)) {
+            let parse = file.parse_with(format);
+            let log = &mut *self.splices.borrow_mut();
+            if parse != format.parse(file.text()) {
+                log.mismatches += 1;
+            }
+            if let (Ok(tree), Some(base)) = (&parse, log.baseline.get(name)) {
+                if shares_a_root_child(tree, base) {
+                    log.spliced += 1;
+                }
+            }
+            if let (Ok(a), Ok(b)) = (parse, file.parse_with(format)) {
                 self.carried
                     .borrow_mut()
                     .push(Node::ptr_eq(a.root(), b.root()));
@@ -417,6 +460,78 @@ fn cold_faults_start_from_the_engines_parse_and_memo_hits_do_not() {
         assert!(
             hits.iter().all(|&c| !c),
             "a memo hit must hand over text without a parse"
+        );
+    }
+}
+
+/// Every single-node deletion of `baseline`, comments, blanks and
+/// sections included.
+fn every_deletion(baseline: &ConfigSet) -> Vec<GeneratedFault> {
+    let mut out = Vec::new();
+    for (file, tree) in baseline.iter() {
+        for (path, _) in tree.iter().skip(1) {
+            out.push(GeneratedFault::Scenario(FaultScenario {
+                id: format!("delete:{file}:{path}"),
+                description: format!("delete {path} of {file}"),
+                class: ErrorClass::Structural(StructuralKind::DirectiveOmission),
+                edits: vec![TreeEdit::Delete {
+                    file: file.to_string(),
+                    path,
+                }],
+            }));
+        }
+    }
+    out
+}
+
+#[test]
+fn single_edit_faults_carry_their_mutated_tree_as_the_parse() {
+    for make_sut in [
+        || -> Box<dyn SystemUnderTest> { Box::new(MySqlSim::new()) },
+        || -> Box<dyn SystemUnderTest> { Box::new(PostgresSim::new()) },
+        || -> Box<dyn SystemUnderTest> { Box::new(ApacheSim::new()) },
+    ] {
+        let mut probe = ParseProbe::new(make_sut());
+        let name = probe.name().to_string();
+        let carried = Rc::clone(&probe.carried);
+        let splices = Rc::clone(&probe.splices);
+        let mut campaign = Campaign::new(&mut probe).expect("campaign");
+        let baseline = campaign.baseline().clone();
+        splices.borrow_mut().baseline = baseline.clone();
+
+        let mut faults = every_deletion(&baseline);
+        for class in [
+            TokenClass::DirectiveNames,
+            TokenClass::DirectiveValues,
+            TokenClass::SectionNames,
+        ] {
+            let typos = TypoPlugin::new(Keyboard::qwerty_us(), class);
+            faults.extend(typos.generate(&baseline).expect("typos"));
+        }
+        faults.extend(
+            StructuralPlugin::new()
+                .generate(&baseline)
+                .expect("structural"),
+        );
+        // Distinct single-edit lists, so every fault is a memo miss.
+        let mut seen = HashSet::new();
+        faults.retain(|fault| match fault {
+            GeneratedFault::Scenario(s) => s.edits.len() == 1 && seen.insert(s.edits.clone()),
+            GeneratedFault::Inexpressible { .. } => false,
+        });
+
+        let profile = campaign.run_faults(faults).expect("run");
+        assert_eq!(profile.summary().harness_failures, 0, "{name}");
+        let reached = carried.take().len();
+        let log = splices.borrow();
+        assert_eq!(
+            log.mismatches, 0,
+            "{name}: a carried parse is not the parse of its bytes"
+        );
+        assert!(
+            log.spliced * 100 >= reached * 95,
+            "{name}: only {} of {reached} parsed starts were spliced",
+            log.spliced
         );
     }
 }

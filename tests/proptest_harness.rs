@@ -7,19 +7,61 @@ use conferr::{
     sut_factory, Campaign, CampaignExecutor, CollectingSink, ExecutorCampaign, InjectionOutcome,
     InjectionResult, CHUNK_SIZE,
 };
+use conferr_formats::format_by_name;
 use conferr_keyboard::Keyboard;
 use conferr_model::{
-    EagerSource, ErrorClass, ErrorGenerator, FaultScenario, GeneratedFault, TreeEdit, TypoKind,
+    ConfigSet, EagerSource, ErrorClass, ErrorGenerator, FaultScenario, GeneratedFault, TreeEdit,
+    TypoKind,
 };
 use conferr_plugins::{TokenClass, TypoPlugin};
 use conferr_sut::{MySqlSim, PostgresSim};
-use conferr_tree::NodeQuery;
+use conferr_tree::{NodeQuery, TreePath};
 use proptest::prelude::*;
 
 /// Arbitrary printable-ASCII value strings, including empty and
 /// whitespace-bearing ones.
 fn arb_value() -> impl Strategy<Value = String> {
     "[ -~]{0,24}"
+}
+
+/// Edit strings: printable ASCII mixed with line breaks, tabs and the
+/// line-based formats' comment, section and separator characters.
+fn arb_edit_string() -> impl Strategy<Value = String> {
+    "[ -~\n\r\t#;\\[\\]<>/=\n\r#<>]{0,12}"
+}
+
+/// Renders generated lines `(kind, word, text)` as a `format`
+/// document: directives, `#` comments, blanks and, where the format
+/// has them, sections (INI headers; nested Apache blocks, all closed
+/// by the end). Every line ends in `\r\n` or `\n`.
+fn render_doc(format: &str, lines: &[(u8, String, String)], crlf: bool) -> String {
+    let eol = if crlf { "\r\n" } else { "\n" };
+    let mut out = String::new();
+    let mut open: Vec<&str> = Vec::new();
+    for (kind, word, text) in lines {
+        let line = match (format, kind) {
+            (_, 1) => format!("# {text}"),
+            (_, 2) => String::new(),
+            ("ini", 3) => format!("[{word}]"),
+            ("apache", 3) => {
+                open.push(word);
+                format!("<{word} {}>", text.replace('>', ""))
+            }
+            ("apache", 4) => match open.pop() {
+                Some(name) => format!("</{name}>"),
+                None => continue,
+            },
+            ("kv", _) => format!("{word} = {text}"),
+            ("ini", _) => format!("{word}={text}"),
+            _ => format!("{word} {text}"),
+        };
+        out.push_str(&line);
+        out.push_str(eol);
+    }
+    while let Some(name) = open.pop() {
+        out.push_str(&format!("</{name}>{eol}"));
+    }
+    out
 }
 
 /// A small shared workload for the scheduler properties: one
@@ -147,6 +189,60 @@ proptest! {
             InjectionResult::DetectedByFunctionalTest { .. }
         );
         prop_assert!(!functional);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The node check behind the engine's parse splice is sound: in a
+    /// kv, INI or Apache document that serializes back to itself and
+    /// ends in `\n`, one `SetText`, `SetAttr` or `Delete` whose node
+    /// parses in place leaves a tree that is the parse of its own
+    /// serialization.
+    #[test]
+    fn an_edit_whose_node_parses_in_place_needs_no_parse(
+        format in prop::sample::select(vec!["kv", "ini", "apache"]),
+        lines in prop::collection::vec((0u8..5, "[A-Za-z_]{1,8}", "[ -~]{0,10}"), 1..14),
+        crlf in any::<bool>(),
+        (op, idx) in (0u8..3, 0usize..64),
+        key in prop::sample::select(vec!["name", "sep", "trailing", "indent", "args", "bare"]),
+        value in arb_edit_string(),
+    ) {
+        let fmt = format_by_name(format).unwrap();
+        let text = render_doc(format, &lines, crlf);
+        let mut baseline = ConfigSet::new();
+        baseline.insert("doc", fmt.parse(&text).unwrap());
+        let tree = baseline.get("doc").unwrap();
+        prop_assert_eq!(fmt.serialize(tree).unwrap(), text.clone());
+        let paths: Vec<TreePath> = tree.iter().skip(1).map(|(path, _)| path).collect();
+        if let Some(path) = paths.get(idx % paths.len().max(1)).cloned() {
+            let file = "doc".to_string();
+            let edit = match op {
+                0 => TreeEdit::SetText { file, path: path.clone(), text: Some(value) },
+                1 => TreeEdit::SetAttr { file, path: path.clone(), key: key.to_string(), value },
+                _ => TreeEdit::Delete { file, path: path.clone() },
+            };
+            let deleted = matches!(edit, TreeEdit::Delete { .. });
+            let scenario = FaultScenario {
+                id: "prop-splice".into(),
+                description: "one edit".into(),
+                class: ErrorClass::Typo(TypoKind::Substitution),
+                edits: vec![edit],
+            };
+            let mutated = scenario.apply(&baseline).unwrap();
+            let mutated = mutated.get("doc").unwrap();
+            let node = if deleted { tree } else { mutated }.node_at(&path).unwrap();
+            if fmt.parses_in_place(node) {
+                let bytes = fmt.serialize(mutated).unwrap();
+                prop_assert_eq!(
+                    fmt.parse(&bytes).as_ref(),
+                    Ok(mutated),
+                    "{} document {:?} edited to {:?}",
+                    format, text, bytes
+                );
+            }
+        }
     }
 }
 
