@@ -118,7 +118,7 @@ fn run_system(factory: SutFactory, repeat: usize, threads: usize) -> System {
 
     // Pruning off: the pooled profiles prune by default, so their
     // identity with this run checks pruning too.
-    campaign.set_impact_pruning(false);
+    campaign.engine().set_impact_pruning(false);
     let start = Instant::now();
     let reference = campaign.run_faults(faults.clone()).expect("serial run");
     let serial_ms = ms_since(start);
@@ -177,7 +177,7 @@ fn million_fault_smoke(threads: usize) -> SmokeBench {
     let campaign = ExecutorCampaign::new(sut_factory(MySqlSim::new)).expect("campaign");
     // A million *distinct* edit lists would only thrash the engine's
     // bounded fault memo; the smoke measures the uncached pipeline.
-    campaign.set_fault_memoization(false);
+    campaign.engine().set_fault_memoization(false);
     let base = table1_faultload(campaign.baseline(), &keyboard, DEFAULT_SEED);
     let source = million_fault_source(base, SMOKE_TARGET);
 

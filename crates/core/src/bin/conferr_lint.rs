@@ -30,7 +30,8 @@ const USAGE: &str = "usage:
 
   --system <name>            system schema to lint against
                              (mysql, postgres, apache, bind, djbdns, appserver)
-  --max-unknown-rate <rate>  fail when a file's unknown-node rate exceeds <rate>
+  --max-unknown-rate <rate>  fail when a file's unknown-node rate exceeds <rate>,
+                             a number from 0 to 1
   --write-defaults <dir>     write every simulator's default configs to <dir>/<system>/";
 
 fn main() -> ExitCode {
@@ -86,9 +87,17 @@ fn run(args: &[String]) -> Result<(), LintError> {
             "--system" => system = Some(take_value(&mut i)?),
             "--max-unknown-rate" => {
                 let raw = take_value(&mut i)?;
-                let rate = raw.parse::<f64>().map_err(|_| {
-                    LintError::Usage(format!("--max-unknown-rate: not a number: {raw:?}"))
-                })?;
+                // `(0.0..=1.0)` also rejects NaN, which would otherwise
+                // parse and then never compare above any rate.
+                let rate = raw
+                    .parse::<f64>()
+                    .ok()
+                    .filter(|rate| (0.0..=1.0).contains(rate))
+                    .ok_or_else(|| {
+                        LintError::Usage(format!(
+                            "--max-unknown-rate: not a rate from 0 to 1: {raw:?}"
+                        ))
+                    })?;
                 max_unknown_rate = Some(rate);
             }
             "--write-defaults" => write_defaults = Some(take_value(&mut i)?),
@@ -187,4 +196,39 @@ fn write_default_configs(dir: &Path) -> Result<(), LintError> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An unmodeled dialect: every node is unknown (rate 1.00) and
+    /// none is a violation.
+    const BIND_ZONE: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/configs/bind/forward.zone"
+    );
+
+    fn lint_bind_zone(max_unknown_rate: &str) -> Result<(), LintError> {
+        let args = [
+            "--system",
+            "bind",
+            "--max-unknown-rate",
+            max_unknown_rate,
+            BIND_ZONE,
+        ];
+        run(&args.map(String::from))
+    }
+
+    #[test]
+    fn max_unknown_rate_accepts_only_rates_from_zero_to_one() {
+        for rate in ["nan", "NaN", "inf", "-0.5", "1.5"] {
+            assert!(
+                matches!(lint_bind_zone(rate), Err(LintError::Usage(_))),
+                "{rate}"
+            );
+        }
+        assert!(matches!(lint_bind_zone("0.5"), Err(LintError::Gate(_))));
+        assert!(lint_bind_zone("1.0").is_ok());
+    }
 }

@@ -23,6 +23,8 @@
 //! campaign runs on the executor's serial loop over its borrowed SUT;
 //! for multi-core throughput, [`crate::CampaignExecutor`] shards fault
 //! loads across worker threads over the same kind of shared engine.
+//! Both campaign handles give out that [`InjectionEngine`], the one
+//! place the campaign's knobs, start counters and linter live.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -160,16 +162,36 @@ pub(crate) fn empty_diff() -> Arc<[String]> {
 }
 
 /// The shared heart of a campaign: per-file parser/serializer pairs,
-/// the pristine baseline set, the baseline's serialized text, and the
-/// fault memo.
+/// the pristine baseline set, the baseline's serialized text, the
+/// fault memo, and the campaign's knobs, start counters and linter.
 ///
 /// The engine is what both [`Campaign`] and the
-/// [`crate::CampaignExecutor`] drive injections through. It holds no
-/// SUT and, apart from the internally synchronized memo, is never
-/// mutated after construction, so worker threads can share one engine
-/// by reference (`ConfigFormat` is `Send + Sync`, and the baseline's
-/// `Arc`-shared trees are immutable).
-pub(crate) struct InjectionEngine {
+/// [`crate::CampaignExecutor`] drive injections through;
+/// [`Campaign::engine`] and [`crate::ExecutorCampaign::engine`] hand
+/// it out. Its knobs take `&self` and apply to every later fault run
+/// through the engine, so a setting made through one
+/// `ExecutorCampaign` holds for all its clones. It holds no SUT and,
+/// apart from the internally synchronized memo, knobs and counters,
+/// is never mutated after construction, so worker threads can share
+/// one engine by reference (`ConfigFormat` is `Send + Sync`, and the
+/// baseline's `Arc`-shared trees are immutable).
+///
+/// # Examples
+///
+/// ```
+/// use conferr::Campaign;
+/// use conferr_sut::MySqlSim;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut sut = MySqlSim::new();
+/// let campaign = Campaign::new(&mut sut)?;
+/// campaign.engine().set_impact_pruning(false).set_static_triage(true);
+/// assert!(campaign.engine().linter().is_some(), "mysql publishes a schema");
+/// assert_eq!(campaign.engine().triage_stats(), (0, 0));
+/// # Ok(())
+/// # }
+/// ```
+pub struct InjectionEngine {
     /// The tier the construction-time SUT reported — recorded on
     /// harness-failure rows, where the panicking SUT can no longer be
     /// asked which tier it was serving from.
@@ -209,12 +231,12 @@ pub(crate) struct InjectionEngine {
     impact_pruning: AtomicBool,
     /// Per-fault soft deadline budget in milliseconds; 0 means
     /// unlimited (the default). Atomic for the same shared-engine
-    /// reason as the other knobs. See [`Campaign::set_fault_deadline`].
+    /// reason as the other knobs. See [`Self::set_fault_deadline`].
     fault_deadline_ms: AtomicU64,
     /// When true, faults the linter *proved* will fail startup get
     /// their `DetectedAtStartup` outcome synthesized from the captured
     /// diagnostic instead of paying for a simulator start. Opt-in
-    /// (default off); see [`Campaign::set_static_triage`]. Atomic for
+    /// (default off); see [`Self::set_static_triage`]. Atomic for
     /// the same shared-engine reason as the other knobs.
     static_triage: AtomicBool,
     /// Dynamic SUT starts actually performed (one per
@@ -381,22 +403,44 @@ impl InjectionEngine {
         })
     }
 
-    /// Enables or disables test-impact pruning (see
-    /// [`Campaign::set_impact_pruning`]).
-    pub(crate) fn set_impact_pruning(&self, enabled: bool) {
+    /// Enables or disables test-impact pruning (default: on).
+    ///
+    /// When the SUT publishes a [`conferr_analysis::DirectiveSchema`]
+    /// and the construction-time scout found the baseline healthy,
+    /// the engine skips functional tests whose schema-declared
+    /// read-set is provably disjoint from a fault's statically
+    /// derived touch map. The profile is byte-identical either way
+    /// (asserted in `tests/static_analysis.rs`); only wall-clock
+    /// differs. Systems without a schema ignore the knob.
+    pub fn set_impact_pruning(&self, enabled: bool) -> &Self {
         self.impact_pruning.store(enabled, Ordering::Relaxed);
+        self
     }
 
-    /// Enables or disables the static-triage fast path (see
-    /// [`Campaign::set_static_triage`]).
-    pub(crate) fn set_static_triage(&self, enabled: bool) {
+    /// Enables or disables the static-triage fast path (default: off).
+    ///
+    /// When enabled, faults the pre-flight linter *proved* will fail
+    /// startup (`WillFailParse`/`WillFailValidate`, with the exact
+    /// simulator diagnostic captured through the shared dialect
+    /// deciders) synthesize their
+    /// [`crate::InjectionResult::DetectedAtStartup`] outcome without
+    /// starting the SUT — the linter already ran for the verdict
+    /// column, so the whole dynamic start is saved. The fast path
+    /// self-gates on conditions that make the synthesis byte-identical
+    /// to a real start: a clean-start baseline, a simulator tier, and
+    /// no configured fault deadline; outside them the dynamic path
+    /// runs as usual. Byte-identity against the
+    /// `set_static_triage(false)` reference is asserted by
+    /// `tests/static_analysis.rs`.
+    pub fn set_static_triage(&self, enabled: bool) -> &Self {
         self.static_triage.store(enabled, Ordering::Relaxed);
+        self
     }
 
-    /// `(dynamic, synthesized)` start counts since construction:
-    /// starts actually performed against the SUT versus starts the
-    /// triage fast path synthesized away.
-    pub(crate) fn triage_stats(&self) -> (usize, usize) {
+    /// `(dynamic, synthesized)` start counts since construction: how
+    /// many faults paid for a real SUT start versus how many the
+    /// static-triage fast path decided without one.
+    pub fn triage_stats(&self) -> (usize, usize) {
         (
             self.dynamic_starts.load(Ordering::Relaxed),
             self.triaged_starts.load(Ordering::Relaxed),
@@ -454,15 +498,25 @@ impl InjectionEngine {
         Some(result)
     }
 
-    /// Sets the per-fault soft deadline (see
-    /// [`Campaign::set_fault_deadline`]). `None` disables the
-    /// watchdog; sub-millisecond budgets round up to 1 ms so a
-    /// configured deadline is never silently dropped.
-    pub(crate) fn set_fault_deadline(&self, budget: Option<Duration>) {
+    /// Sets the per-fault soft deadline (default: none).
+    ///
+    /// Each injection gets one [`conferr_sut::Deadline`] spanning its
+    /// start and every functional test. The deadline is **soft**: the
+    /// engine never preempts the SUT, it checks after each phase
+    /// returns, and classifies overruns as
+    /// [`crate::InjectionResult::TimedOut`] — a watchdog event that
+    /// stays in the injected denominator but is never a detection,
+    /// and that the executor's [`crate::RetryPolicy`] retries.
+    /// Cooperative adapters can bound their own waits via
+    /// [`conferr_sut::Deadline::remaining`]. `None` restores unlimited
+    /// time. Sub-millisecond budgets round up to one millisecond, so
+    /// a configured deadline is never silently dropped.
+    pub fn set_fault_deadline(&self, budget: Option<Duration>) -> &Self {
         let ms = budget.map_or(0, |b| {
             u64::try_from(b.as_millis()).unwrap_or(u64::MAX).max(1)
         });
         self.fault_deadline_ms.store(ms, Ordering::Relaxed);
+        self
     }
 
     /// The configured per-fault budget, if any.
@@ -473,18 +527,35 @@ impl InjectionEngine {
         }
     }
 
-    /// The shared pre-flight linter, when the SUT publishes a schema.
-    pub(crate) fn linter(&self) -> Option<Arc<FaultLinter>> {
+    /// The shared pre-flight linter, when the SUT publishes a
+    /// directive schema (e.g. to wrap a fault stream in a
+    /// [`conferr_analysis::LintedSource`]).
+    pub fn linter(&self) -> Option<Arc<FaultLinter>> {
         self.analysis.as_ref().map(|a| Arc::clone(&a.linter))
     }
 
-    /// Enables or disables the fault memo (see
-    /// [`Campaign::set_fault_memoization`]).
-    pub(crate) fn set_fault_memoization(&self, enabled: bool) {
+    /// Enables or disables the fault memo (default: on).
+    ///
+    /// For a fixed baseline, a scenario's apply → diff → serialize →
+    /// parse → lint preparation is a pure function of its edit list,
+    /// so the engine memoizes it by exact edit equality; repeated
+    /// faults skip the preparation and the lint while the SUT start
+    /// and functional tests still run per injection. Disabling yields
+    /// the cold path — profiles are byte-identical either way
+    /// (asserted in `tests/parse_cache.rs`), only wall-clock differs.
+    /// The linter keeps no memo of its own, so pairing this with
+    /// [`conferr_sut::SystemUnderTest::set_parse_caching`] disables
+    /// every cache layer at once. That pairing is the reference path:
+    /// the cold path may still skip the engine's parse of a
+    /// single-edit fault whose edited node parses in place, but a
+    /// disabled parse cache drops any parse the engine hands over, so
+    /// the simulator parses every byte itself.
+    pub fn set_fault_memoization(&self, enabled: bool) -> &Self {
         self.memoize_faults.store(enabled, Ordering::Relaxed);
         if !enabled {
             self.memo.lock().clear();
         }
+        self
     }
 
     /// `true` iff the fault memo is active.
@@ -923,119 +994,16 @@ impl<'s> Campaign<'s> {
         })
     }
 
-    /// Creates a campaign from explicit configuration payloads instead
-    /// of the SUT defaults (build one from plain text with
-    /// [`ConfigPayload::from_texts`]). Overridden files are parsed
-    /// once, from the payload's shared `Arc<str>` text — no `String`
-    /// clone per campaign; only non-overridden files fall back to the
-    /// SUT defaults.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Campaign::new`], plus an
-    /// [`CampaignError::UnknownFormat`] for override files the SUT
-    /// does not declare.
-    pub fn with_payload(
-        sut: &'s mut dyn SystemUnderTest,
-        configs: &ConfigPayload,
-    ) -> Result<Self, CampaignError> {
-        let engine = InjectionEngine::new(sut, Some(configs))?;
-        Ok(Campaign {
-            sut,
-            generators: Vec::new(),
-            engine,
-        })
-    }
-
     /// Adds an error-generator plugin.
     pub fn add_generator(&mut self, generator: Box<dyn ErrorGenerator>) -> &mut Self {
         self.generators.push(generator);
         self
     }
 
-    /// Enables or disables the engine's fault memo (default: on).
-    ///
-    /// For a fixed baseline, a scenario's apply → diff → serialize →
-    /// parse → lint preparation is a pure function of its edit list,
-    /// so the engine memoizes it by exact edit equality; repeated
-    /// faults skip the preparation and the lint while the SUT start
-    /// and functional tests still run per injection. Disabling yields
-    /// the cold path — profiles are byte-identical either way
-    /// (asserted in `tests/parse_cache.rs`), only wall-clock differs.
-    /// The linter keeps no memo of its own, so pairing this with
-    /// [`conferr_sut::SystemUnderTest::set_parse_caching`] disables
-    /// every cache layer at once. That pairing is the reference path:
-    /// the cold path may still skip the engine's parse of a
-    /// single-edit fault whose edited node parses in place, but a
-    /// disabled parse cache drops any parse the engine hands over, so
-    /// the simulator parses every byte itself.
-    pub fn set_fault_memoization(&mut self, enabled: bool) -> &mut Self {
-        self.engine.set_fault_memoization(enabled);
-        self
-    }
-
-    /// Enables or disables test-impact pruning (default: on).
-    ///
-    /// When the SUT publishes a [`conferr_analysis::DirectiveSchema`]
-    /// and the construction-time scout found the baseline healthy,
-    /// the engine skips functional tests whose schema-declared
-    /// read-set is provably disjoint from a fault's statically
-    /// derived touch map. The profile is byte-identical either way
-    /// (asserted in `tests/static_analysis.rs`); only wall-clock
-    /// differs. Systems without a schema ignore the knob.
-    pub fn set_impact_pruning(&mut self, enabled: bool) -> &mut Self {
-        self.engine.set_impact_pruning(enabled);
-        self
-    }
-
-    /// Enables or disables the static-triage fast path (default: off).
-    ///
-    /// When enabled, faults the pre-flight linter *proved* will fail
-    /// startup (`WillFailParse`/`WillFailValidate`, with the exact
-    /// simulator diagnostic captured through the shared dialect
-    /// deciders) synthesize their
-    /// [`crate::InjectionResult::DetectedAtStartup`] outcome without
-    /// starting the SUT — the linter already ran for the verdict
-    /// column, so the whole dynamic start is saved. The fast path
-    /// self-gates on conditions that make the synthesis byte-identical
-    /// to a real start: a clean-start baseline, a simulator tier, and
-    /// no configured fault deadline; outside them the dynamic path
-    /// runs as usual. Byte-identity against the
-    /// `set_static_triage(false)` reference is asserted by
-    /// `tests/static_analysis.rs`.
-    pub fn set_static_triage(&mut self, enabled: bool) -> &mut Self {
-        self.engine.set_static_triage(enabled);
-        self
-    }
-
-    /// `(dynamic, synthesized)` start counts since construction: how
-    /// many faults paid for a real SUT start versus how many the
-    /// static-triage fast path decided without one.
-    pub fn triage_stats(&self) -> (usize, usize) {
-        self.engine.triage_stats()
-    }
-
-    /// Sets the per-fault soft deadline (default: none).
-    ///
-    /// Each injection gets one [`conferr_sut::Deadline`] spanning its
-    /// start and every functional test. The deadline is **soft**: the
-    /// engine never preempts the SUT, it checks after each phase
-    /// returns, and classifies overruns as
-    /// [`crate::InjectionResult::TimedOut`] — a watchdog event that
-    /// stays in the injected denominator but is never a detection.
-    /// Cooperative adapters can bound their own waits via
-    /// [`conferr_sut::Deadline::remaining`]. `None` restores unlimited
-    /// time. Sub-millisecond budgets round up to one millisecond.
-    pub fn set_fault_deadline(&mut self, budget: Option<std::time::Duration>) -> &mut Self {
-        self.engine.set_fault_deadline(budget);
-        self
-    }
-
-    /// The engine's shared pre-flight linter, when the SUT publishes
-    /// a directive schema (e.g. to wrap a fault stream in a
-    /// [`conferr_analysis::LintedSource`]).
-    pub fn linter(&self) -> Option<std::sync::Arc<conferr_analysis::FaultLinter>> {
-        self.engine.linter()
+    /// The campaign's injection engine: its knobs, start counters and
+    /// linter.
+    pub fn engine(&self) -> &InjectionEngine {
+        &self.engine
     }
 
     /// The parsed baseline configuration set.
@@ -1186,35 +1154,33 @@ mod tests {
             "postgresql.conf".to_string(),
             "port = 5432\nmax_connections = 10\nshared_buffers = 100\n".to_string(),
         );
-        let campaign =
-            Campaign::with_payload(&mut sut, &ConfigPayload::from_texts(&configs)).unwrap();
-        let tree = campaign.baseline().get("postgresql.conf").unwrap();
+        let engine =
+            InjectionEngine::new(&mut sut, Some(&ConfigPayload::from_texts(&configs))).unwrap();
+        let tree = engine.baseline().get("postgresql.conf").unwrap();
         assert_eq!(tree.root().children_of_kind("directive").count(), 3);
     }
 
     const CRLF_POSTGRES: &str = "port = 5432\r\n# note\r\n\r\nmax_connections = 10\r\n";
 
-    fn crlf_campaign(sut: &mut PostgresSim) -> Campaign<'_> {
+    fn crlf_engine() -> InjectionEngine {
+        let mut sut = PostgresSim::new();
         let mut configs = BTreeMap::new();
         configs.insert("postgresql.conf".to_string(), CRLF_POSTGRES.to_string());
-        Campaign::with_payload(sut, &ConfigPayload::from_texts(&configs)).unwrap()
+        InjectionEngine::new(&mut sut, Some(&ConfigPayload::from_texts(&configs))).unwrap()
     }
 
     #[test]
     fn an_untouched_crlf_override_reaches_the_sut_byte_identical() {
-        let mut sut = PostgresSim::new();
-        let campaign = crlf_campaign(&mut sut);
+        let engine = crlf_engine();
         // What the engine hands the SUT for every file a fault leaves
         // untouched.
-        let payload = campaign.engine.payload_for(campaign.baseline()).unwrap();
+        let payload = engine.payload_for(engine.baseline()).unwrap();
         assert_eq!(payload.text("postgresql.conf"), Some(CRLF_POSTGRES));
     }
 
     #[test]
     fn a_crlf_baseline_is_splice_ready() {
-        let mut sut = PostgresSim::new();
-        let campaign = crlf_campaign(&mut sut);
-        let engine = &campaign.engine;
+        let engine = crlf_engine();
         assert!(engine.splice_ready.contains("postgresql.conf"));
         let scenario = FaultScenario {
             id: "typo".into(),
@@ -1226,12 +1192,12 @@ mod tests {
                 text: Some("5433".into()),
             }],
         };
-        let mutated = scenario.apply(campaign.baseline()).unwrap();
+        let mutated = scenario.apply(engine.baseline()).unwrap();
         let (file, tree) = engine.known_parse(&scenario.edits, &mutated).unwrap();
         assert_eq!(file, "postgresql.conf");
         assert!(Node::ptr_eq(
             &tree.root().children()[1],
-            &campaign.baseline().get(file).unwrap().root().children()[1]
+            &engine.baseline().get(file).unwrap().root().children()[1]
         ));
         let (_, parsed) = engine.prepare(&scenario);
         let text = parsed.unwrap().text(file).unwrap().to_string();
@@ -1244,9 +1210,25 @@ mod tests {
         let mut configs = BTreeMap::new();
         configs.insert("other.conf".to_string(), String::new());
         assert!(matches!(
-            Campaign::with_payload(&mut sut, &ConfigPayload::from_texts(&configs)),
+            InjectionEngine::new(&mut sut, Some(&ConfigPayload::from_texts(&configs))),
             Err(CampaignError::UnknownFormat { .. })
         ));
+    }
+
+    #[test]
+    fn fault_deadlines_round_up_and_saturate_instead_of_dropping() {
+        let mut sut = PostgresSim::new();
+        let engine = InjectionEngine::new(&mut sut, None).unwrap();
+        let ms = Duration::from_millis;
+        for (budget, expected) in [
+            (Some(Duration::from_micros(1)), Some(ms(1))),
+            (Some(Duration::ZERO), Some(ms(1))),
+            (Some(Duration::MAX), Some(ms(u64::MAX))),
+            (None, None),
+        ] {
+            engine.set_fault_deadline(budget);
+            assert_eq!(engine.fault_deadline(), expected, "{budget:?}");
+        }
     }
 
     #[test]

@@ -16,14 +16,14 @@
 //!   campaign built from the same factory.
 //! * [`CampaignBatch`] — N campaigns submitted as one unit, each
 //!   backed either by an eager fault `Vec` ([`CampaignBatch::push`])
-//!   or by a live, lazily-pulled
-//!   [`FaultSource`](conferr_model::FaultSource)
+//!   or by a live, lazily-pulled [`FaultSource`]
 //!   ([`CampaignBatch::push_source`]). The executor gives every
 //!   entry its own scheduling shard, and workers steal across
 //!   *systems* as well as within each system's fault list.
 //! * [`ExecutorCampaign`] — the shareable half of a campaign (system
-//!   name, [`SutFactory`], `Arc`-shared injection engine). Cloning is
-//!   a handful of refcount bumps, so many batch entries can share one
+//!   name, [`SutFactory`], `Arc`-shared [`InjectionEngine`], whose
+//!   knobs [`ExecutorCampaign::engine`] hands out). Cloning is a
+//!   handful of refcount bumps, so many batch entries can share one
 //!   engine (the §5.5 driver schedules one entry per *directive*, all
 //!   against the same full-coverage baseline).
 //!
@@ -53,9 +53,9 @@
 //! under one lock acquisition, flushing early on chunk boundaries,
 //! exhaustion and panics — so isolation and checkpoint semantics are
 //! unchanged. The submitting thread drains each entry's contiguous
-//! completed prefix to its [`OutcomeSink`](crate::OutcomeSink)
-//! **in fault order**. Production is throttled per entry by a window
-//! of `CHUNK_SIZE × threads` faults outstanding (produced but not yet
+//! completed prefix to its [`OutcomeSink`] **in fault order**.
+//! Production is throttled per entry by a window of
+//! `CHUNK_SIZE × threads` faults outstanding (produced but not yet
 //! sunk), which bounds both the in-flight faults and the buffered
 //! outcomes for each entry: a million-fault campaign streamed into a
 //! counting sink never holds more than the window in memory
@@ -322,8 +322,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// The outcome recorded when the harness (SUT adapter, factory or
 /// engine) panicked on a fault: the fault's own identity with a
-/// [`InjectionResult::HarnessFailure`] result, so exports keep the
-/// static verdict column next to the failure.
+/// [`crate::InjectionResult::HarnessFailure`] result, so exports keep
+/// the static verdict column next to the failure.
 fn harness_failure_outcome(
     fault: &GeneratedFault,
     panic_msg: String,
@@ -378,7 +378,7 @@ struct FaultRun {
 ///
 /// A panic anywhere from SUT construction through classification is
 /// caught, the panicking SUT is shed ([`SutSlot::shed`]), and the
-/// fault is recorded as a [`InjectionResult::HarnessFailure`].
+/// fault is recorded as a [`crate::InjectionResult::HarnessFailure`].
 /// Harness panics and deadline overruns are retried per `retry`;
 /// anything else returns immediately.
 ///
@@ -571,8 +571,8 @@ impl SutCache {
 }
 
 /// The shareable half of one campaign: system name, SUT factory and
-/// `Arc`-shared injection engine (formats, parsed baseline, cached
-/// baseline payload, fault memo).
+/// `Arc`-shared [`InjectionEngine`] (formats, parsed baseline, cached
+/// baseline payload, fault memo, knobs and counters).
 ///
 /// Cloning is cheap (refcount bumps), and many [`CampaignBatch`]
 /// entries may share one `ExecutorCampaign` — the §5.5 driver pushes
@@ -606,13 +606,17 @@ impl ExecutorCampaign {
         Self::build(factory, None)
     }
 
-    /// Creates a campaign from explicit configuration payloads,
-    /// mirroring [`crate::Campaign::with_payload`] (overridden files
-    /// are parsed once, from the shared override text).
+    /// Creates a campaign from explicit configuration payloads instead
+    /// of the SUT defaults (build one from plain text with
+    /// [`ConfigPayload::from_texts`]). Overridden files are parsed
+    /// once, from the payload's shared `Arc<str>` text; only
+    /// non-overridden files fall back to the SUT defaults.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`crate::Campaign::with_payload`].
+    /// Same conditions as [`crate::Campaign::new`], plus an
+    /// [`CampaignError::UnknownFormat`] for override files the SUT
+    /// does not declare.
     pub fn with_payload(
         factory: SutFactory,
         configs: &ConfigPayload,
@@ -648,57 +652,10 @@ impl ExecutorCampaign {
         &self.factory
     }
 
-    /// Enables or disables the engine's fault memo (default: on) —
-    /// see [`crate::Campaign::set_fault_memoization`]. The setting is
-    /// shared by every clone of this campaign.
-    pub fn set_fault_memoization(&self, enabled: bool) -> &Self {
-        self.engine.set_fault_memoization(enabled);
-        self
-    }
-
-    /// Enables or disables test-impact pruning (default: on) — see
-    /// [`crate::Campaign::set_impact_pruning`]. The setting is shared
-    /// by every clone of this campaign.
-    pub fn set_impact_pruning(&self, enabled: bool) -> &Self {
-        self.engine.set_impact_pruning(enabled);
-        self
-    }
-
-    /// Sets the per-fault soft deadline (default: none) — see
-    /// [`crate::Campaign::set_fault_deadline`]. Deadline overruns are
-    /// classified [`crate::InjectionResult::TimedOut`] and count as
-    /// retryable under the executor's [`RetryPolicy`]. The setting is
-    /// shared by every clone of this campaign.
-    pub fn set_fault_deadline(&self, budget: Option<Duration>) -> &Self {
-        self.engine.set_fault_deadline(budget);
-        self
-    }
-
-    /// Enables or disables the static-triage fast path (default:
-    /// **off**) — see [`crate::Campaign::set_static_triage`] for the
-    /// self-gating rules and the byte-identity contract. With it on,
-    /// faults the linter proves `WillFailParse`/`WillFailValidate`
-    /// synthesize their `DetectedAtStartup` outcome without a
-    /// simulator start; `set_static_triage(false)` is the reference
-    /// knob that re-runs every start dynamically. The setting is
-    /// shared by every clone of this campaign (and with any
-    /// [`crate::Campaign`] veneer over the same engine).
-    pub fn set_static_triage(&self, enabled: bool) -> &Self {
-        self.engine.set_static_triage(enabled);
-        self
-    }
-
-    /// `(dynamic, synthesized)` start counts accumulated by the
-    /// shared engine across every clone of this campaign — see
-    /// [`crate::Campaign::triage_stats`].
-    pub fn triage_stats(&self) -> (usize, usize) {
-        self.engine.triage_stats()
-    }
-
-    /// The engine's shared pre-flight linter, when the SUT publishes
-    /// a directive schema — see [`crate::Campaign::linter`].
-    pub fn linter(&self) -> Option<Arc<conferr_analysis::FaultLinter>> {
-        self.engine.linter()
+    /// The injection engine every clone of this campaign shares: a
+    /// knob set through it holds for all of them.
+    pub fn engine(&self) -> &InjectionEngine {
+        &self.engine
     }
 }
 
@@ -741,10 +698,9 @@ impl CampaignBatch {
         self.push_source(campaign, Box::new(EagerSource::new(faults)));
     }
 
-    /// Appends one campaign backed by a live
-    /// [`FaultSource`](conferr_model::FaultSource): faults are pulled
-    /// chunk by chunk *while the batch runs*, so generation overlaps
-    /// injection and the fault space is never materialized.
+    /// Appends one campaign backed by a live [`FaultSource`]: faults
+    /// are pulled chunk by chunk *while the batch runs*, so generation
+    /// overlaps injection and the fault space is never materialized.
     pub fn push_source(&mut self, campaign: &ExecutorCampaign, source: BoxFaultSource) {
         self.entries.push((campaign.clone(), source));
     }
@@ -757,12 +713,6 @@ impl CampaignBatch {
     /// `true` iff no campaign has been pushed.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Total faults across all entries — exact for eager entries, the
-    /// source's lower bound for streaming ones.
-    pub fn fault_count(&self) -> usize {
-        self.entries.iter().map(|(_, s)| s.size_hint().0).sum()
     }
 }
 
@@ -1544,7 +1494,7 @@ impl CampaignExecutor {
         let mut collectors: Vec<CollectingSink> = batch
             .entries
             .iter()
-            .map(|(_, source)| CollectingSink::with_capacity(source.size_hint().0))
+            .map(|_| CollectingSink::new())
             .collect();
         {
             let mut sinks: Vec<&mut dyn OutcomeSink> = collectors
@@ -1745,13 +1695,9 @@ mod tests {
         let postgres_faults = plugin().generate(postgres.baseline()).unwrap();
 
         let mut batch = CampaignBatch::new();
-        batch.push(&postgres, postgres_faults.clone());
+        batch.push(&postgres, postgres_faults);
         batch.push(&mysql, mysql_faults.clone());
         assert_eq!(batch.len(), 2);
-        assert_eq!(
-            batch.fault_count(),
-            postgres_faults.len() + mysql_faults.len()
-        );
         let profiles = executor.run_batch(batch).unwrap();
         assert_eq!(profiles[0].system(), "postgres-sim");
         assert_eq!(profiles[1].system(), "mysql-sim");
@@ -1873,21 +1819,24 @@ mod tests {
             .run_faults(&campaign, nine.iter().rev().cloned().collect())
             .unwrap();
         // An unknown size; an exact size of one; an exact size far
-        // above the truth. None of them steers scheduling.
-        for hint in [(0, None), (1, Some(1)), (100, Some(100))] {
+        // above the truth; a lower bound no allocation can hold. None
+        // of them steers scheduling or sizes a buffer.
+        for hint in [
+            (0, None),
+            (1, Some(1)),
+            (100, Some(100)),
+            (usize::MAX, None),
+        ] {
+            let lying = || -> BoxFaultSource {
+                Box::new(Lying {
+                    remaining: nine.clone(),
+                    hint,
+                })
+            };
             for threads in [1, 3] {
                 let executor = CampaignExecutor::new(threads);
                 let mut sink = crate::CollectingSink::new();
-                let stats = executor
-                    .run_source(
-                        &campaign,
-                        Box::new(Lying {
-                            remaining: nine.clone(),
-                            hint,
-                        }),
-                        &mut sink,
-                    )
-                    .unwrap();
+                let stats = executor.run_source(&campaign, lying(), &mut sink).unwrap();
                 // The executor counts what actually arrived; the batch
                 // terminates instead of waiting on phantom faults.
                 assert_eq!(stats.outcomes, 9, "threads = {threads}, hint = {hint:?}");
@@ -1895,6 +1844,14 @@ mod tests {
                     sink.into_outcomes(),
                     reference.outcomes(),
                     "threads = {threads}, hint = {hint:?}"
+                );
+                let mut batch = CampaignBatch::new();
+                batch.push_source(&campaign, lying());
+                let profiles = executor.run_batch(batch).unwrap();
+                assert_eq!(
+                    profiles[0].outcomes(),
+                    reference.outcomes(),
+                    "run_batch: threads = {threads}, hint = {hint:?}"
                 );
             }
         }

@@ -73,7 +73,7 @@ pub mod report;
 mod sink;
 mod tiered;
 
-pub use campaign::{Campaign, CampaignError};
+pub use campaign::{Campaign, CampaignError, InjectionEngine};
 pub use checkpoint::{Checkpoint, CheckpointSink};
 pub use compare::{
     task_resilience, value_typo_resilience, ComparisonReport, DetectionBand, DirectiveResilience,

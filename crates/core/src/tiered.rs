@@ -16,10 +16,10 @@
 //! [`confirmation_candidate`]; [`CampaignExecutor::run_tiered_with`]
 //! accepts any other selector.
 //!
-//! Static triage (the campaign-level fast path,
-//! [`crate::Campaign::set_static_triage`]) composes freely with tier
-//! mixing: the knob rides on each campaign, so enabling it on the
-//! simulator-tier campaign synthesizes the statically-decided
+//! Static triage (the engine-level fast path,
+//! [`crate::InjectionEngine::set_static_triage`]) composes freely with
+//! tier mixing: the knob rides on each campaign's engine, so enabling
+//! it on the simulator-tier campaign synthesizes the statically-decided
 //! outcomes there without a start, while the process-tier
 //! confirmation campaign — whose SUTs are not [`conferr_sut::Tier::Sim`]
 //! — never takes the shortcut, by the gates documented on that

@@ -3,7 +3,7 @@
 //! A template describes *one kind* of transformation (delete,
 //! duplicate, move, modify, insert, swap) plus the conditions under
 //! which it applies — the paper's "simplest class of templates
-//! describ[ing] mutations of nodes and subtrees" (§3.3). Evaluating a
+//! describ\[ing\] mutations of nodes and subtrees" (§3.3). Evaluating a
 //! template against a [`ConfigSet`] yields the full set of fault
 //! scenarios it can produce, which combinators (see [`crate::Union`],
 //! [`crate::Sample`]) then compose or subsample.

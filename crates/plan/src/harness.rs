@@ -150,6 +150,7 @@ impl PlanHarness {
     pub fn set_deadline_ms(&mut self, ms: u64) {
         self.deadline_ms = ms;
         self.campaign
+            .engine()
             .set_fault_deadline((ms > 0).then(|| Duration::from_millis(ms)));
     }
 

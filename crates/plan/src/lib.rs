@@ -27,7 +27,7 @@
 //! 3. **Check** — named [`Property`] oracles (`recovers-after-revert`,
 //!    `degraded-still-diagnosed`, `no-silent-compound`) evaluate the
 //!    trace and report the first [`Violation`].
-//! 4. **Shrink** — [`shrink`] minimizes a failing plan (drop steps,
+//! 4. **Shrink** — [`shrink()`] minimizes a failing plan (drop steps,
 //!    then simplify multi-edit faults), re-checking every candidate
 //!    against a fresh SUT, and yields a minimal counterexample plus
 //!    the [`Selection`] that re-derives it from the regenerated

@@ -8,10 +8,9 @@
 //! |A| × |B| scenarios before injecting the first one. The helpers
 //! here keep composition lazy instead: plugins become
 //! [`GeneratorSource`]s (generation deferred to first pull, one
-//! plugin at a time) and compose through the
-//! [`FaultSourceExt`](conferr_model::FaultSourceExt) combinators, so
-//! the campaign executor pulls faults chunk by chunk and the
-//! cross-product never exists in memory.
+//! plugin at a time) and compose through the [`FaultSourceExt`]
+//! combinators, so the campaign executor pulls faults chunk by chunk
+//! and the cross-product never exists in memory.
 
 use conferr_model::{
     BoxFaultSource, ConfigSet, EagerSource, ErrorGenerator, FaultSourceExt, GeneratorSource,

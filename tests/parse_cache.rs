@@ -47,7 +47,7 @@ use conferr_tree::{ConfTree, Node};
 fn table1_profile(sut: &mut dyn SystemUnderTest, caching: bool) -> ResilienceProfile {
     sut.set_parse_caching(caching);
     let mut campaign = Campaign::new(sut).expect("campaign");
-    campaign.set_fault_memoization(caching);
+    campaign.engine().set_fault_memoization(caching);
     let faults = table1_faultload(campaign.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
     campaign.run_faults(faults).expect("run")
 }
@@ -152,7 +152,7 @@ fn repeated_fault_load_hits_the_cache_and_stays_identical() {
         let mut sut = ApacheSim::new();
         sut.set_parse_caching(caching);
         let mut campaign = Campaign::new(&mut sut).expect("campaign");
-        campaign.set_fault_memoization(caching);
+        campaign.engine().set_fault_memoization(caching);
         let one = table1_faultload(campaign.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
         let mut faults = one.clone();
         faults.extend(one.iter().cloned());

@@ -224,7 +224,9 @@ fn stalls_past_the_deadline_are_classified_timed_out() {
         ..ChaosConfig::default()
     };
     let (_, chaotic, faults) = fixtures(config);
-    chaotic.set_fault_deadline(Some(Duration::from_millis(5)));
+    chaotic
+        .engine()
+        .set_fault_deadline(Some(Duration::from_millis(5)));
     let executor = CampaignExecutor::new(1);
     let profile = executor
         .run_faults(&chaotic, faults.iter().take(4).cloned().collect())
@@ -247,7 +249,7 @@ fn stalls_past_the_deadline_are_classified_timed_out() {
     assert_eq!(executor.quarantined().len(), 4);
 
     // With the deadline lifted the same stalls pass normally.
-    chaotic.set_fault_deadline(None);
+    chaotic.engine().set_fault_deadline(None);
     let profile = executor
         .run_faults(&chaotic, faults.iter().take(2).cloned().collect())
         .expect("no deadline, no timeouts");
@@ -268,7 +270,9 @@ fn retries_heal_timed_out_faults_when_the_stall_is_transient() {
         ..ChaosConfig::default()
     };
     let (_, chaotic, faults) = fixtures(config);
-    chaotic.set_fault_deadline(Some(Duration::from_millis(4)));
+    chaotic
+        .engine()
+        .set_fault_deadline(Some(Duration::from_millis(4)));
     let executor = CampaignExecutor::new(1);
     executor.set_retry_policy(RetryPolicy::new(
         3,
@@ -286,7 +290,7 @@ fn retries_heal_timed_out_faults_when_the_stall_is_transient() {
     assert_eq!(stats.outcomes, 2);
     assert_eq!(stats.retries, 4, "two faults x two retries each");
     assert_eq!(executor.quarantined().len(), 2);
-    chaotic.set_fault_deadline(None);
+    chaotic.engine().set_fault_deadline(None);
 }
 
 #[test]

@@ -282,13 +282,13 @@ proptest! {
 fn pruned_equals_unpruned_table1(make_sut: impl Fn() -> Box<dyn SystemUnderTest>) {
     let mut reference_sut = make_sut();
     let mut reference = Campaign::new(reference_sut.as_mut()).expect("campaign");
-    reference.set_impact_pruning(false);
+    reference.engine().set_impact_pruning(false);
     let faults = table1_faultload(reference.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
     let unpruned = reference.run_faults(faults.clone()).expect("run");
 
     let mut pruned_sut = make_sut();
     let mut pruned = Campaign::new(pruned_sut.as_mut()).expect("campaign");
-    pruned.set_impact_pruning(true);
+    pruned.engine().set_impact_pruning(true);
     let pruned = pruned.run_faults(faults).expect("run");
 
     assert_eq!(profile_to_json(&unpruned), profile_to_json(&pruned));
@@ -315,13 +315,13 @@ fn pruned_parallel_profile_is_byte_identical_at_every_thread_count() {
     // parallel runs at 1, 2 and 4 threads must reproduce it exactly.
     let mut sut = MySqlSim::new();
     let mut reference = Campaign::new(&mut sut).expect("campaign");
-    reference.set_impact_pruning(false);
+    reference.engine().set_impact_pruning(false);
     let faults = table1_faultload(reference.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
     let unpruned = reference.run_faults(faults.clone()).expect("run");
 
     for threads in [1, 2, 4] {
         let campaign = ExecutorCampaign::new(sut_factory(MySqlSim::new)).expect("campaign");
-        campaign.set_impact_pruning(true);
+        campaign.engine().set_impact_pruning(true);
         let pruned = CampaignExecutor::new(threads)
             .run_faults(&campaign, faults.clone())
             .expect("run");
@@ -341,7 +341,7 @@ fn pruned_profile_is_byte_identical_over_table2_variations() {
     for class in VariationClass::ALL {
         let mut reference_sut = ApacheSim::new();
         let mut reference = Campaign::new(&mut reference_sut).expect("campaign");
-        reference.set_impact_pruning(false);
+        reference.engine().set_impact_pruning(false);
         let plugin = VariationPlugin::new(class, 10, DEFAULT_SEED);
         let faults = plugin.generate(reference.baseline()).expect("generate");
         if faults.is_empty() {
@@ -351,7 +351,7 @@ fn pruned_profile_is_byte_identical_over_table2_variations() {
 
         let mut pruned_sut = ApacheSim::new();
         let mut pruned = Campaign::new(&mut pruned_sut).expect("campaign");
-        pruned.set_impact_pruning(true);
+        pruned.engine().set_impact_pruning(true);
         let pruned = pruned.run_faults(faults).expect("run");
         assert_eq!(
             profile_to_json(&unpruned),
@@ -381,7 +381,10 @@ fn assert_linted_source_is_transparent(make_sut: impl Fn() -> Box<dyn SystemUnde
     let mut sut = make_sut();
     let name = sut.name().to_string();
     let mut campaign = Campaign::new(sut.as_mut()).expect("campaign");
-    let linter = campaign.linter().expect("the system publishes a schema");
+    let linter = campaign
+        .engine()
+        .linter()
+        .expect("the system publishes a schema");
     let mut observed = Vec::new();
     let mut source = LintedSource::new(EagerSource::new(faults), linter, |fault, lint| {
         let id = match fault {
@@ -486,18 +489,18 @@ fn schema_reading_another_format_gets_no_analysis() {
     let mut sut = MisreadSchemaSim::default();
     let mut campaign = Campaign::new(&mut sut).expect("campaign");
     assert!(
-        campaign.linter().is_none(),
+        campaign.engine().linter().is_none(),
         "a schema that misreads a file's format must not be linted"
     );
     // No analysis: every verdict Unknown, nothing triaged.
-    campaign.set_static_triage(true);
+    campaign.engine().set_static_triage(true);
     let faults = table1_faultload(campaign.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
     let profile = campaign.run_faults(faults).expect("run");
     assert!(profile
         .outcomes()
         .iter()
         .all(|o| o.verdict == StaticVerdict::Unknown));
-    assert_eq!(campaign.triage_stats().1, 0);
+    assert_eq!(campaign.engine().triage_stats().1, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -547,19 +550,19 @@ fn triaged_equals_dynamic_table1(
 ) -> (usize, usize) {
     let mut reference_sut = make_sut();
     let mut reference = Campaign::new(reference_sut.as_mut()).expect("campaign");
-    reference.set_static_triage(false);
+    reference.engine().set_static_triage(false);
     let faults = table1_faultload(reference.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
     let dynamic = reference.run_faults(faults.clone()).expect("run");
-    let (reference_dynamic, reference_synthesized) = reference.triage_stats();
+    let (reference_dynamic, reference_synthesized) = reference.engine().triage_stats();
     assert!(reference_dynamic > 0);
     assert_eq!(reference_synthesized, 0, "triage off = every start dynamic");
 
     let mut triaged_sut = make_sut();
     let mut triaged = Campaign::new(triaged_sut.as_mut()).expect("campaign");
-    triaged.set_static_triage(true);
+    triaged.engine().set_static_triage(true);
     let profile = triaged.run_faults(faults).expect("run");
     assert_eq!(profile_to_json(&dynamic), profile_to_json(&profile));
-    triaged.triage_stats()
+    triaged.engine().triage_stats()
 }
 
 #[test]
@@ -604,7 +607,7 @@ fn triaged_executor_batch_is_byte_identical_across_threads() {
     // run at 1/2/4 threads matches the untriaged serial reference, and
     // the engine's counters show the shared knob took effect.
     let reference_campaign = ExecutorCampaign::new(sut_factory(ApacheSim::new)).expect("campaign");
-    reference_campaign.set_static_triage(false);
+    reference_campaign.engine().set_static_triage(false);
     let faults = table1_faultload(
         reference_campaign.baseline(),
         &Keyboard::qwerty_us(),
@@ -618,7 +621,7 @@ fn triaged_executor_batch_is_byte_identical_across_threads() {
     };
 
     let triaged_campaign = ExecutorCampaign::new(sut_factory(ApacheSim::new)).expect("campaign");
-    triaged_campaign.set_static_triage(true);
+    triaged_campaign.engine().set_static_triage(true);
     for threads in [1, 2, 4] {
         let executor = CampaignExecutor::new(threads);
         let profile = executor
@@ -630,6 +633,6 @@ fn triaged_executor_batch_is_byte_identical_across_threads() {
             "threads = {threads}"
         );
     }
-    let (_, synthesized) = triaged_campaign.triage_stats();
+    let (_, synthesized) = triaged_campaign.engine().triage_stats();
     assert!(synthesized > 0, "the shared engine synthesized outcomes");
 }
