@@ -13,7 +13,7 @@
 //! analyzer share one implementation, a static verdict can never
 //! drift from the dynamic outcome it predicts.
 //!
-//! Three consumers build on the tables:
+//! Two consumers build on the tables:
 //!
 //! * [`lint::FaultLinter`] classifies a prepared fault **before any
 //!   SUT starts**: it validates the parse of the edited file's
@@ -24,12 +24,18 @@
 //!   [`FaultLinter::lint`] makes that parse itself — apply the edits,
 //!   serialize with the real format, re-parse with the real parser —
 //!   for callers outside the engine.
-//! * [`prepass::LintedSource`] streams that classification over any
-//!   `conferr_model::FaultSource` without materializing the load.
 //! * The injection engine (in `conferr` core) uses the touch sets to
 //!   skip functional tests whose declared read-set is provably
 //!   disjoint from an edit — test-impact pruning, byte-identical to
 //!   the unpruned reference path.
+//!
+//! Touch maps come from the file format, not from the dialect: an
+//! edit is bounded to named directives only when every node it writes
+//! parses in place ([`touch::edit_parses_in_place`], the one place
+//! outside `conferr-formats` that asks
+//! `ConfigFormat::parses_in_place`). The engine asks once per
+//! single-edit fault and uses the same answer to skip that fault's
+//! parse.
 //!
 //! The soundness contract is asymmetric by design: `WillFailParse`
 //! and `WillFailValidate` promise a failing dynamic start,
@@ -41,7 +47,6 @@ pub mod apache;
 pub mod lint;
 pub mod mysql;
 pub mod postgres;
-pub mod prepass;
 pub mod schema;
 pub mod tinydns;
 pub mod touch;
@@ -49,12 +54,11 @@ pub mod value;
 pub mod verdict;
 
 pub use lint::{FaultLinter, FileSurvey, Lint};
-pub use prepass::LintedSource;
 pub use schema::{
     schema_for, Dialect, DirectiveSchema, FileSchema, ReadScope, TestImpact, APACHE_SCHEMA,
     APPSERVER_SCHEMA, BIND_SCHEMA, DJBDNS_SCHEMA, MYSQL_SCHEMA, POSTGRES_SCHEMA,
 };
 pub use touch::{
-    scope_intersects, test_is_impacted, whole_config_touch, FileTouch, PrunePlan, TouchMap,
+    edit_parses_in_place, scope_intersects, touch_of_edit, FileTouch, PrunePlan, TouchMap,
 };
 pub use verdict::{StaticVerdict, ValidationClass, Violation};

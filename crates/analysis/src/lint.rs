@@ -22,7 +22,7 @@ use conferr_model::{ConfigSet, ErrorClass, FaultScenario, TreeEdit, TypoKind};
 use conferr_tree::{ConfTree, Node};
 
 use crate::schema::{Dialect, DirectiveSchema};
-use crate::touch::{touch_of_edits, FileTouch, TouchMap};
+use crate::touch::{edit_parses_in_place, touch_of_edit, FileTouch, TouchMap};
 use crate::verdict::StaticVerdict;
 
 static EMPTY_TOUCH: LazyLock<Arc<TouchMap>> = LazyLock::new(|| Arc::new(TouchMap::new()));
@@ -45,16 +45,6 @@ pub struct Lint {
 }
 
 impl Lint {
-    /// The maximally-conservative lint: no prediction, everything in
-    /// `schema` potentially touched.
-    pub fn unknown(schema: &DirectiveSchema) -> Lint {
-        Lint {
-            verdict: StaticVerdict::Unknown,
-            touch: Arc::new(crate::touch::whole_config_touch(schema)),
-            diagnostic: None,
-        }
-    }
-
     /// The lint of an empty edit list: byte-identical to the
     /// baseline, touching nothing.
     pub fn identity() -> Lint {
@@ -137,12 +127,13 @@ impl FaultLinter {
 
     /// Lints a fault's edit list on its own: applies it to the
     /// baseline, serializes the edited file with the schema's format,
-    /// parses those bytes again and [judges](FaultLinter::judge) the
-    /// parse. Nothing is memoized; the injection engine judges the
-    /// parse it already made instead, under its fault memo.
+    /// asks [`edit_parses_in_place`] about the edit, parses those
+    /// bytes again and [judges](FaultLinter::judge) the parse. Nothing
+    /// is memoized; the injection engine judges the parse it already
+    /// made instead, under its fault memo.
     pub fn lint(&self, edits: &[TreeEdit]) -> Lint {
         let [edit] = edits else {
-            return self.judge(edits, None);
+            return self.judge(edits, false, None);
         };
         let file = edit.file();
         let probe = FaultScenario {
@@ -151,26 +142,32 @@ impl FaultLinter {
             class: ErrorClass::Typo(TypoKind::Substitution),
             edits: edits.to_vec(),
         };
+        let mut in_place = false;
         let reparsed = self.formats.get(file).and_then(|format| {
             let edited = probe.apply(&self.baseline).ok()?;
-            let text = format.serialize(edited.get(file)?).ok()?;
+            let tree = edited.get(file)?;
+            let text = format.serialize(tree).ok()?;
+            in_place = edit_parses_in_place(format.as_ref(), self.baseline.get(file)?, tree, edit);
             Some(format.parse(&text))
         });
-        self.judge(edits, reparsed.as_ref().map(Result::as_ref))
+        self.judge(edits, in_place, reparsed.as_ref().map(Result::as_ref))
     }
 
     /// Judges a fault from the parse of its edited file.
     ///
-    /// `reparsed` is what the schema's format parses the edited file's
-    /// serialized bytes into — the bytes the simulator starts from.
-    /// `None` means there are no such bytes: the edits did not apply
-    /// (the campaign skips the fault) or the edited tree cannot be
-    /// expressed in the format (the campaign reports it without
-    /// starting the SUT). Empty and compound edit lists are judged
-    /// without looking at `reparsed`.
+    /// `in_place` is the [`edit_parses_in_place`] answer for a single
+    /// edit, which decides its touch map (see [`touch_of_edit`]); it
+    /// is ignored for any other edit list. `reparsed` is what the
+    /// schema's format parses the edited file's serialized bytes into
+    /// — the bytes the simulator starts from. `None` means there are
+    /// no such bytes: the edits did not apply (the campaign skips the
+    /// fault) or the edited tree cannot be expressed in the format
+    /// (the campaign reports it without starting the SUT). Empty and
+    /// compound edit lists are judged without looking at `reparsed`.
     pub fn judge(
         &self,
         edits: &[TreeEdit],
+        in_place: bool,
         reparsed: Option<Result<&ConfTree, &ParseError>>,
     ) -> Lint {
         let [edit] = edits else {
@@ -188,7 +185,7 @@ impl FaultLinter {
             );
         };
         let file = edit.file();
-        let refined = || touch_of_edits(self.schema, &self.baseline, edits);
+        let refined = || touch_of_edit(self.schema, &self.baseline, edit, in_place);
         let (Some(fs), Some(reparsed)) = (self.schema.file(file), reparsed) else {
             return Lint::undecided(refined());
         };
@@ -552,7 +549,7 @@ mod tests {
         }];
         let bytes = "[mysqld]\nprot=3306\nsort_buffer_size=2097152\n# notes\n";
         let tree = IniFormat::new().parse(bytes).unwrap();
-        let judged = l.judge(&edits, Some(Ok(&tree)));
+        let judged = l.judge(&edits, true, Some(Ok(&tree)));
         assert_eq!(judged.verdict, l.lint(&edits).verdict);
         assert!(matches!(
             judged.verdict,
@@ -560,7 +557,7 @@ mod tests {
         ));
 
         let error = IniFormat::new().parse("[mysqld\n").unwrap_err();
-        let judged = l.judge(&edits, Some(Err(&error)));
+        let judged = l.judge(&edits, true, Some(Err(&error)));
         assert_eq!(judged.verdict, StaticVerdict::WillFailParse);
         assert_eq!(
             judged.diagnostic.as_deref(),
@@ -572,7 +569,7 @@ mod tests {
         );
 
         // No bytes to judge: no prediction.
-        assert_eq!(l.judge(&edits, None).verdict, StaticVerdict::Unknown);
+        assert_eq!(l.judge(&edits, false, None).verdict, StaticVerdict::Unknown);
     }
 
     #[test]

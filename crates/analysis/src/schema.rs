@@ -29,16 +29,6 @@ impl Dialect {
         )
     }
 
-    /// Whether edits to files of this dialect can be refined to
-    /// per-directive touch sets (dialects whose tests read whole
-    /// files gain nothing from refinement).
-    pub fn refines_touch_sets(self) -> bool {
-        matches!(
-            self,
-            Dialect::MySqlIni | Dialect::PostgresKv | Dialect::ApacheHttpd
-        )
-    }
-
     /// The exact startup diagnostic a simulator of this dialect emits
     /// when its configuration file fails to parse, given the format
     /// parser's error text. The simulators and the static linter both
@@ -335,8 +325,28 @@ mod tests {
     #[test]
     fn modeled_and_refinable_dialects_are_consistent() {
         assert!(Dialect::TinyDns.is_fully_modeled());
-        assert!(!Dialect::TinyDns.refines_touch_sets());
         assert!(!Dialect::BindZone.is_fully_modeled());
-        assert!(Dialect::ApacheHttpd.refines_touch_sets());
+        // Touch maps refine only in files whose format parses a line in
+        // place, and name directives by the dialect's own resolution:
+        // every such file needs a dialect that resolves names.
+        let comment = conferr_tree::Node::new("comment").with_text("# note");
+        for schema in [
+            &MYSQL_SCHEMA,
+            &POSTGRES_SCHEMA,
+            &APACHE_SCHEMA,
+            &BIND_SCHEMA,
+            &DJBDNS_SCHEMA,
+            &APPSERVER_SCHEMA,
+        ] {
+            for fs in schema.files {
+                let format = conferr_formats::format_by_name(fs.format).unwrap();
+                let refinable = format.parses_in_place(&comment);
+                let resolves_names = matches!(
+                    fs.dialect,
+                    Dialect::MySqlIni | Dialect::PostgresKv | Dialect::ApacheHttpd
+                );
+                assert_eq!(refinable, resolves_names, "{}: {}", schema.system, fs.file);
+            }
+        }
     }
 }

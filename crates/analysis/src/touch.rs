@@ -6,15 +6,22 @@
 //! the edit can change. Soundness runs in one direction only: a touch
 //! map may be **wider** than the true effect (costing a wasted test
 //! run) but must never be narrower (which would skip a test whose
-//! outcome the edit can change). Whenever a refinement rule cannot
-//! prove containment, it falls back to [`FileTouch::WholeFile`].
+//! outcome the edit can change).
+//!
+//! Whether one edit stays on its own lines is a property of the file
+//! format, so the format decides it: [`edit_parses_in_place`] asks
+//! [`ConfigFormat::parses_in_place`] about every node the edit writes.
+//! A yes bounds the edit to those nodes' lines, and
+//! [`touch_of_edit`] names their directives; anything else touches
+//! the whole file, as does every fault of more than one edit.
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use conferr_formats::ConfigFormat;
 use conferr_model::{ConfigSet, TreeEdit};
 use conferr_tree::{ConfTree, Node, TreePath};
 
-use crate::schema::{Dialect, DirectiveSchema, ReadScope, TestImpact};
+use crate::schema::{Dialect, DirectiveSchema, ReadScope};
 
 /// The statically-derived overestimate of what an edit can change in
 /// one file.
@@ -26,19 +33,6 @@ pub enum FileTouch {
     /// An empty set means the file's bytes changed but no modeled
     /// directive did (comment or whitespace churn).
     Directives(BTreeSet<String>),
-}
-
-impl FileTouch {
-    /// Widens `self` to also cover `other`.
-    pub fn merge(&mut self, other: FileTouch) {
-        match (&mut *self, other) {
-            (FileTouch::WholeFile, _) => {}
-            (_, FileTouch::WholeFile) => *self = FileTouch::WholeFile,
-            (FileTouch::Directives(mine), FileTouch::Directives(theirs)) => {
-                mine.extend(theirs);
-            }
-        }
-    }
 }
 
 /// Per-file touches of one fault. Files absent from the map are
@@ -59,15 +53,6 @@ pub fn scope_intersects(scope: &ReadScope, touch: &FileTouch) -> bool {
             reads.iter().any(|r| touched.contains(*r))
         }
     }
-}
-
-/// Whether a fault with touch map `touch` can change the outcome of
-/// `test`. A test is impacted when any of its declared per-file read
-/// scopes intersects the corresponding file's touch.
-pub fn test_is_impacted(test: &TestImpact, touch: &TouchMap) -> bool {
-    test.reads
-        .iter()
-        .any(|(file, scope)| touch.get(*file).is_some_and(|t| scope_intersects(scope, t)))
 }
 
 /// A pre-computed pruning plan: which functional tests impact pruning
@@ -145,8 +130,8 @@ impl PrunePlan {
     }
 
     /// Whether a fault with touch map `touch` can change the outcome
-    /// of a test with the given pre-widened scopes — the plan-side
-    /// analogue of [`test_is_impacted`].
+    /// of a test with the given pre-widened scopes: whether any scope
+    /// intersects the touch of the file it reads.
     pub fn impacted(scopes: &[(&'static str, ReadScope)], touch: &TouchMap) -> bool {
         scopes
             .iter()
@@ -180,41 +165,95 @@ fn distinct_directive_names(dialect: Dialect, node: &Node, names: &mut BTreeSet<
     }
 }
 
-/// A touch map claiming every file of `schema` may have changed — the
-/// safe answer when nothing sharper can be proven.
-pub fn whole_config_touch(schema: &DirectiveSchema) -> TouchMap {
-    schema
-        .files
-        .iter()
-        .map(|f| (f.file.to_string(), FileTouch::WholeFile))
-        .collect()
+/// Whether every node `edit` writes parses in place under `format`
+/// ([`ConfigFormat::parses_in_place`]): the new node of a `SetText` or
+/// `SetAttr`, the node a `Delete`, `DuplicateAfter` or `Move` removes,
+/// copies or moves, the node an `Insert` adds, or both nodes a
+/// `SwapChildren` exchanges. `before` and `after` are the edited file's
+/// tree without and with the edit. The root, a path that does not
+/// resolve and a `ReplaceTree` answer `false`.
+///
+/// A yes bounds the edit to the written nodes' own lines: every other
+/// line of the file keeps its meaning. [`touch_of_edit`] then names the
+/// written directives, and the injection engine takes the mutated tree
+/// of a `SetText`, `SetAttr` or `Delete` on a file that parses back to
+/// its own text as that file's parse.
+pub fn edit_parses_in_place(
+    format: &dyn ConfigFormat,
+    before: &ConfTree,
+    after: &ConfTree,
+    edit: &TreeEdit,
+) -> bool {
+    let in_place = |tree: &ConfTree, path: &TreePath| {
+        !path.is_root()
+            && tree
+                .node_at(path)
+                .is_ok_and(|node| format.parses_in_place(node))
+    };
+    match edit {
+        TreeEdit::SetText { path, .. } | TreeEdit::SetAttr { path, .. } => in_place(after, path),
+        TreeEdit::Delete { path, .. }
+        | TreeEdit::DuplicateAfter { path, .. }
+        | TreeEdit::Move { from: path, .. } => in_place(before, path),
+        TreeEdit::Insert { node, .. } => format.parses_in_place(node),
+        TreeEdit::SwapChildren { parent, i, j, .. } => {
+            in_place(before, &parent.child(*i)) && in_place(before, &parent.child(*j))
+        }
+        TreeEdit::ReplaceTree { .. } => false,
+    }
 }
 
-/// Computes the touch map of a fault's edit list against the baseline
-/// configuration, refining per-directive where the dialect allows it.
-pub fn touch_of_edits(
+/// The touch map of one edit, given its [`edit_parses_in_place`]
+/// answer: the canonical names of the leaf directives it writes, old
+/// and new (none for comments and blank lines), or the whole edited
+/// file when the answer is no or the edit writes any other node.
+pub fn touch_of_edit(
     schema: &DirectiveSchema,
     baseline: &ConfigSet,
-    edits: &[TreeEdit],
+    edit: &TreeEdit,
+    in_place: bool,
 ) -> TouchMap {
-    let mut map = TouchMap::new();
-    for edit in edits {
-        let file = edit.file();
-        let touch = match schema.file(file) {
-            Some(fs) if fs.dialect.refines_touch_sets() => match baseline.get(file) {
-                Some(tree) => refine_edit(fs.dialect, tree, edit),
-                None => FileTouch::WholeFile,
-            },
-            _ => FileTouch::WholeFile,
-        };
-        match map.entry(file.to_string()) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(touch);
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(touch),
+    let file = edit.file();
+    let names = match (in_place, schema.file(file), baseline.get(file)) {
+        (true, Some(fs), Some(tree)) => written_names(fs.dialect, tree, edit),
+        _ => None,
+    };
+    let touch = names.map_or(FileTouch::WholeFile, FileTouch::Directives);
+    TouchMap::from([(file.to_string(), touch)])
+}
+
+/// The canonical names of the leaf directives `edit` writes into the
+/// baseline `tree`, old and new, or `None` when it writes any node that
+/// is not a leaf directive, a comment or a blank line.
+fn written_names(dialect: Dialect, tree: &ConfTree, edit: &TreeEdit) -> Option<BTreeSet<String>> {
+    let at = |path: &TreePath| tree.node_at(path).ok();
+    let (nodes, renamed) = match edit {
+        TreeEdit::SetText { path, .. }
+        | TreeEdit::Delete { path, .. }
+        | TreeEdit::DuplicateAfter { path, .. }
+        | TreeEdit::Move { from: path, .. } => (vec![at(path)?], None),
+        TreeEdit::SetAttr {
+            path, key, value, ..
+        } => (vec![at(path)?], (key == "name").then_some(value)),
+        TreeEdit::Insert { node, .. } => (vec![node], None),
+        TreeEdit::SwapChildren { parent, i, j, .. } => {
+            (vec![at(&parent.child(*i))?, at(&parent.child(*j))?], None)
+        }
+        TreeEdit::ReplaceTree { .. } => return None,
+    };
+    let mut names = BTreeSet::new();
+    for node in nodes {
+        match node.kind() {
+            _ if !node.children().is_empty() => return None,
+            "directive" => names.extend(canonical(dialect, node.attr("name")?)),
+            "comment" | "blank" => {}
+            _ => return None,
         }
     }
-    map
+    if let Some(name) = renamed {
+        names.extend(canonical(dialect, name));
+    }
+    Some(names)
 }
 
 /// Canonical directive names a raw spelling can resolve to under the
@@ -228,150 +267,12 @@ fn canonical(dialect: Dialect, raw: &str) -> Vec<String> {
     }
 }
 
-/// A directive name that serializes onto a single line without
-/// disturbing surrounding structure in any of the refinable formats.
-fn is_safe_name(name: &str) -> bool {
-    !name.is_empty()
-        && name
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-' | '.'))
-}
-
-fn has_line_break(text: &str) -> bool {
-    text.contains('\n') || text.contains('\r')
-}
-
-/// Comment text that every refinable format re-parses as a comment.
-fn is_inert_comment(text: &str) -> bool {
-    !has_line_break(text) && text.starts_with('#')
-}
-
-fn is_inert_blank(text: &str) -> bool {
-    !has_line_break(text) && text.trim().is_empty()
-}
-
-/// The directive names affected by touching `node` in place, or
-/// `None` when the node's effect cannot be bounded (sections, nodes
-/// with children, comments whose text would not re-parse as inert).
-fn node_touch(dialect: Dialect, node: &Node) -> Option<BTreeSet<String>> {
-    if !node.children().is_empty() {
-        return None;
-    }
-    match node.kind() {
-        "directive" => node
-            .attr("name")
-            .map(|n| canonical(dialect, n).into_iter().collect()),
-        "comment" => is_inert_comment(node.text().unwrap_or("#")).then(BTreeSet::new),
-        "blank" => is_inert_blank(node.text().unwrap_or("")).then(BTreeSet::new),
-        _ => None,
-    }
-}
-
-fn touch_at(dialect: Dialect, tree: &ConfTree, path: &TreePath) -> FileTouch {
-    match tree.node_at(path) {
-        Ok(node) => match node_touch(dialect, node) {
-            Some(set) => FileTouch::Directives(set),
-            None => FileTouch::WholeFile,
-        },
-        Err(_) => FileTouch::WholeFile,
-    }
-}
-
-fn refine_edit(dialect: Dialect, tree: &ConfTree, edit: &TreeEdit) -> FileTouch {
-    match edit {
-        TreeEdit::Delete { path, .. } | TreeEdit::DuplicateAfter { path, .. } => {
-            touch_at(dialect, tree, path)
-        }
-        TreeEdit::Move { from, .. } => touch_at(dialect, tree, from),
-        TreeEdit::SetText { path, text, .. } => {
-            let new_text = text.as_deref().unwrap_or("");
-            if has_line_break(new_text) {
-                return FileTouch::WholeFile;
-            }
-            match tree.node_at(path) {
-                Ok(node) if node.children().is_empty() => match node.kind() {
-                    // The name stays on the line, so the re-parsed
-                    // node keeps its identity whatever the new value.
-                    "directive" => touch_at(dialect, tree, path),
-                    "comment" if is_inert_comment(new_text) => {
-                        FileTouch::Directives(BTreeSet::new())
-                    }
-                    "blank" if is_inert_blank(new_text) => FileTouch::Directives(BTreeSet::new()),
-                    _ => FileTouch::WholeFile,
-                },
-                _ => FileTouch::WholeFile,
-            }
-        }
-        TreeEdit::SetAttr {
-            path, key, value, ..
-        } => match tree.node_at(path) {
-            Ok(node)
-                if node.kind() == "directive"
-                    && node.children().is_empty()
-                    && key == "name"
-                    && is_safe_name(value) =>
-            {
-                match node.attr("name") {
-                    Some(old) => {
-                        let mut set: BTreeSet<String> =
-                            canonical(dialect, old).into_iter().collect();
-                        set.extend(canonical(dialect, value));
-                        FileTouch::Directives(set)
-                    }
-                    None => FileTouch::WholeFile,
-                }
-            }
-            _ => FileTouch::WholeFile,
-        },
-        TreeEdit::Insert { node, .. } => inserted_node_touch(dialect, node),
-        TreeEdit::SwapChildren { parent, i, j, .. } => match tree.node_at(parent) {
-            Ok(p) => {
-                let (Some(a), Some(b)) = (p.children().get(*i), p.children().get(*j)) else {
-                    return FileTouch::WholeFile;
-                };
-                match (node_touch(dialect, a), node_touch(dialect, b)) {
-                    (Some(mut x), Some(y)) => {
-                        x.extend(y);
-                        FileTouch::Directives(x)
-                    }
-                    _ => FileTouch::WholeFile,
-                }
-            }
-            Err(_) => FileTouch::WholeFile,
-        },
-        TreeEdit::ReplaceTree { .. } => FileTouch::WholeFile,
-    }
-}
-
-/// The touch of a freshly-inserted node. Stricter than [`node_touch`]
-/// because the node never round-tripped through the parser: its name
-/// and text must provably serialize onto one inert-or-directive line.
-fn inserted_node_touch(dialect: Dialect, node: &Node) -> FileTouch {
-    if !node.children().is_empty() || node.text().is_some_and(has_line_break) {
-        return FileTouch::WholeFile;
-    }
-    match node.kind() {
-        "directive" => match node.attr("name") {
-            Some(name) if is_safe_name(name) => {
-                FileTouch::Directives(canonical(dialect, name).into_iter().collect())
-            }
-            _ => FileTouch::WholeFile,
-        },
-        "comment" if is_inert_comment(node.text().unwrap_or("")) => {
-            FileTouch::Directives(BTreeSet::new())
-        }
-        "blank" if is_inert_blank(node.text().unwrap_or("")) => {
-            FileTouch::Directives(BTreeSet::new())
-        }
-        _ => FileTouch::WholeFile,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::MYSQL_SCHEMA;
-    use conferr_formats::{ConfigFormat, IniFormat};
+    use crate::schema::{DJBDNS_SCHEMA, MYSQL_SCHEMA};
+    use conferr_formats::{format_by_name, IniFormat};
+    use conferr_model::{ErrorClass, FaultScenario, TypoKind};
     use conferr_tree::TreePath;
 
     fn mysql_baseline() -> ConfigSet {
@@ -386,73 +287,139 @@ mod tests {
         FileTouch::Directives(names.iter().map(|s| (*s).to_string()).collect())
     }
 
+    /// The touch map of one edit to `baseline`, as the linter derives
+    /// it: the format's in-place answer, then the written names.
+    fn touch_of(schema: &DirectiveSchema, baseline: &ConfigSet, edit: TreeEdit) -> TouchMap {
+        let file = edit.file().to_string();
+        let scenario = FaultScenario {
+            id: String::new(),
+            description: String::new(),
+            class: ErrorClass::Typo(TypoKind::Substitution),
+            edits: vec![edit.clone()],
+        };
+        let mutated = scenario.apply(baseline).expect("the edit applies");
+        let format = format_by_name(schema.file(&file).expect("declared").format).unwrap();
+        let before = baseline.get(&file).unwrap();
+        let in_place =
+            edit_parses_in_place(format.as_ref(), before, mutated.get(&file).unwrap(), &edit);
+        touch_of_edit(schema, baseline, &edit, in_place)
+    }
+
+    fn mysql_touch(edit: TreeEdit) -> Option<FileTouch> {
+        touch_of(&MYSQL_SCHEMA, &mysql_baseline(), edit).remove("my.cnf")
+    }
+
     #[test]
     fn directive_edits_touch_their_canonical_name() {
-        let set = mysql_baseline();
         // [mysqld] is child 0; port is its child 0.
         let edit = TreeEdit::SetText {
             file: "my.cnf".into(),
             path: TreePath::root().child(0).child(0),
             text: Some("9999".into()),
         };
-        let map = touch_of_edits(&MYSQL_SCHEMA, &set, &[edit]);
-        assert_eq!(map.get("my.cnf"), Some(&directives(&["port"])));
+        assert_eq!(mysql_touch(edit), Some(directives(&["port"])));
     }
 
     #[test]
     fn comment_churn_touches_nothing_but_marks_the_file() {
-        let set = mysql_baseline();
         let edit = TreeEdit::SetText {
             file: "my.cnf".into(),
             path: TreePath::root().child(0).child(2),
             text: Some("# different notes".into()),
         };
-        let map = touch_of_edits(&MYSQL_SCHEMA, &set, &[edit]);
+        let map = touch_of(&MYSQL_SCHEMA, &mysql_baseline(), edit);
         assert_eq!(map.get("my.cnf"), Some(&directives(&[])));
 
         // A directive-scope test is unaffected; a whole-file reader
         // still sees the byte change.
         let smoke = MYSQL_SCHEMA.test("connect-and-query").unwrap();
         let dump = MYSQL_SCHEMA.test("mysqldump-tool").unwrap();
-        assert!(!test_is_impacted(smoke, &map));
-        assert!(test_is_impacted(dump, &map));
+        assert!(!PrunePlan::impacted(smoke.reads, &map));
+        assert!(PrunePlan::impacted(dump.reads, &map));
     }
 
     #[test]
     fn newlines_and_renames_escalate_conservatively() {
-        let set = mysql_baseline();
+        let port = TreePath::root().child(0).child(0);
         let newline = TreeEdit::SetText {
             file: "my.cnf".into(),
-            path: TreePath::root().child(0).child(0),
+            path: port.clone(),
             text: Some("3306\n[client]".into()),
         };
-        let map = touch_of_edits(&MYSQL_SCHEMA, &set, &[newline]);
-        assert_eq!(map.get("my.cnf"), Some(&FileTouch::WholeFile));
+        assert_eq!(mysql_touch(newline), Some(FileTouch::WholeFile));
 
-        let unsafe_rename = TreeEdit::SetAttr {
+        // `;port=3306` re-parses as a comment: the directive is gone.
+        let rename = |value: &str| TreeEdit::SetAttr {
             file: "my.cnf".into(),
-            path: TreePath::root().child(0).child(0),
+            path: port.clone(),
             key: "name".into(),
-            value: "po[rt".into(),
+            value: value.into(),
         };
-        let map = touch_of_edits(&MYSQL_SCHEMA, &set, &[unsafe_rename]);
-        assert_eq!(map.get("my.cnf"), Some(&FileTouch::WholeFile));
+        assert_eq!(mysql_touch(rename(";port")), Some(FileTouch::WholeFile));
+        // `po[rt=3306` still parses as one directive, named `po[rt`.
+        assert_eq!(
+            mysql_touch(rename("po[rt")),
+            Some(directives(&["po[rt", "port"]))
+        );
     }
 
     #[test]
     fn rename_touches_both_old_and_new_names() {
-        let set = mysql_baseline();
         let rename = TreeEdit::SetAttr {
             file: "my.cnf".into(),
             path: TreePath::root().child(0).child(1),
             key: "name".into(),
             value: "sort_buffer_siez".into(),
         };
-        let map = touch_of_edits(&MYSQL_SCHEMA, &set, &[rename]);
         assert_eq!(
-            map.get("my.cnf"),
-            Some(&directives(&["sort_buffer_size", "sort_buffer_siez"]))
+            mysql_touch(rename),
+            Some(directives(&["sort_buffer_size", "sort_buffer_siez"]))
         );
+    }
+
+    #[test]
+    fn structural_edits_touch_the_nodes_they_write() {
+        let section = TreePath::root().child(0);
+        let insert = |node: Node| TreeEdit::Insert {
+            file: "my.cnf".into(),
+            parent: section.clone(),
+            index: 1,
+            node,
+        };
+        let parsed = IniFormat::new().parse("user=mysql\n").unwrap();
+        let user = parsed.root().children()[0].clone();
+        assert_eq!(mysql_touch(insert(user)), Some(directives(&["user"])));
+        let header = Node::new("section").with_attr("name", "client");
+        assert_eq!(mysql_touch(insert(header)), Some(FileTouch::WholeFile));
+
+        let swap = TreeEdit::SwapChildren {
+            file: "my.cnf".into(),
+            parent: section.clone(),
+            i: 0,
+            j: 2,
+        };
+        assert_eq!(mysql_touch(swap), Some(directives(&["port"])));
+        let duplicate = TreeEdit::DuplicateAfter {
+            file: "my.cnf".into(),
+            path: section.child(1),
+        };
+        assert_eq!(
+            mysql_touch(duplicate),
+            Some(directives(&["sort_buffer_size"]))
+        );
+        let moved = TreeEdit::Move {
+            file: "my.cnf".into(),
+            from: section.child(0),
+            to_parent: TreePath::root(),
+            index: 0,
+        };
+        assert_eq!(mysql_touch(moved), Some(directives(&["port"])));
+        // A whole section is more than named directives.
+        let omitted = TreeEdit::Delete {
+            file: "my.cnf".into(),
+            path: section,
+        };
+        assert_eq!(mysql_touch(omitted), Some(FileTouch::WholeFile));
     }
 
     #[test]
@@ -504,13 +471,25 @@ mod tests {
 
     #[test]
     fn unrefinable_dialects_and_replace_tree_are_whole_file() {
-        let set = mysql_baseline();
         let replace = TreeEdit::ReplaceTree {
             file: "my.cnf".into(),
             tree: ConfTree::new(Node::new("config")),
         };
-        let map = touch_of_edits(&MYSQL_SCHEMA, &set, &[replace]);
-        assert_eq!(map.get("my.cnf"), Some(&FileTouch::WholeFile));
-        assert_eq!(whole_config_touch(&MYSQL_SCHEMA).len(), 1);
+        assert_eq!(mysql_touch(replace), Some(FileTouch::WholeFile));
+
+        // No tinydns line parses in place, so no data edit refines.
+        let tree = format_by_name("tinydns")
+            .unwrap()
+            .parse("+www.example.com:192.0.2.10:86400\n# note\n")
+            .unwrap();
+        let mut data = ConfigSet::new();
+        data.insert("data", tree);
+        let churn = TreeEdit::SetText {
+            file: "data".into(),
+            path: TreePath::root().child(1),
+            text: Some("# other".into()),
+        };
+        let map = touch_of(&DJBDNS_SCHEMA, &data, churn);
+        assert_eq!(map.get("data"), Some(&FileTouch::WholeFile));
     }
 }

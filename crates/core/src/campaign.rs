@@ -17,9 +17,11 @@
 //! re-parsing it at startup. A mutated file gets at most one parse per
 //! cold fault: the static linter judges that parse, and the SUT's start
 //! reuses it. A single-edit fault whose edited node parses in place
-//! ([`conferr_formats::ConfigFormat::parses_in_place`]) needs none,
-//! because its mutated tree already is the parse of its serialized
-//! bytes and shares every untouched subtree with the baseline. A
+//! ([`conferr_analysis::edit_parses_in_place`], asked once per cold
+//! single-edit fault, whose answer also bounds the fault's touch map)
+//! needs none, because its mutated tree already is the parse of its
+//! serialized bytes and shares every untouched subtree with the
+//! baseline. A
 //! campaign runs on the executor's serial loop over its borrowed SUT;
 //! for multi-core throughput, [`crate::CampaignExecutor`] shards fault
 //! loads across worker threads over the same kind of shared engine.
@@ -32,7 +34,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use conferr_analysis::{FaultLinter, Lint, PrunePlan, StaticVerdict, TouchMap};
+use conferr_analysis::{
+    edit_parses_in_place, FaultLinter, Lint, PrunePlan, StaticVerdict, TouchMap,
+};
 use conferr_formats::{format_by_name, ConfigFormat};
 use conferr_model::{
     ConfigSet, ErrorGenerator, FaultScenario, FaultSource, GenerateError, GeneratedFault, TreeEdit,
@@ -40,7 +44,7 @@ use conferr_model::{
 use conferr_sut::{
     ConfigPayload, Deadline, FileText, StartOutcome, SystemUnderTest, TextOrigin, Tier,
 };
-use conferr_tree::{diff, ConfTree};
+use conferr_tree::diff;
 use parking_lot::Mutex;
 
 use crate::executor::{serial_loop, SutSlot};
@@ -528,8 +532,8 @@ impl InjectionEngine {
     }
 
     /// The shared pre-flight linter, when the SUT publishes a
-    /// directive schema (e.g. to wrap a fault stream in a
-    /// [`conferr_analysis::LintedSource`]).
+    /// directive schema (e.g. to [lint](FaultLinter::lint) a fault on
+    /// its own, outside any campaign).
     pub fn linter(&self) -> Option<Arc<FaultLinter>> {
         self.analysis.as_ref().map(|a| Arc::clone(&a.linter))
     }
@@ -637,19 +641,21 @@ impl InjectionEngine {
         (prepared, parsed)
     }
 
-    /// The un-memoized preparation path. With a linter, every mutated
-    /// file gets its parse by the engine's format for it here, once:
-    /// the mutated tree itself when [`Self::known_parse`] proves it is
-    /// that parse, a full parse of the serialized bytes otherwise. The
-    /// linter judges that parse, and the copy of the payload that
-    /// carries it goes to the start, whose simulator then skips its
-    /// own parse of the same bytes.
+    /// The un-memoized preparation path. With a linter, a single-edit
+    /// fault gets one [`edit_parses_in_place`] answer, and every
+    /// mutated file gets its parse by the engine's format for it here,
+    /// once: the mutated tree itself when [`Self::known_parse`] takes
+    /// the answer as proof that it is that parse, a full parse of the
+    /// serialized bytes otherwise. The linter judges that parse with
+    /// the same answer, and the copy of the payload that carries it
+    /// goes to the start, whose simulator then skips its own parse of
+    /// the same bytes.
     fn prepare_cold(&self, scenario: &FaultScenario) -> (Prepared, Option<ConfigPayload>) {
         let edits = &scenario.edits;
         let linter = self.analysis.as_ref().map(|a| &a.linter);
         let unparsed = |diff, result| Prepared {
             diff,
-            lint: linter.map(|l| l.judge(edits, None)),
+            lint: linter.map(|l| l.judge(edits, false, None)),
             payload: Err(result),
         };
         let mutated = match scenario.apply(&self.baseline) {
@@ -674,68 +680,69 @@ impl InjectionEngine {
                 );
             }
         };
-        let parsed: Option<ConfigPayload> = linter.map(|_| {
-            let known = self.known_parse(edits, &mutated);
-            payload
-                .iter()
-                .map(|(file, text)| {
-                    let format = self.formats[file].as_ref();
-                    let text = match (text.origin(), known) {
-                        (TextOrigin::Baseline, _) => text.clone(),
-                        (TextOrigin::Mutated, Some((edited, tree))) if edited == file => {
-                            text.clone().with_known_parse(format, tree.clone())
-                        }
-                        (TextOrigin::Mutated, _) => text.clone().with_parse(format),
-                    };
-                    (file.to_string(), text)
-                })
-                .collect()
-        });
-        let reparsed = match (edits.as_slice(), &parsed) {
-            ([edit], Some(parsed)) => parsed
-                .get(edit.file())
-                .map(|text| text.parse_with(self.formats[edit.file()].as_ref())),
+        let Some(linter) = linter else {
+            let prepared = Prepared {
+                diff,
+                lint: None,
+                payload: Ok(payload),
+            };
+            return (prepared, None);
+        };
+        let single = match edits.as_slice() {
+            [edit] => Some(edit),
             _ => None,
         };
+        let in_place = single.is_some_and(|edit| {
+            let file = edit.file();
+            let format = self.formats[file].as_ref();
+            (self.baseline.get(file).zip(mutated.get(file)))
+                .is_some_and(|(before, after)| edit_parses_in_place(format, before, after, edit))
+        });
+        let known = single
+            .filter(|edit| self.known_parse(edit, in_place))
+            .map(TreeEdit::file);
+        let parsed: ConfigPayload = payload
+            .iter()
+            .map(|(file, text)| {
+                let format = self.formats[file].as_ref();
+                let text = match (text.origin(), mutated.get(file)) {
+                    (TextOrigin::Baseline, _) => text.clone(),
+                    (TextOrigin::Mutated, Some(tree)) if known == Some(file) => {
+                        text.clone().with_known_parse(format, tree.clone())
+                    }
+                    (TextOrigin::Mutated, _) => text.clone().with_parse(format),
+                };
+                (file.to_string(), text)
+            })
+            .collect();
+        let reparsed = single.and_then(|edit| {
+            let file = edit.file();
+            parsed
+                .get(file)
+                .map(|text| text.parse_with(self.formats[file].as_ref()))
+        });
         let prepared = Prepared {
             diff,
-            lint: linter.map(|l| l.judge(edits, reparsed.as_ref().map(Result::as_ref))),
+            lint: Some(linter.judge(edits, in_place, reparsed.as_ref().map(Result::as_ref))),
             payload: Ok(payload),
         };
-        (prepared, parsed)
+        (prepared, Some(parsed))
     }
 
-    /// The edited file and its mutated tree, when a single-edit fault
-    /// leaves that tree the parse of its own serialization, so the
-    /// fault needs no parse: the file is splice-ready (see
-    /// [`Self::new`]) and the edit is either a `SetText`/`SetAttr`
-    /// whose edited node parses in place or a non-root `Delete` of a
-    /// baseline node that does (see [`ConfigFormat::parses_in_place`]).
-    /// Every other line of the file then parses as in the baseline.
-    /// `None` sends the fault to the full parse.
-    fn known_parse<'m>(
-        &self,
-        edits: &'m [TreeEdit],
-        mutated: &'m ConfigSet,
-    ) -> Option<(&'m str, &'m ConfTree)> {
-        let [edit] = edits else {
-            return None;
-        };
-        let file = edit.file();
-        if !self.splice_ready.contains(file) {
-            return None;
-        }
-        let (tree, path) = match edit {
-            TreeEdit::SetText { path, .. } | TreeEdit::SetAttr { path, .. } => {
-                (mutated.get(file)?, path)
-            }
-            TreeEdit::Delete { path, .. } => (self.baseline.get(file)?, path),
-            _ => return None,
-        };
-        if path.is_root() || !self.formats[file].parses_in_place(tree.node_at(path).ok()?) {
-            return None;
-        }
-        Some((file, mutated.get(file)?))
+    /// Whether the mutated tree of a single-edit fault is the parse of
+    /// its own serialization, given the edit's [`edit_parses_in_place`]
+    /// answer, so the fault needs no parse: the answer is yes, the
+    /// file is splice-ready (see [`Self::new`]) and the edit is a
+    /// `SetText`, `SetAttr` or `Delete` (see
+    /// [`ConfigFormat::parses_in_place`]). Every other line of the
+    /// file then parses as in the baseline.
+    fn known_parse(&self, edit: &TreeEdit, in_place: bool) -> bool {
+        in_place
+            && self.splice_ready.contains(edit.file())
+            && matches!(
+                edit,
+                TreeEdit::SetText { .. } | TreeEdit::SetAttr { .. } | TreeEdit::Delete { .. }
+            )
     }
 
     /// Starts the SUT on one prepared payload and classifies its
@@ -1091,7 +1098,7 @@ mod tests {
     use conferr_keyboard::Keyboard;
     use conferr_model::{ErrorClass, StructuralKind, TypoKind};
     use conferr_plugins::{StructuralPlugin, TokenClass, TypoPlugin};
-    use conferr_sut::{MySqlSim, PostgresSim};
+    use conferr_sut::{ApacheSim, MySqlSim, PostgresSim};
     use conferr_tree::{Node, TreePath};
 
     #[test]
@@ -1192,15 +1199,23 @@ mod tests {
                 text: Some("5433".into()),
             }],
         };
-        let mutated = scenario.apply(engine.baseline()).unwrap();
-        let (file, tree) = engine.known_parse(&scenario.edits, &mutated).unwrap();
-        assert_eq!(file, "postgresql.conf");
+        assert!(engine.known_parse(&scenario.edits[0], true));
+        assert!(!engine.known_parse(&scenario.edits[0], false));
+        // The carried parse is the mutated tree, which still shares the
+        // untouched lines' nodes with the baseline.
+        let file = "postgresql.conf";
+        let (_, parsed) = engine.prepare(&scenario);
+        let parsed = parsed.unwrap();
+        let tree = parsed
+            .get(file)
+            .unwrap()
+            .parse_with(engine.formats[file].as_ref())
+            .unwrap();
         assert!(Node::ptr_eq(
             &tree.root().children()[1],
             &engine.baseline().get(file).unwrap().root().children()[1]
         ));
-        let (_, parsed) = engine.prepare(&scenario);
-        let text = parsed.unwrap().text(file).unwrap().to_string();
+        let text = parsed.text(file).unwrap().to_string();
         assert_eq!(text, CRLF_POSTGRES.replace("5432", "5433"));
     }
 
@@ -1285,6 +1300,52 @@ mod tests {
         assert!(parsed.is_some());
         assert!(!Arc::ptr_eq(&touch(&cold), &touch(&fresh)));
         assert_eq!(*touch(&cold), *touch(&fresh));
+    }
+
+    #[test]
+    fn prepared_lints_agree_with_the_standalone_linter() {
+        let suts: [Box<dyn SystemUnderTest>; 3] = [
+            Box::new(MySqlSim::new()),
+            Box::new(PostgresSim::new()),
+            Box::new(ApacheSim::new()),
+        ];
+        for mut sut in suts {
+            let engine = InjectionEngine::new(sut.as_mut(), None).unwrap();
+            engine.set_fault_memoization(false);
+            let linter = engine.linter().expect("the system publishes a schema");
+            let mut faults = StructuralPlugin::new().generate(engine.baseline()).unwrap();
+            for class in [
+                TokenClass::DirectiveNames,
+                TokenClass::DirectiveValues,
+                TokenClass::SectionNames,
+            ] {
+                let typos = TypoPlugin::new(Keyboard::qwerty_us(), class);
+                faults.extend(typos.generate(engine.baseline()).unwrap());
+            }
+            let mut refined = 0;
+            for fault in faults {
+                let GeneratedFault::Scenario(scenario) = fault else {
+                    continue;
+                };
+                if scenario.edits.len() != 1 {
+                    continue;
+                }
+                // The engine hands `judge` the in-place answer it also
+                // splices by; the standalone linter asks on its own.
+                let (prepared, _) = engine.prepare(&scenario);
+                let judged = prepared.lint.as_ref().expect("a linted system");
+                let linted = linter.lint(&scenario.edits);
+                assert_eq!(judged.verdict, linted.verdict, "{}", scenario.id);
+                assert_eq!(judged.touch, linted.touch, "{}", scenario.id);
+                refined += usize::from(
+                    !judged
+                        .touch
+                        .values()
+                        .any(|t| *t == conferr_analysis::FileTouch::WholeFile),
+                );
+            }
+            assert!(refined > 0, "{}: no touch map was refined", sut.name());
+        }
     }
 
     #[test]

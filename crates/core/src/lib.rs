@@ -79,7 +79,7 @@ pub use compare::{
     task_resilience, value_typo_resilience, ComparisonReport, DetectionBand, DirectiveResilience,
     SystemResilience,
 };
-pub use conferr_analysis::{FaultLinter, Lint, LintedSource, StaticVerdict, ValidationClass};
+pub use conferr_analysis::{FaultLinter, Lint, StaticVerdict, ValidationClass};
 pub use conferr_sut::Tier;
 pub use executor::{
     default_threads, sut_factory, CampaignBatch, CampaignExecutor, ExecutorCampaign, RetryPolicy,

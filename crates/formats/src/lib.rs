@@ -29,18 +29,22 @@
 //! Every parser preserves comments, blank lines and whitespace as tree
 //! nodes/attributes, so `serialize(parse(text)) == text` for
 //! well-formed inputs (the one documented exception: parenthesised
-//! multi-line records in zone files are normalised to one line). The
-//! line-based kv, INI and Apache parsers split lines at `\n` only, so
-//! a CRLF file keeps its `\r`s too. This fidelity matters for error
+//! multi-line records in zone files are normalised to one line). Every
+//! line-based parser (kv, INI, Apache, zone and tinydns) splits lines at
+//! `\n` only, so a CRLF file keeps its `\r`s too. This fidelity matters for error
 //! injection: a mutated configuration file differs from the original
 //! *only* by the injected error, exactly as if a human had made the
 //! mistake while editing.
 //!
 //! The formats marked in the last column also answer
 //! [`ConfigFormat::parses_in_place`]: whether one node's own lines
-//! parse back to that node wherever it stands. The campaign engine
-//! uses the answer to skip the parse of a file that differs from its
-//! baseline in that one node.
+//! parse back to that node wherever it stands. The answer, asked once
+//! per single-edit fault about every node the edit writes
+//! (`conferr_analysis::edit_parses_in_place`), decides two things: the
+//! campaign engine skips the parse of a file that differs from its
+//! baseline in that one node, and the static linter bounds the fault's
+//! touch map to the directives the edit writes, so test-impact
+//! pruning can skip the functional tests that read none of them.
 //!
 //! # Examples
 //!
@@ -114,11 +118,15 @@ pub trait ConfigFormat: std::fmt::Debug + Send + Sync {
     /// non-root node of the parse so that the edited node parses in
     /// place, or delete one non-root node that parses in place. The
     /// edited tree must then be the parse of its own serialization.
-    /// This holds where a line's meaning depends on no other line
+    /// Likewise, inserting, duplicating, moving or swapping nodes that
+    /// parse in place must leave every other line meaning what it
+    /// meant, which is what lets a touch map name only the written
+    /// nodes. Both hold where a line's meaning depends on no other line
     /// except through the sections that the node's own lines open and
     /// close, which is why only the line-based [`KvFormat`],
     /// [`IniFormat`] and [`ApacheFormat`] answer. The default, `false`,
-    /// is always sound: it only costs the caller a full parse.
+    /// is always sound: it only costs the caller a full parse and a
+    /// whole-file touch map.
     fn parses_in_place(&self, _node: &Node) -> bool {
         false
     }

@@ -27,6 +27,10 @@
 //! ├── comment = "# note"
 //! └── blank
 //! ```
+//!
+//! Lines split at `\n` only. A data line ending in `\r` (a CRLF file)
+//! keeps that `\r` in a `trailing="\r"` attribute, out of its fields;
+//! comments and blank lines keep it in their text.
 
 use conferr_tree::{ConfTree, Node};
 
@@ -62,12 +66,11 @@ impl ConfigFormat for TinyDnsFormat {
         if !input.is_empty() && !input.ends_with('\n') {
             root.set_attr("final_newline", "no");
         }
-        for (lineno, line) in input.lines().enumerate() {
+        for (lineno, line) in input.split_terminator('\n').enumerate() {
             let lineno = lineno + 1;
             if line.trim().is_empty() {
                 root.push_child(Node::new("blank").with_text(line));
-            } else if let Some(stripped) = line.strip_prefix('#') {
-                let _ = stripped;
+            } else if line.starts_with('#') {
                 root.push_child(Node::new("comment").with_text(line));
             } else {
                 let ty = line.chars().next().expect("non-empty line");
@@ -78,11 +81,16 @@ impl ConfigFormat for TinyDnsFormat {
                         format!("unknown record-type prefix {ty:?}"),
                     ));
                 }
-                root.push_child(
-                    Node::new("line")
-                        .with_attr("type", ty.to_string())
-                        .with_text(&line[ty.len_utf8()..]),
-                );
+                // A CRLF line's `\r` is no part of the last field.
+                let payload = &line[ty.len_utf8()..];
+                let fields = payload.strip_suffix('\r').unwrap_or(payload);
+                let mut node = Node::new("line")
+                    .with_attr("type", ty.to_string())
+                    .with_text(fields);
+                if fields.len() < payload.len() {
+                    node.set_attr("trailing", "\r");
+                }
+                root.push_child(node);
             }
         }
         Ok(ConfTree::new(root))
@@ -108,6 +116,7 @@ impl ConfigFormat for TinyDnsFormat {
                     }
                     out.push_str(ty);
                     out.push_str(child.text().unwrap_or(""));
+                    out.push_str(child.attr("trailing").unwrap_or(""));
                 }
                 other => {
                     return Err(SerializeError::new(
@@ -202,5 +211,17 @@ Cftp.example.com:www.example.com:86400
     #[test]
     fn final_newline_preserved() {
         roundtrip("=a.example.com:1.2.3.4");
+    }
+
+    #[test]
+    fn round_trips_crlf_line_endings() {
+        roundtrip("+www.example.com:192.0.2.10:86400\r\n");
+        roundtrip(&SAMPLE.replace('\n', "\r\n"));
+        let tree = TinyDnsFormat::new()
+            .parse("+www.example.com:192.0.2.10:86400\r\n")
+            .unwrap();
+        let line = &tree.root().children()[0];
+        assert_eq!(line.text(), Some("www.example.com:192.0.2.10:86400"));
+        assert_eq!(fields(line.text().unwrap())[2], "86400");
     }
 }

@@ -87,7 +87,10 @@ impl ConfigFormat for ZoneFormat {
         if !input.is_empty() && !input.ends_with('\n') {
             root.set_attr("final_newline", "no");
         }
-        let lines: Vec<&str> = input.lines().collect();
+        // Split at `\n` only: a CRLF line's `\r` lands in the
+        // `trailing` whitespace of its node, or in a comment's or
+        // blank line's text.
+        let lines: Vec<&str> = input.split_terminator('\n').collect();
         let mut i = 0;
         while i < lines.len() {
             let line = lines[i];
@@ -393,6 +396,14 @@ ftp\tIN CNAME www.example.com.
     #[test]
     fn round_trips_sample() {
         roundtrip(SAMPLE);
+    }
+
+    #[test]
+    fn round_trips_crlf_line_endings() {
+        roundtrip("www IN A 192.0.2.10\r\n");
+        roundtrip(&SAMPLE.replace('\n', "\r\n"));
+        let tree = ZoneFormat::new().parse("www IN A 192.0.2.10\r\n").unwrap();
+        assert_eq!(tree.root().children()[0].text(), Some("192.0.2.10"));
     }
 
     #[test]

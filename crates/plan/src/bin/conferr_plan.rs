@@ -31,7 +31,7 @@ generate options:
   --system <name>       simulator to drive
                         (mysql, postgres, apache, bind, djbdns, appserver)
   --seed <n>            plan-generator seed
-  --steps <k>           minimum step count
+  --steps <k>           minimum step count (at most 10000)
   --profile <name>      workload profile (operator-default, compound-heavy,
                         revert-happy; default operator-default)
   --property <name>     oracle to check: recovers-after-revert,
@@ -43,7 +43,9 @@ generate options:
   --threads <t>         executor threads (default 1; traces are
                         thread-count independent)
 
-chaos options (wrap the simulator in seeded misbehaviour):
+chaos options (wrap the simulator in seeded misbehaviour; each rate is
+at most 1000 per mille, and the panic, stall and fail rates sum to at
+most 1000):
   --chaos-seed <n>          chaos roll seed (default 0)
   --chaos-panic <pm>        start panic rate, per mille
   --chaos-stall <pm>        start stall rate, per mille
@@ -332,5 +334,78 @@ fn replay(opts: &Options, path: &Path) -> Result<(), CliError> {
         Err(CliError::Gate(
             "replay no longer violates the property".to_string(),
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn generate_args(extra: &[&str]) -> Vec<String> {
+        [
+            "--generate",
+            "--system",
+            "postgres",
+            "--seed",
+            "1",
+            "--steps",
+            "4",
+        ]
+        .iter()
+        .chain(extra)
+        .map(|arg| (*arg).to_string())
+        .collect()
+    }
+
+    /// Whether the options `extra` adds pass argument parsing, harness
+    /// construction and plan generation, without running the plan.
+    fn accepted(extra: &[&str]) -> bool {
+        let Ok(opts) = parse_args(&generate_args(extra)) else {
+            return false;
+        };
+        let steps = opts.steps.expect("the arguments set --steps");
+        PlanHarness::new("postgres", opts.chaos())
+            .and_then(|harness| harness.generate(&opts.profile, 1, steps))
+            .is_ok()
+    }
+
+    #[test]
+    fn chaos_rates_and_steps_accept_only_values_in_range() {
+        for extra in [
+            &["--chaos-panic", "5000"][..],
+            &["--chaos-fail-test", "1001"],
+            &[
+                "--chaos-panic",
+                "600",
+                "--chaos-stall",
+                "300",
+                "--chaos-fail",
+                "101",
+            ],
+            &["--steps", "10001"],
+            &["--steps", "100000000000"],
+        ] {
+            assert!(
+                matches!(run(&generate_args(extra)), Err(CliError::Usage(_))),
+                "{extra:?}"
+            );
+            assert!(!accepted(extra), "{extra:?}");
+        }
+        for extra in [
+            &["--chaos-panic", "1000"][..],
+            &[
+                "--chaos-panic",
+                "600",
+                "--chaos-stall",
+                "300",
+                "--chaos-fail",
+                "100",
+            ],
+            &["--chaos-fail-test", "1000"],
+            &["--steps", "10000"],
+        ] {
+            assert!(accepted(extra), "{extra:?}");
+        }
+        assert!(USAGE.contains(&format!("at most {}", conferr_plan::MAX_STEPS)));
     }
 }

@@ -36,6 +36,11 @@ use crate::shrink::{shrink, Selection, ShrinkReport};
 /// The systems a harness can target, by short name.
 pub const SYSTEMS: [&str; 6] = ["mysql", "postgres", "apache", "bind", "djbdns", "appserver"];
 
+/// The most steps [`PlanHarness::generate`] plans: far above any
+/// recorded counterexample, and small enough that a plan's step list
+/// is allocated up front.
+pub const MAX_STEPS: usize = 10_000;
+
 /// Errors from harness construction and replay.
 #[derive(Debug)]
 pub enum PlanError {
@@ -45,6 +50,11 @@ pub enum PlanError {
     UnknownProfile(String),
     /// The property name is not one of [`Property::ALL`].
     UnknownProperty(String),
+    /// The step count is above [`MAX_STEPS`].
+    TooManySteps(usize),
+    /// A chaos rate is above 1000 per mille, or the start rates (panic,
+    /// stall and failure, which split one roll) sum to more than 1000.
+    InvalidChaos(String),
     /// Plan execution failed in the campaign layer.
     Campaign(CampaignError),
 }
@@ -57,6 +67,10 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::UnknownProfile(name) => write!(f, "unknown workload profile {name:?}"),
             PlanError::UnknownProperty(name) => write!(f, "unknown property {name:?}"),
+            PlanError::InvalidChaos(why) => write!(f, "invalid chaos rates: {why}"),
+            PlanError::TooManySteps(steps) => {
+                write!(f, "{steps} steps is above the maximum of {MAX_STEPS}")
+            }
             PlanError::Campaign(e) => write!(f, "plan execution failed: {e}"),
         }
     }
@@ -95,6 +109,30 @@ fn chaos_factory(system: &str, config: ChaosConfig) -> Option<SutFactory> {
     })
 }
 
+/// Rejects per-mille rates a [`ChaosConfig`] cannot honour: any rate
+/// above 1000, or start rates summing past 1000 (the start actions
+/// split one roll in order, so the excess starves the later ones).
+fn check_chaos(spec: &ChaosSpec) -> Result<(), PlanError> {
+    let rates = [
+        ("panic", spec.panic_pm),
+        ("stall", spec.stall_pm),
+        ("fail", spec.fail_pm),
+        ("fail-test", spec.fail_test_pm),
+    ];
+    if let Some((name, pm)) = rates.iter().find(|(_, pm)| *pm > 1000) {
+        return Err(PlanError::InvalidChaos(format!(
+            "{name} rate {pm} is above 1000 per mille"
+        )));
+    }
+    let start = u64::from(spec.panic_pm) + u64::from(spec.stall_pm) + u64::from(spec.fail_pm);
+    if start > 1000 {
+        return Err(PlanError::InvalidChaos(format!(
+            "panic, stall and fail rates sum to {start}, above 1000 per mille"
+        )));
+    }
+    Ok(())
+}
+
 /// One system's plan-testing session: campaign, workload context and
 /// the generate / run / check / shrink / replay pipeline.
 #[derive(Debug)]
@@ -109,7 +147,17 @@ pub struct PlanHarness {
 impl PlanHarness {
     /// Builds a harness for one of [`SYSTEMS`], optionally wrapped in
     /// seeded chaos.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::UnknownSystem`] for a system outside [`SYSTEMS`];
+    /// [`PlanError::InvalidChaos`] when a chaos rate exceeds 1000 per
+    /// mille or the panic, stall and failure rates sum past 1000,
+    /// which would leave a later start action unreachable.
     pub fn new(system: &str, chaos: Option<ChaosSpec>) -> Result<Self, PlanError> {
+        if let Some(spec) = &chaos {
+            check_chaos(spec)?;
+        }
         let config = chaos.map_or_else(ChaosConfig::default, ChaosSpec::to_config);
         let factory = chaos_factory(system, config)
             .ok_or_else(|| PlanError::UnknownSystem(system.to_string()))?;
@@ -155,7 +203,15 @@ impl PlanHarness {
     }
 
     /// Generates the deterministic plan for `(profile, seed, steps)`.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::UnknownProfile`] for an unknown profile name;
+    /// [`PlanError::TooManySteps`] when `steps` exceeds [`MAX_STEPS`].
     pub fn generate(&self, profile: &str, seed: u64, steps: usize) -> Result<FaultPlan, PlanError> {
+        if steps > MAX_STEPS {
+            return Err(PlanError::TooManySteps(steps));
+        }
         let profile = WorkloadProfile::by_name(profile)
             .ok_or_else(|| PlanError::UnknownProfile(profile.to_string()))?;
         let ctx = PlanContext {

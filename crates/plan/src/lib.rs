@@ -79,6 +79,6 @@ mod shrink;
 
 pub use bugbase::{BugBase, BugBaseError, BugRecord, ChaosSpec};
 pub use generate::{single_faults, PlanContext, PlanGenerator, WorkloadProfile};
-pub use harness::{PlanError, PlanHarness, ReplayResult, SYSTEMS};
+pub use harness::{PlanError, PlanHarness, ReplayResult, MAX_STEPS, SYSTEMS};
 pub use property::{Property, Violation};
 pub use shrink::{is_subplan, shrink, Selection, ShrinkReport};

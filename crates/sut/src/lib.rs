@@ -324,6 +324,42 @@ mod tests {
     use super::*;
 
     #[test]
+    fn dns_sims_start_crlf_copies_of_their_defaults_like_the_originals() {
+        let deadline = Deadline::unlimited();
+        let sims: [Box<dyn SystemUnderTest>; 2] =
+            [Box::new(BindSim::new()), Box::new(DjbdnsSim::new())];
+        for mut sut in sims {
+            let lf = default_configs(sut.as_ref());
+            let crlf: BTreeMap<String, String> = lf
+                .iter()
+                .map(|(file, text)| (file.clone(), text.replace('\n', "\r\n")))
+                .collect();
+            // Each CRLF file survives the parse and serialization that
+            // every untouched file of a campaign goes through.
+            for spec in sut.config_files() {
+                let format = conferr_formats::format_by_name(&spec.format).unwrap();
+                let text = &crlf[&spec.name];
+                let tree = format.parse(text).unwrap();
+                assert_eq!(&format.serialize(&tree).unwrap(), text, "{}", spec.name);
+            }
+            let mut run = |texts: &BTreeMap<String, String>| {
+                let start = sut.start(&ConfigPayload::from_texts(texts), &deadline);
+                let tests: Vec<TestOutcome> = sut
+                    .test_names()
+                    .iter()
+                    .map(|test| sut.run_test(test, &deadline))
+                    .collect();
+                sut.stop();
+                (start, tests)
+            };
+            let original = run(&lf);
+            assert_eq!(original.0, StartOutcome::Started);
+            assert!(original.1.iter().all(|t| *t == TestOutcome::Passed));
+            assert_eq!(run(&crlf), original);
+        }
+    }
+
+    #[test]
     fn outcome_accessors() {
         assert!(StartOutcome::Started.is_running());
         assert!(StartOutcome::StartedWithWarnings {

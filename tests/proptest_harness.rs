@@ -1,11 +1,16 @@
 //! Cross-crate property tests: arbitrary injections must never break
 //! the pipeline's invariants.
 
+use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
 use conferr::{
     sut_factory, Campaign, CampaignExecutor, CollectingSink, ExecutorCampaign, InjectionOutcome,
     InjectionResult, CHUNK_SIZE,
+};
+use conferr_analysis::{
+    edit_parses_in_place, touch_of_edit, DirectiveSchema, FileTouch, APACHE_SCHEMA, MYSQL_SCHEMA,
+    POSTGRES_SCHEMA,
 };
 use conferr_formats::format_by_name;
 use conferr_keyboard::Keyboard;
@@ -15,7 +20,7 @@ use conferr_model::{
 };
 use conferr_plugins::{TokenClass, TypoPlugin};
 use conferr_sut::{MySqlSim, PostgresSim};
-use conferr_tree::{NodeQuery, TreePath};
+use conferr_tree::{ConfTree, Node, NodeQuery, TreePath};
 use proptest::prelude::*;
 
 /// Arbitrary printable-ASCII value strings, including empty and
@@ -244,6 +249,176 @@ proptest! {
             }
         }
     }
+}
+
+/// A dialect's directive-name resolution: the canonical names a raw
+/// spelling can stand for.
+type Canonical = fn(&str) -> Vec<String>;
+
+/// The schema, file name and directive-name resolution that govern a
+/// generated document of `format`.
+fn linted_as(format: &str) -> (&'static DirectiveSchema, &'static str, Canonical) {
+    match format {
+        "kv" => (&POSTGRES_SCHEMA, "postgresql.conf", |raw| {
+            vec![conferr_analysis::postgres::canonical_name(raw)]
+        }),
+        "ini" => (
+            &MYSQL_SCHEMA,
+            "my.cnf",
+            conferr_analysis::mysql::canonical_names,
+        ),
+        _ => (&APACHE_SCHEMA, "httpd.conf", |raw| {
+            vec![conferr_analysis::apache::canonical_name(raw)]
+        }),
+    }
+}
+
+/// Every directive of `node`'s subtree whose canonical names all lie
+/// outside `touched`, in document order, with the sections around it.
+fn untouched_directives(
+    node: &Node,
+    sections: &mut Vec<Node>,
+    canonical: Canonical,
+    touched: &BTreeSet<String>,
+    out: &mut Vec<(Vec<Node>, Node)>,
+) {
+    for child in node.children() {
+        match child.kind() {
+            "directive" => {
+                let names = canonical(child.attr("name").unwrap_or(""));
+                if !names.iter().any(|n| touched.contains(n)) {
+                    out.push((sections.clone(), child.clone()));
+                }
+            }
+            "section" => {
+                let mut header = child.clone();
+                header.children_mut().clear();
+                sections.push(header);
+                untouched_directives(child, sections, canonical, touched, out);
+                sections.pop();
+            }
+            _ => {}
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Touch maps are sound: in a kv, INI or Apache document, LF or
+    /// CRLF, one edit of any kind whose touch map names directives `S`
+    /// leaves every directive whose canonical names lie outside `S`
+    /// parsing as before — same node, same order, same sections.
+    #[test]
+    fn a_directives_touch_map_bounds_what_an_edit_changes(
+        format in prop::sample::select(vec!["kv", "ini", "apache"]),
+        lines in prop::collection::vec((0u8..5, "[A-Za-z_]{1,8}", "[ -~]{0,10}"), 1..14),
+        crlf in any::<bool>(),
+        (op, at, to) in (0u8..8, 0usize..64, 0usize..64),
+        key in prop::sample::select(vec!["name", "sep", "trailing", "indent", "args", "bare"]),
+        value in arb_edit_string(),
+        (line, retext) in ((0u8..5, "[A-Za-z_]{1,8}", "[ -~]{0,10}"), any::<bool>()),
+    ) {
+        let fmt = format_by_name(format).unwrap();
+        let (_, file, _) = linted_as(format);
+        let text = render_doc(format, &lines, crlf);
+        let mut baseline = ConfigSet::new();
+        baseline.insert(file, fmt.parse(&text).unwrap());
+        let tree = baseline.get(file).unwrap();
+        let paths: Vec<TreePath> = tree.iter().skip(1).map(|(path, _)| path).collect();
+        let parents: Vec<TreePath> = tree
+            .iter()
+            .filter(|(_, node)| matches!(node.kind(), "config" | "section"))
+            .map(|(path, _)| path)
+            .collect();
+        let pick = |list: &[TreePath], i: usize| list.get(i % list.len().max(1)).cloned();
+        // A node to insert: one rendered line as the format parses it,
+        // sometimes with arbitrary text that may not parse back.
+        let mut inserted = fmt
+            .parse(&render_doc(format, &[line], crlf))
+            .unwrap()
+            .root()
+            .children()
+            .first()
+            .cloned()
+            .unwrap_or_else(|| Node::new("blank"));
+        if retext {
+            inserted.set_text(Some(value.clone()));
+        }
+        let file = file.to_string();
+        let edit = match (op, pick(&paths, at), pick(&parents, to)) {
+            (0, Some(path), _) => Some(TreeEdit::SetText { file, path, text: Some(value) }),
+            (1, Some(path), _) => {
+                Some(TreeEdit::SetAttr { file, path, key: key.to_string(), value })
+            }
+            (2, Some(path), _) => Some(TreeEdit::Delete { file, path }),
+            (3, Some(path), _) => Some(TreeEdit::DuplicateAfter { file, path }),
+            (4, Some(from), Some(to_parent)) => {
+                Some(TreeEdit::Move { file, from, to_parent, index: to % 4 })
+            }
+            (5, _, Some(parent)) => {
+                Some(TreeEdit::Insert { file, parent, index: at % 6, node: inserted })
+            }
+            (6, _, Some(parent)) => {
+                Some(TreeEdit::SwapChildren { file, parent, i: at % 5, j: to % 5 })
+            }
+            (7, _, _) => {
+                let tree = ConfTree::new(Node::new("config"));
+                Some(TreeEdit::ReplaceTree { file, tree })
+            }
+            _ => None,
+        };
+        if let Some(edit) = edit {
+            assert_touch_is_sound(format, &baseline, edit);
+        }
+    }
+}
+
+/// The touch-soundness property for one edit of the generated
+/// `format` document in `baseline`: when the edit applies and its
+/// touch map names directives `S`, every directive whose canonical
+/// names lie outside `S` parses as before. The touch map is the
+/// linter's rule before any verdict widens it, so the property holds
+/// whether or not the edited file validates.
+fn assert_touch_is_sound(format: &str, baseline: &ConfigSet, edit: TreeEdit) {
+    let fmt = format_by_name(format).unwrap();
+    let (schema, file, canonical) = linted_as(format);
+    let scenario = FaultScenario {
+        id: "prop-touch".into(),
+        description: "one edit".into(),
+        class: ErrorClass::Typo(TypoKind::Substitution),
+        edits: vec![edit.clone()],
+    };
+    let Ok(mutated) = scenario.apply(baseline) else {
+        return;
+    };
+    let (before, edited) = (baseline.get(file).unwrap(), mutated.get(file).unwrap());
+    // An inexpressible tree has no bytes for a SUT to read.
+    let Ok(bytes) = fmt.serialize(edited) else {
+        return;
+    };
+    let in_place = edit_parses_in_place(fmt.as_ref(), before, edited, &edit);
+    let touch = touch_of_edit(schema, baseline, &edit, in_place);
+    let Some(FileTouch::Directives(touched)) = touch.get(file) else {
+        return;
+    };
+    let doc = fmt.serialize(before).unwrap();
+    let after = fmt
+        .parse(&bytes)
+        .unwrap_or_else(|e| panic!("{format} document {doc:?} edited by {edit:?}: {e}"));
+    let (mut kept, mut now) = (Vec::new(), Vec::new());
+    untouched_directives(
+        before.root(),
+        &mut Vec::new(),
+        canonical,
+        touched,
+        &mut kept,
+    );
+    untouched_directives(after.root(), &mut Vec::new(), canonical, touched, &mut now);
+    assert!(
+        kept == now,
+        "{format} document {doc:?} edited by {edit:?} to {bytes:?} touches only {touched:?}"
+    );
 }
 
 proptest! {

@@ -13,22 +13,23 @@
 //!   optimisation — profiles byte-identical to the unpruned reference,
 //!   serially and at every thread count.
 //!
-//! Plus the supporting contracts: `LintedSource` transparency inside a
-//! real campaign, and the `examples/configs/` drift guard that keeps
-//! the CI lint gate's inputs honest.
+//! Plus the supporting contracts: the standalone `FaultLinter::lint`
+//! agreeing with the engine's verdicts in a real campaign, and the
+//! `examples/configs/` drift guard that keeps the CI lint gate's
+//! inputs honest.
 
 use std::path::Path;
 
 use conferr::{
-    profile_to_json, sut_factory, Campaign, CampaignExecutor, CollectingSink, ExecutorCampaign,
-    InjectionResult, LintedSource, ResilienceProfile, StaticVerdict,
+    profile_to_json, sut_factory, Campaign, CampaignExecutor, ExecutorCampaign, InjectionResult,
+    ResilienceProfile, StaticVerdict,
 };
 use conferr_analysis::{Dialect, DirectiveSchema, FileSchema};
 use conferr_bench::{all_typos, table1_faultload, DEFAULT_SEED};
 use conferr_keyboard::Keyboard;
 use conferr_model::{
-    ConfigSet, EagerSource, ErrorClass, ErrorGenerator, FaultScenario, GeneratedFault,
-    StructuralKind, TreeEdit, TypoKind,
+    ConfigSet, ErrorClass, ErrorGenerator, FaultScenario, GeneratedFault, StructuralKind, TreeEdit,
+    TypoKind,
 };
 use conferr_plugins::{VariationClass, VariationPlugin};
 use conferr_sut::{
@@ -363,51 +364,33 @@ fn pruned_profile_is_byte_identical_over_table2_variations() {
 }
 
 // ---------------------------------------------------------------------------
-// LintedSource inside a real campaign.
+// The standalone linter agrees with the engine.
 // ---------------------------------------------------------------------------
 
-/// Streams one system's Table 1 load through a [`LintedSource`] over
-/// the campaign's own linter and checks two things: the stream is
-/// transparent, and the standalone `FaultLinter::lint` round trip the
-/// observer sees agrees, verdict for verdict, with the lint the engine
-/// judges from its own parse.
-fn assert_linted_source_is_transparent(make_sut: impl Fn() -> Box<dyn SystemUnderTest>) {
-    let mut sut = make_sut();
-    let mut campaign = Campaign::new(sut.as_mut()).expect("campaign");
-    let faults = table1_faultload(campaign.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
-    let total = faults.len();
-    let reference = campaign.run_faults(faults.clone()).expect("run");
-
+/// Runs one system's Table 1 load and checks that the standalone
+/// `FaultLinter::lint` round trip over the campaign's own linter
+/// agrees, verdict for verdict, with the lint the engine judges from
+/// its own parse.
+fn assert_standalone_lint_agrees(make_sut: impl Fn() -> Box<dyn SystemUnderTest>) {
     let mut sut = make_sut();
     let name = sut.name().to_string();
     let mut campaign = Campaign::new(sut.as_mut()).expect("campaign");
+    let faults = table1_faultload(campaign.baseline(), &Keyboard::qwerty_us(), DEFAULT_SEED);
     let linter = campaign
         .engine()
         .linter()
         .expect("the system publishes a schema");
-    let mut observed = Vec::new();
-    let mut source = LintedSource::new(EagerSource::new(faults), linter, |fault, lint| {
-        let id = match fault {
-            GeneratedFault::Scenario(s) => s.id.clone(),
-            GeneratedFault::Inexpressible { id, .. } => id.clone(),
-        };
-        observed.push((id, lint.verdict.clone()));
-    });
-    let mut sink = CollectingSink::with_capacity(total);
-    campaign
-        .run_source(&mut source, &mut sink)
-        .expect("streamed run");
-    let streamed = sink.into_profile(&name);
-    drop(source);
+    let standalone: Vec<(String, StaticVerdict)> = faults
+        .iter()
+        .map(|fault| match fault {
+            GeneratedFault::Scenario(s) => (s.id.clone(), linter.lint(&s.edits).verdict),
+            GeneratedFault::Inexpressible { id, .. } => (id.clone(), StaticVerdict::Unknown),
+        })
+        .collect();
+    let profile = campaign.run_faults(faults).expect("run");
 
-    // Transparent: the streamed profile is byte-identical to the plain
-    // run over the same faults.
-    assert_eq!(profile_to_json(&reference), profile_to_json(&streamed));
-    // Exhaustive: one observation per fault, in order, and each
-    // observed verdict matches the annotated outcome (the serial
-    // campaign applies no downgrades beyond the engine's own).
-    assert_eq!(observed.len(), total);
-    for ((id, verdict), outcome) in observed.iter().zip(streamed.outcomes()) {
+    assert_eq!(standalone.len(), profile.len());
+    for ((id, verdict), outcome) in standalone.iter().zip(profile.outcomes()) {
         assert_eq!(id, &outcome.id);
         match verdict {
             // The engine may downgrade SemanticallySilent to Unknown
@@ -428,10 +411,10 @@ fn assert_linted_source_is_transparent(make_sut: impl Fn() -> Box<dyn SystemUnde
 }
 
 #[test]
-fn linted_source_observes_every_fault_and_stays_transparent() {
-    assert_linted_source_is_transparent(|| Box::new(MySqlSim::new()));
-    assert_linted_source_is_transparent(|| Box::new(PostgresSim::new()));
-    assert_linted_source_is_transparent(|| Box::new(ApacheSim::new()));
+fn standalone_lint_agrees_with_the_engine_on_table1() {
+    assert_standalone_lint_agrees(|| Box::new(MySqlSim::new()));
+    assert_standalone_lint_agrees(|| Box::new(PostgresSim::new()));
+    assert_standalone_lint_agrees(|| Box::new(ApacheSim::new()));
 }
 
 // ---------------------------------------------------------------------------
