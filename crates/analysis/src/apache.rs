@@ -452,17 +452,17 @@ pub fn startup_model(root: &Node) -> Result<StartupModel, Violation> {
     })
 }
 
-/// The semantic fingerprint the linter compares against the baseline:
-/// the full startup model (service shape *and* warnings) determines
-/// both the start outcome and the `http-get` probe's response.
+/// The semantic fingerprint the linter compares against the
+/// baseline's with `==`: the full startup model (service shape *and*
+/// warnings) determines both the start outcome and the `http-get`
+/// probe's response.
 ///
 /// # Errors
 ///
 /// The first fatal [`Violation`], when validation fails.
-pub fn fingerprint(root: &Node) -> Result<String, Violation> {
+pub fn fingerprint(root: &Node) -> Result<StartupModel, Violation> {
     validate_tree(root)?;
-    let model = startup_model(root)?;
-    Ok(format!("{model:?}"))
+    startup_model(root)
 }
 
 #[cfg(test)]

@@ -4,9 +4,11 @@
 //! A verdict is judged on the bytes the simulator starts from: the
 //! edited file serialized with its real format and parsed again with
 //! the real parser. [`FaultLinter::judge`] takes that parse (or its
-//! `ParseError`) and evaluates the extracted dialect model against the
-//! baseline fingerprint. The injection engine hands it the parse it
-//! makes once per fault and then passes on to the SUT's start.
+//! `ParseError`), runs the extracted dialect validator over it and
+//! compares the typed model the validator returns (the dialect's
+//! `fingerprint`: resolved values, service shape, warnings) with the
+//! baseline's model by `==`. The injection engine hands it the parse
+//! it makes once per fault and then passes on to the SUT's start.
 //! [`FaultLinter::lint`] is the standalone entry point: it runs the
 //! round trip itself (apply to the baseline, serialize, parse) and
 //! judges the result. Because every stage reuses the exact code the
@@ -23,7 +25,8 @@ use conferr_tree::{ConfTree, Node};
 
 use crate::schema::{Dialect, DirectiveSchema};
 use crate::touch::{edit_parses_in_place, touch_of_edit, FileTouch, TouchMap};
-use crate::verdict::StaticVerdict;
+use crate::value::RegistryValues;
+use crate::verdict::{StaticVerdict, Violation};
 
 static EMPTY_TOUCH: LazyLock<Arc<TouchMap>> = LazyLock::new(|| Arc::new(TouchMap::new()));
 
@@ -68,16 +71,17 @@ impl Lint {
 /// Pre-flight linter for one system's fault space.
 ///
 /// Construction captures the baseline [`ConfigSet`] and computes each
-/// modeled file's baseline fingerprint through the same
-/// serialize→re-parse round trip later applied to edited trees, so
-/// fingerprint comparisons never see formatting noise. The linter is
-/// `Sync` and keeps no per-fault state; campaigns share one across
-/// worker threads.
+/// modeled file's baseline model (its dialect's typed fingerprint)
+/// through the same serialize→re-parse round trip later applied to
+/// edited trees, so model comparisons never see formatting noise. A
+/// fault whose edited file validates to a model `==` the baseline's
+/// is `SemanticallySilent`. The linter is `Sync` and keeps no
+/// per-fault state; campaigns share one across worker threads.
 pub struct FaultLinter {
     schema: &'static DirectiveSchema,
     baseline: ConfigSet,
     formats: BTreeMap<&'static str, Box<dyn ConfigFormat>>,
-    baseline_fps: BTreeMap<&'static str, Option<String>>,
+    baseline_models: BTreeMap<&'static str, Option<DialectModel>>,
 }
 
 impl std::fmt::Debug for FaultLinter {
@@ -102,21 +106,21 @@ impl FaultLinter {
                 .ok_or_else(|| format!("{}: unknown format '{}'", schema.system, fs.format))?;
             formats.insert(fs.file, format);
         }
-        let mut baseline_fps = BTreeMap::new();
+        let mut baseline_models = BTreeMap::new();
         for fs in schema.files {
-            let fp = baseline.get(fs.file).and_then(|tree| {
+            let model = baseline.get(fs.file).and_then(|tree| {
                 let format = formats.get(fs.file)?;
                 let text = format.serialize(tree).ok()?;
                 let reparsed = format.parse(&text).ok()?;
-                dialect_fingerprint(fs.dialect, reparsed.root())
+                dialect_check(fs.dialect, reparsed.root())?.ok()
             });
-            baseline_fps.insert(fs.file, fp);
+            baseline_models.insert(fs.file, model);
         }
         Ok(FaultLinter {
             schema,
             baseline,
             formats,
-            baseline_fps,
+            baseline_models,
         })
     }
 
@@ -204,10 +208,10 @@ impl FaultLinter {
             }
         };
 
-        if !fs.dialect.is_fully_modeled() {
+        let Some(checked) = dialect_check(fs.dialect, tree.root()) else {
             return Lint::undecided(refined());
-        }
-        match dialect_check(fs.dialect, tree.root()) {
+        };
+        match checked {
             Err(violation) => {
                 // The shared decider's message *is* the simulator's
                 // startup diagnostic, verbatim.
@@ -218,12 +222,12 @@ impl FaultLinter {
                     diagnostic,
                 }
             }
-            Ok(fp) => {
+            Ok(model) => {
                 let silent = self
-                    .baseline_fps
+                    .baseline_models
                     .get(file)
                     .and_then(Option::as_ref)
-                    .is_some_and(|base| *base == fp);
+                    .is_some_and(|base| *base == model);
                 Lint {
                     verdict: if silent {
                         StaticVerdict::SemanticallySilent
@@ -244,22 +248,26 @@ fn whole_file_touch(file: &str) -> TouchMap {
     map
 }
 
-/// Runs the dialect's validator and returns the semantic fingerprint.
-fn dialect_check(dialect: Dialect, root: &Node) -> Result<String, crate::verdict::Violation> {
-    match dialect {
-        Dialect::MySqlIni => crate::mysql::fingerprint(root),
-        Dialect::PostgresKv => crate::postgres::fingerprint(root),
-        Dialect::ApacheHttpd => crate::apache::fingerprint(root),
-        Dialect::TinyDns => crate::tinydns::fingerprint(root),
-        Dialect::BindZone | Dialect::AppServerXml => Ok(String::new()),
-    }
+/// A fully modeled dialect's typed fingerprint of one file:
+/// everything its functional tests can observe.
+#[derive(Debug, PartialEq)]
+enum DialectModel {
+    MySql(crate::mysql::ServerModel),
+    Postgres(RegistryValues),
+    Apache(crate::apache::StartupModel),
+    TinyDns(Vec<(String, String)>),
 }
 
-fn dialect_fingerprint(dialect: Dialect, root: &Node) -> Option<String> {
-    if !dialect.is_fully_modeled() {
-        return None;
-    }
-    dialect_check(dialect, root).ok()
+/// Runs the dialect's validator and returns its model, or `None` when
+/// the dialect is not [fully modeled](Dialect::is_fully_modeled).
+fn dialect_check(dialect: Dialect, root: &Node) -> Option<Result<DialectModel, Violation>> {
+    Some(match dialect {
+        Dialect::MySqlIni => crate::mysql::fingerprint(root).map(DialectModel::MySql),
+        Dialect::PostgresKv => crate::postgres::fingerprint(root).map(DialectModel::Postgres),
+        Dialect::ApacheHttpd => crate::apache::fingerprint(root).map(DialectModel::Apache),
+        Dialect::TinyDns => crate::tinydns::fingerprint(root).map(DialectModel::TinyDns),
+        Dialect::BindZone | Dialect::AppServerXml => return None,
+    })
 }
 
 /// Per-file node statistics for the `conferr-lint` CLI: how much of a
@@ -274,7 +282,7 @@ pub struct FileSurvey {
     /// Nodes whose semantics the dialect model captures.
     pub known: usize,
     /// Violations the static model detects in the file as-is.
-    pub violations: Vec<crate::verdict::Violation>,
+    pub violations: Vec<Violation>,
 }
 
 impl FileSurvey {

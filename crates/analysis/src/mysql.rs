@@ -8,13 +8,14 @@
 //! latent tool-section errors) therefore behaves identically on the
 //! static and dynamic paths.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::sync::LazyLock;
 
 use conferr_tree::Node;
 
 use crate::value::{
     parse_bool_mysql, parse_int_strict, parse_size_mysql, resolve_prefix, DirectiveSpec,
-    MySqlParse, PrefixError, ValueType,
+    MySqlParse, PrefixError, RegistryValues, ValueType,
 };
 use crate::verdict::{ValidationClass, Violation};
 
@@ -362,29 +363,32 @@ pub fn normalize_name(name: &str) -> String {
 /// every directive an edit *could* bind to.
 pub fn canonical_names(raw: &str) -> Vec<String> {
     let name = normalize_name(raw);
-    match resolve_prefix(SERVER_REGISTRY.iter().map(|s| s.name), &name) {
-        Ok(n) => vec![n.to_string()],
+    match resolve_prefix(server_names(), &name) {
+        Ok(i) => vec![SERVER_REGISTRY[i].name.to_string()],
         Err(PrefixError::Unknown) => vec![name],
         Err(PrefixError::Ambiguous { candidates }) => candidates,
     }
 }
 
+/// The server variables' names, in registry order.
+fn server_names() -> impl Iterator<Item = &'static str> + Clone {
+    SERVER_REGISTRY.iter().map(|s| s.name)
+}
+
+/// Every server variable at its default: the table each validation
+/// starts from.
+static SERVER_DEFAULTS: LazyLock<RegistryValues> = LazyLock::new(|| {
+    RegistryValues::new(SERVER_REGISTRY, SERVER_REGISTRY.iter().map(|s| s.default))
+});
+
 /// Parses and validates one `[mysqld]` directive, applying the
-/// lenient value discipline. Inserts the resolved `(name, value)`
-/// into `vars` or reports the fatal startup diagnostic.
-///
-/// # Errors
-///
-/// A [`Violation`] whose `message` is the verbatim `mysqld` startup
-/// diagnostic.
-pub fn absorb_server_directive(
-    vars: &mut BTreeMap<String, String>,
-    node: &Node,
-) -> Result<(), Violation> {
+/// lenient value discipline. Stores the resolved value in `vars` or
+/// reports the fatal startup diagnostic.
+fn absorb_server_directive(vars: &mut RegistryValues, node: &Node) -> Result<(), Violation> {
     let raw_name = node.attr("name").unwrap_or("");
     let name = normalize_name(raw_name);
-    let spec_name = match resolve_prefix(SERVER_REGISTRY.iter().map(|s| s.name), &name) {
-        Ok(n) => n,
+    let index = match resolve_prefix(server_names(), &name) {
+        Ok(i) => i,
         Err(PrefixError::Unknown) => {
             return Err(Violation::new(
                 name,
@@ -403,32 +407,31 @@ pub fn absorb_server_directive(
             ));
         }
     };
-    let spec = SERVER_REGISTRY
-        .iter()
-        .find(|s| s.name == spec_name)
-        .expect("resolved name is in the registry");
+    let spec = &SERVER_REGISTRY[index];
+    let spec_name = spec.name;
+    let default = Cow::Borrowed(spec.default);
     let bare = node.attr("bare") == Some("yes");
     let raw_value = node.text().unwrap_or("");
 
     let value = if bare {
         match spec.vtype {
             // A bare option enables boolean flags ...
-            ValueType::Bool => "1".to_string(),
+            ValueType::Bool => Cow::Borrowed("1"),
             // ... and is silently replaced by the default for
             // value-carrying directives (flaw).
-            _ => spec.default.to_string(),
+            _ => default,
         }
     } else if raw_value.is_empty() && !matches!(spec.vtype, ValueType::Bool) {
         // FLAW (paper §5.2): directives without a value are
         // accepted and replaced with defaults.
-        spec.default.to_string()
+        default
     } else {
         match spec.vtype {
             ValueType::Int { min, max } => match parse_int_strict(raw_value) {
-                Some(v) if v >= min && v <= max => v.to_string(),
+                Some(v) if v >= min && v <= max => Cow::Owned(v.to_string()),
                 // FLAW (paper §5.2): out-of-bounds values are
                 // silently ignored and the default used instead.
-                Some(_) => spec.default.to_string(),
+                Some(_) => default,
                 None => {
                     return Err(Violation::new(
                         spec_name,
@@ -443,11 +446,11 @@ pub fn absorb_server_directive(
             ValueType::Size { min, max } => match parse_size_mysql(raw_value) {
                 // FLAW: suffix parsing stops at the first
                 // multiplier symbol, so "1M0" lands here as 1 MiB.
-                MySqlParse::Value(v) if v >= min && v <= max => v.to_string(),
+                MySqlParse::Value(v) if v >= min && v <= max => Cow::Owned(v.to_string()),
                 // FLAW: out-of-bounds → silent default.
-                MySqlParse::Value(_) => spec.default.to_string(),
+                MySqlParse::Value(_) => default,
                 // FLAW: suffix-leading values → silent default.
-                MySqlParse::SilentDefault => spec.default.to_string(),
+                MySqlParse::SilentDefault => default,
                 MySqlParse::Invalid => {
                     return Err(Violation::new(
                         spec_name,
@@ -457,7 +460,7 @@ pub fn absorb_server_directive(
                 }
             },
             ValueType::Bool => match parse_bool_mysql(raw_value) {
-                Some(v) => u8::from(v).to_string(),
+                Some(v) => Cow::Borrowed(if v { "1" } else { "0" }),
                 // Boolean typos ARE detected (paper §5.5 excludes
                 // booleans because both systems catch them).
                 None => {
@@ -472,7 +475,7 @@ pub fn absorb_server_directive(
             },
             ValueType::Enum(options) => {
                 match options.iter().find(|o| o.eq_ignore_ascii_case(raw_value)) {
-                    Some(o) => o.to_string(),
+                    Some(o) => Cow::Borrowed(*o),
                     None => {
                         return Err(Violation::new(
                             spec_name,
@@ -485,27 +488,23 @@ pub fn absorb_server_directive(
                     }
                 }
             }
-            ValueType::Float { .. } | ValueType::Text => raw_value.to_string(),
+            ValueType::Float { .. } | ValueType::Text => Cow::Owned(raw_value.to_string()),
         }
     };
-    vars.insert(spec_name.to_string(), value);
+    vars.set(index, value);
     Ok(())
 }
 
-/// The `mysqld` startup validation over a parsed `my.cnf` tree: seed
-/// defaults, absorb the `[mysqld]` group (only — other groups stay
-/// latent), then check path-valued directives. Returns the resolved
-/// server variables.
+/// The `mysqld` startup validation over a parsed `my.cnf` tree: start
+/// from the defaults, absorb the `[mysqld]` group (only — other
+/// groups stay latent), then check path-valued directives. Returns
+/// the resolved server variables, one per [`SERVER_REGISTRY`] entry.
 ///
 /// # Errors
 ///
 /// The first fatal [`Violation`], exactly as `mysqld` would report it.
-pub fn validate_server_config(root: &Node) -> Result<BTreeMap<String, String>, Violation> {
-    // Seed every variable with its default, then absorb [mysqld].
-    let mut vars: BTreeMap<String, String> = SERVER_REGISTRY
-        .iter()
-        .map(|s| (s.name.to_string(), s.default.to_string()))
-        .collect();
+pub fn validate_server_config(root: &Node) -> Result<RegistryValues, Violation> {
+    let mut vars = SERVER_DEFAULTS.clone();
     // DESIGN FLAW (paper §5.2): only the server's own group is
     // parsed at startup; every other group — [client],
     // [mysqldump], even misspelled group names — is skipped, so
@@ -521,7 +520,7 @@ pub fn validate_server_config(root: &Node) -> Result<BTreeMap<String, String>, V
     // Path-valued directives must point at an existing location,
     // or the daemon aborts ("Can't read dir", "Can't create ...").
     for path_var in PATH_DIRECTIVES {
-        if let Some(path) = vars.get(*path_var) {
+        if let Some(path) = vars.get(path_var) {
             if !path_is_valid(path) {
                 return Err(Violation::new(
                     *path_var,
@@ -560,19 +559,29 @@ pub fn check_dump_config(root: &Node) -> Result<(), Violation> {
     Ok(())
 }
 
-/// The semantic fingerprint the linter compares against the baseline:
-/// everything the functional tests can observe. `connect-and-query`
-/// reads the resolved server variables (port, engine limits);
-/// `mysqldump-tool` re-reads the tool sections, so their resolution
-/// state is folded in too.
+/// Everything MySQL's functional tests can observe of a `my.cnf`:
+/// `connect-and-query` reads the resolved server variables (port,
+/// engine limits); `mysqldump-tool` re-reads the tool sections, so
+/// their check's outcome is part of it too.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServerModel {
+    /// The resolved `[mysqld]` variables.
+    pub vars: RegistryValues,
+    /// The `mysqldump` diagnostic for the tool sections, if any.
+    pub dump_error: Option<String>,
+}
+
+/// The semantic fingerprint the linter compares against the
+/// baseline's with `==`.
 ///
 /// # Errors
 ///
 /// The fatal startup [`Violation`], when validation fails.
-pub fn fingerprint(root: &Node) -> Result<String, Violation> {
-    let vars = validate_server_config(root)?;
-    let dump = check_dump_config(root).err().map(|v| v.message);
-    Ok(format!("{vars:?}|dump-error:{dump:?}"))
+pub fn fingerprint(root: &Node) -> Result<ServerModel, Violation> {
+    Ok(ServerModel {
+        vars: validate_server_config(root)?,
+        dump_error: check_dump_config(root).err().map(|v| v.message),
+    })
 }
 
 #[cfg(test)]
@@ -589,9 +598,9 @@ mod tests {
     fn valid_config_resolves_with_defaults_seeded() {
         let tree = parse("[mysqld]\nport=3307\n");
         let vars = validate_server_config(tree.root()).expect("valid");
-        assert_eq!(vars.get("port").map(String::as_str), Some("3307"));
+        assert_eq!(vars.get("port"), Some("3307"));
         // Unset variables carry their defaults.
-        assert_eq!(vars.get("back_log").map(String::as_str), Some("50"));
+        assert_eq!(vars.get("back_log"), Some("50"));
     }
 
     #[test]
@@ -608,6 +617,64 @@ mod tests {
         let err = validate_server_config(tree.root()).unwrap_err();
         assert_eq!(err.class, ValidationClass::AmbiguousDirective);
         assert!(err.message.starts_with("ambiguous option 'max_c'"));
+    }
+
+    /// The value `name` resolves to when `[mysqld]` holds `directives`.
+    fn resolved(directives: &str, name: &str) -> String {
+        let tree = parse(&format!("[mysqld]\n{directives}\n"));
+        let vars = validate_server_config(tree.root()).expect("valid");
+        vars.get(name).expect("a server variable").to_string()
+    }
+
+    #[test]
+    fn ambiguous_prefixes_list_their_candidates_verbatim() {
+        for (raw, message) in [
+            (
+                "max_c",
+                "ambiguous option 'max_c' (could be max_connections, max_connect_errors)",
+            ),
+            (
+                "max-c",
+                "ambiguous option 'max-c' (could be max_connections, max_connect_errors)",
+            ),
+            (
+                "query_cache",
+                "ambiguous option 'query_cache' (could be query_cache_size, query_cache_limit)",
+            ),
+        ] {
+            let tree = parse(&format!("[mysqld]\n{raw}=10\n"));
+            let err = validate_server_config(tree.root()).unwrap_err();
+            assert_eq!(err.class, ValidationClass::AmbiguousDirective, "{raw}");
+            assert_eq!(err.directive, raw.replace('-', "_"));
+            assert_eq!(err.message, message);
+        }
+    }
+
+    #[test]
+    fn exact_names_win_over_longer_names_they_prefix() {
+        let directives = "log_bin=/var/log/mysql/a\nrelay_log=/var/log/mysql/b";
+        assert_eq!(resolved(directives, "log_bin"), "/var/log/mysql/a");
+        assert_eq!(resolved(directives, "relay_log"), "/var/log/mysql/b");
+        assert_eq!(
+            resolved(directives, "log_bin_index"),
+            "/var/log/mysql/mysql-bin.index"
+        );
+        assert_eq!(
+            resolved(directives, "relay_log_index"),
+            "/var/log/mysql/relay-bin.index"
+        );
+    }
+
+    #[test]
+    fn truncated_dashed_names_resolve_to_their_variable() {
+        assert_eq!(resolved("key-buffer=16M", "key_buffer_size"), "16777216");
+    }
+
+    #[test]
+    fn valueless_and_bare_directives_resolve_like_mysqld() {
+        assert_eq!(resolved("port", "port"), "3306");
+        assert_eq!(resolved("port=", "port"), "3306");
+        assert_eq!(resolved("skip-networking", "skip_networking"), "1");
     }
 
     #[test]

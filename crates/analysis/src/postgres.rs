@@ -7,11 +7,14 @@
 //! `conferr-sut`'s `PostgresSim`, so every FATAL diagnostic the
 //! linter predicts is the byte-identical string the simulator emits.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::sync::LazyLock;
 
 use conferr_tree::Node;
 
-use crate::value::{parse_bool_pg, parse_int_strict, parse_size_strict, DirectiveSpec, ValueType};
+use crate::value::{
+    parse_bool_pg, parse_int_strict, parse_size_strict, DirectiveSpec, RegistryValues, ValueType,
+};
 use crate::verdict::{ValidationClass, Violation};
 
 /// Registry of configuration parameters (a representative subset of
@@ -163,17 +166,31 @@ pub fn canonical_name(raw: &str) -> String {
     raw.to_ascii_lowercase()
 }
 
+/// Every parameter at its default, in the canonical stored form: the
+/// table each validation starts from.
+static DEFAULTS: LazyLock<RegistryValues> = LazyLock::new(|| {
+    // Defaults pass through the same validator, once, so the stored
+    // form is canonical.
+    static CANONICAL: LazyLock<Vec<Cow<'static, str>>> = LazyLock::new(|| {
+        REGISTRY
+            .iter()
+            .map(|s| validate_value(s, s.default).expect("registry defaults are valid"))
+            .collect()
+    });
+    RegistryValues::new(REGISTRY, CANONICAL.iter().map(|v| &**v))
+});
+
 /// Strictly validates one value against its spec, returning the
 /// canonical stored form or the diagnostic (without `FATAL: ` prefix).
 ///
 /// # Errors
 ///
 /// The verbatim range/type complaint the server logs.
-pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String> {
+pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<Cow<'static, str>, String> {
     let unquoted = raw.trim().trim_matches('\'');
     match spec.vtype {
         ValueType::Int { min, max } => match parse_int_strict(unquoted) {
-            Some(v) if v >= min && v <= max => Ok(v.to_string()),
+            Some(v) if v >= min && v <= max => Ok(v.to_string().into()),
             Some(v) => Err(format!(
                 "{} = {v} is outside the valid range ({min} .. {max})",
                 spec.name
@@ -184,7 +201,7 @@ pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String>
             )),
         },
         ValueType::Size { min, max } => match parse_size_strict(unquoted) {
-            Some(v) if v >= min && v <= max => Ok(v.to_string()),
+            Some(v) if v >= min && v <= max => Ok(v.to_string().into()),
             Some(v) => Err(format!(
                 "{} = {v}B is outside the valid range ({min}B .. {max}B)",
                 spec.name
@@ -195,7 +212,7 @@ pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String>
             )),
         },
         ValueType::Float { min, max } => match unquoted.parse::<f64>() {
-            Ok(v) if v >= min && v <= max => Ok(v.to_string()),
+            Ok(v) if v >= min && v <= max => Ok(v.to_string().into()),
             Ok(v) => Err(format!(
                 "{} = {v} is outside the valid range ({min} .. {max})",
                 spec.name
@@ -206,7 +223,7 @@ pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String>
             )),
         },
         ValueType::Bool => match parse_bool_pg(unquoted) {
-            Some(v) => Ok(if v { "on" } else { "off" }.to_string()),
+            Some(v) => Ok(Cow::Borrowed(if v { "on" } else { "off" })),
             None => Err(format!(
                 "parameter \"{}\" requires a Boolean value, got \"{raw}\"",
                 spec.name
@@ -214,14 +231,14 @@ pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String>
         },
         ValueType::Enum(options) => {
             match options.iter().find(|o| o.eq_ignore_ascii_case(unquoted)) {
-                Some(o) => Ok(o.to_string()),
+                Some(o) => Ok(Cow::Borrowed(*o)),
                 None => Err(format!(
                     "invalid value for parameter \"{}\": \"{raw}\"",
                     spec.name
                 )),
             }
         }
-        ValueType::Text => Ok(unquoted.to_string()),
+        ValueType::Text => Ok(unquoted.to_string().into()),
     }
 }
 
@@ -231,7 +248,7 @@ pub fn validate_value(spec: &DirectiveSpec, raw: &str) -> Result<String, String>
 /// # Errors
 ///
 /// The verbatim constraint complaint (without `FATAL: ` prefix).
-pub fn check_cross_constraints(vars: &BTreeMap<String, String>) -> Result<(), String> {
+pub fn check_cross_constraints(vars: &RegistryValues) -> Result<(), String> {
     let get_i64 = |name: &str| -> i64 { vars.get(name).and_then(|v| v.parse().ok()).unwrap_or(0) };
     let max_fsm_pages = get_i64("max_fsm_pages");
     let max_fsm_relations = get_i64("max_fsm_relations");
@@ -261,34 +278,29 @@ pub fn check_cross_constraints(vars: &BTreeMap<String, String>) -> Result<(), St
 
 /// The full startup validation over a parsed `postgresql.conf` tree:
 /// strict per-parameter validation then cross-directive constraints.
-/// Returns the resolved parameter map.
+/// Returns the resolved parameters, one per [`REGISTRY`] entry.
 ///
 /// # Errors
 ///
 /// The first fatal [`Violation`]; its `message` carries the verbatim
 /// `FATAL: ...` diagnostic.
-pub fn validate_config(root: &Node) -> Result<BTreeMap<String, String>, Violation> {
-    let mut vars: BTreeMap<String, String> = REGISTRY
-        .iter()
-        .map(|s| {
-            (s.name.to_string(), {
-                // Defaults pass through the same validator so the
-                // stored form is canonical.
-                validate_value(s, s.default).expect("registry defaults are valid")
-            })
-        })
-        .collect();
+pub fn validate_config(root: &Node) -> Result<RegistryValues, Violation> {
+    let mut vars = DEFAULTS.clone();
     for node in root.children_of_kind("directive") {
         let raw_name = node.attr("name").unwrap_or("");
-        // Case-insensitive, *exact* (no truncation) lookup.
-        let lower = raw_name.to_ascii_lowercase();
-        let Some(spec) = REGISTRY.iter().find(|s| s.name == lower) else {
+        // Case-insensitive, *exact* (no truncation) lookup; registry
+        // names are lowercase.
+        let Some(index) = REGISTRY
+            .iter()
+            .position(|s| s.name.eq_ignore_ascii_case(raw_name))
+        else {
             return Err(Violation::new(
-                lower,
+                canonical_name(raw_name),
                 ValidationClass::UnknownDirective,
                 format!("FATAL: unrecognized configuration parameter \"{raw_name}\""),
             ));
         };
+        let spec = &REGISTRY[index];
         let raw_value = node.text().unwrap_or("");
         if raw_value.is_empty() {
             return Err(Violation::new(
@@ -310,9 +322,7 @@ pub fn validate_config(root: &Node) -> Result<BTreeMap<String, String>, Violatio
             ));
         }
         match validate_value(spec, raw_value) {
-            Ok(v) => {
-                vars.insert(spec.name.to_string(), v);
-            }
+            Ok(v) => vars.set(index, v),
             Err(msg) => {
                 return Err(Violation::new(
                     spec.name,
@@ -337,17 +347,16 @@ pub fn validate_config(root: &Node) -> Result<BTreeMap<String, String>, Violatio
     Ok(vars)
 }
 
-/// The semantic fingerprint the linter compares against the baseline:
-/// the resolved parameter map determines everything the
-/// `connect-and-query` test can observe (the engine limits derive
+/// The semantic fingerprint the linter compares against the
+/// baseline's with `==`: the resolved parameters determine everything
+/// the `connect-and-query` test can observe (the engine limits derive
 /// from `max_connections`; the statement cap is fixed).
 ///
 /// # Errors
 ///
 /// The fatal startup [`Violation`], when validation fails.
-pub fn fingerprint(root: &Node) -> Result<String, Violation> {
-    let vars = validate_config(root)?;
-    Ok(format!("{vars:?}"))
+pub fn fingerprint(root: &Node) -> Result<RegistryValues, Violation> {
+    validate_config(root)
 }
 
 #[cfg(test)]
@@ -364,8 +373,8 @@ mod tests {
     fn valid_config_resolves() {
         let tree = parse("max_connections = 90\nshared_buffers = 1000\n");
         let vars = validate_config(tree.root()).expect("valid");
-        assert_eq!(vars.get("max_connections").map(String::as_str), Some("90"));
-        assert_eq!(vars.get("port").map(String::as_str), Some("5432"));
+        assert_eq!(vars.get("max_connections"), Some("90"));
+        assert_eq!(vars.get("port"), Some("5432"));
     }
 
     #[test]
@@ -377,6 +386,29 @@ mod tests {
             err.message,
             "FATAL: unrecognized configuration parameter \"max_connektions\""
         );
+    }
+
+    #[test]
+    fn names_resolve_case_insensitively_but_never_by_prefix() {
+        let tree = parse("Max_Connections = 90\n");
+        let vars = validate_config(tree.root()).expect("valid");
+        assert_eq!(
+            vars.get("max_connections").map(ToString::to_string),
+            Some("90".into())
+        );
+
+        let err = validate_config(parse("max_connektions = 1\n").root()).unwrap_err();
+        assert_eq!(err.class, ValidationClass::UnknownDirective);
+        assert_eq!(
+            err.message,
+            "FATAL: unrecognized configuration parameter \"max_connektions\""
+        );
+    }
+
+    #[test]
+    fn registry_names_are_canonical() {
+        // Validation folds the case of the file's spelling only.
+        assert!(REGISTRY.iter().all(|s| s.name == canonical_name(s.name)));
     }
 
     #[test]

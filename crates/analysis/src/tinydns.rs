@@ -90,23 +90,23 @@ pub fn check_file(root: &Node) -> Result<(), Violation> {
     Ok(())
 }
 
-/// The semantic fingerprint the linter compares against the baseline:
-/// the ordered `(type, payload)` sequence of data lines, which fully
-/// determines the loaded zone store (comments and blank lines load
-/// nothing).
+/// The semantic fingerprint the linter compares against the
+/// baseline's with `==`: the ordered `(type, payload)` sequence of
+/// data lines, which fully determines the loaded zone store (comments
+/// and blank lines load nothing).
 ///
 /// # Errors
 ///
 /// The first fatal [`Violation`], when the syntax check fails.
-pub fn fingerprint(root: &Node) -> Result<String, Violation> {
+pub fn fingerprint(root: &Node) -> Result<Vec<(String, String)>, Violation> {
     check_file(root)?;
-    let lines: Vec<(&str, &str)> = root
-        .children()
-        .iter()
-        .filter(|n| n.kind() == "line")
-        .map(|n| (n.attr("type").unwrap_or(""), n.text().unwrap_or("")))
-        .collect();
-    Ok(format!("{lines:?}"))
+    Ok(root
+        .children_of_kind("line")
+        .map(|n| {
+            let ty = n.attr("type").unwrap_or("");
+            (ty.to_string(), n.text().unwrap_or("").to_string())
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! the static linter in this crate call the very same functions,
 //! which is what makes static verdicts sound by construction.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// The value domain of a directive.
@@ -79,6 +80,65 @@ impl DirectiveSpec {
     }
 }
 
+/// The resolved values of one registry: a slot per [`DirectiveSpec`],
+/// in registry order.
+///
+/// A validator clones a table of defaults built once and overwrites
+/// the slots its configuration sets, so its cost follows the
+/// configuration's directives, not the registry's size. Defaults and
+/// keywords stay borrowed; only values taken from the configuration
+/// are owned. Two tables are equal when every slot holds the same
+/// value; compare tables of one registry only.
+#[derive(Clone)]
+pub struct RegistryValues {
+    registry: &'static [DirectiveSpec],
+    values: Vec<Cow<'static, str>>,
+}
+
+impl RegistryValues {
+    /// A table holding `values`, in `registry` order.
+    pub(crate) fn new(
+        registry: &'static [DirectiveSpec],
+        values: impl IntoIterator<Item = &'static str>,
+    ) -> Self {
+        let values: Vec<Cow<'static, str>> = values.into_iter().map(Cow::Borrowed).collect();
+        debug_assert_eq!(values.len(), registry.len());
+        RegistryValues { registry, values }
+    }
+
+    /// Sets the value of the registry's `index`-th directive.
+    pub(crate) fn set(&mut self, index: usize, value: Cow<'static, str>) {
+        self.values[index] = value;
+    }
+
+    /// The value of the directive with canonical name `name`, or
+    /// `None` when the registry has no such directive.
+    pub fn get(&self, name: &str) -> Option<&str> {
+        let index = self.registry.iter().position(|s| s.name == name)?;
+        Some(&self.values[index])
+    }
+}
+
+impl PartialEq for RegistryValues {
+    fn eq(&self, other: &Self) -> bool {
+        // Slots still at their default borrow the same string, so most
+        // compare by address.
+        self.values.len() == other.values.len()
+            && self
+                .values
+                .iter()
+                .zip(&other.values)
+                .all(|(a, b)| std::ptr::eq::<str>(a.as_ref(), b.as_ref()) || a == b)
+    }
+}
+
+impl fmt::Debug for RegistryValues {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names = self.registry.iter().map(|s| s.name);
+        f.debug_map().entries(names.zip(&self.values)).finish()
+    }
+}
+
 /// Strict full-string integer parse (sign allowed).
 pub fn parse_int_strict(s: &str) -> Option<i64> {
     let t = s.trim();
@@ -86,22 +146,6 @@ pub fn parse_int_strict(s: &str) -> Option<i64> {
         return None;
     }
     t.parse::<i64>().ok()
-}
-
-/// C-`strtol`-style *prefix* integer parse: consumes leading digits
-/// (after an optional sign) and ignores the rest. `"33o6"` parses to
-/// `33` — the lenient discipline behind several MySQL findings.
-pub fn parse_int_prefix(s: &str) -> Option<i64> {
-    let t = s.trim();
-    let (sign, rest) = match t.strip_prefix('-') {
-        Some(r) => (-1i64, r),
-        None => (1, t.strip_prefix('+').unwrap_or(t)),
-    };
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    if digits.is_empty() {
-        return None;
-    }
-    digits.parse::<i64>().ok().map(|v| sign * v)
 }
 
 /// Strict size parse: an integer followed by *exactly* one optional
@@ -200,36 +244,36 @@ pub fn parse_bool_pg(s: &str) -> Option<bool> {
 
 /// Resolves `name` against a registry accepting unambiguous
 /// *prefixes* (MySQL's truncatable option names, Table 2). Returns
-/// the canonical name, or an error describing why resolution failed.
+/// the index of the matching entry; an exact name wins over longer
+/// names it prefixes. Only an ambiguity allocates, to list its
+/// candidates.
 ///
 /// # Errors
 ///
 /// [`PrefixError::Unknown`] when nothing matches,
 /// [`PrefixError::Ambiguous`] when several entries share the prefix.
 pub fn resolve_prefix<'a>(
-    registry: impl Iterator<Item = &'a str>,
+    registry: impl Iterator<Item = &'a str> + Clone,
     name: &str,
-) -> Result<&'a str, PrefixError> {
-    let mut exact: Option<&'a str> = None;
-    let mut matches: Vec<&'a str> = Vec::new();
-    for candidate in registry {
+) -> Result<usize, PrefixError> {
+    let mut first = None;
+    let mut matches = 0usize;
+    for (i, candidate) in registry.clone().enumerate() {
         if candidate == name {
-            exact = Some(candidate);
+            return Ok(i);
         }
         if candidate.starts_with(name) {
-            matches.push(candidate);
+            first.get_or_insert(i);
+            matches += 1;
         }
     }
-    if let Some(e) = exact {
-        return Ok(e);
-    }
-    match matches.len() {
-        0 => Err(PrefixError::Unknown),
-        1 => Ok(matches[0]),
+    match (first, matches) {
+        (None, _) => Err(PrefixError::Unknown),
+        (Some(i), 1) => Ok(i),
         _ => Err(PrefixError::Ambiguous {
-            candidates: matches
-                .iter()
-                .map(std::string::ToString::to_string)
+            candidates: registry
+                .filter(|c| c.starts_with(name))
+                .map(str::to_string)
                 .collect(),
         }),
     }
@@ -257,14 +301,6 @@ mod tests {
         assert_eq!(parse_int_strict(" -5 "), Some(-5));
         assert_eq!(parse_int_strict("33o6"), None);
         assert_eq!(parse_int_strict(""), None);
-    }
-
-    #[test]
-    fn prefix_int_is_lenient() {
-        assert_eq!(parse_int_prefix("33o6"), Some(33));
-        assert_eq!(parse_int_prefix("100"), Some(100));
-        assert_eq!(parse_int_prefix("-12x"), Some(-12));
-        assert_eq!(parse_int_prefix("x12"), None);
     }
 
     #[test]
@@ -303,17 +339,12 @@ mod tests {
     #[test]
     fn prefix_resolution() {
         let names = ["max_connections", "max_allowed_packet", "port"];
-        assert_eq!(resolve_prefix(names.into_iter(), "port"), Ok("port"));
-        assert_eq!(
-            resolve_prefix(names.into_iter(), "max_connect"),
-            Ok("max_connections")
-        );
-        assert_eq!(
-            resolve_prefix(names.into_iter(), "nope"),
-            Err(PrefixError::Unknown)
-        );
+        let resolve = |name| resolve_prefix(names.into_iter(), name).map(|i| names[i]);
+        assert_eq!(resolve("port"), Ok("port"));
+        assert_eq!(resolve("max_connect"), Ok("max_connections"));
+        assert_eq!(resolve("nope"), Err(PrefixError::Unknown));
         assert!(matches!(
-            resolve_prefix(names.into_iter(), "max_"),
+            resolve("max_"),
             Err(PrefixError::Ambiguous { .. })
         ));
     }
@@ -321,7 +352,10 @@ mod tests {
     #[test]
     fn exact_match_beats_prefix_ambiguity() {
         let names = ["port", "port_open_timeout"];
-        assert_eq!(resolve_prefix(names.into_iter(), "port"), Ok("port"));
+        assert_eq!(
+            resolve_prefix(names.into_iter(), "port").map(|i| names[i]),
+            Ok("port")
+        );
     }
 
     #[test]

@@ -67,11 +67,6 @@ pub use postgres::PostgresSim;
 
 // The declarative schemas the simulators expose for static analysis.
 pub use conferr_analysis::{schema_for, DirectiveSchema};
-// The directive-value parsers the simulators share with the linter.
-pub use conferr_analysis::value::{
-    parse_bool_mysql, parse_bool_pg, parse_int_prefix, parse_int_strict, parse_size_mysql,
-    parse_size_strict, resolve_prefix, DirectiveSpec, MySqlParse, PrefixError, ValueType,
-};
 
 use std::collections::BTreeMap;
 use std::fmt;

@@ -25,13 +25,12 @@
 //! *values* are silently absorbed — the asymmetry behind MySQL's
 //! Table 1 row and its poor Figure 3 profile.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use conferr_analysis::mysql::{
     check_dump_config, validate_server_config, DEFAULT_PORT, SERVER_REGISTRY,
 };
-use conferr_analysis::value::ValueType;
+use conferr_analysis::value::{RegistryValues, ValueType};
 use conferr_analysis::{Dialect, DirectiveSchema, MYSQL_SCHEMA};
 use conferr_formats::{ConfigFormat, IniFormat};
 
@@ -68,9 +67,8 @@ max_allowed_packet=16M
 
 #[derive(Debug)]
 struct Running {
-    vars: Arc<BTreeMap<String, String>>,
+    vars: Arc<RegistryValues>,
     engine: Engine,
-    port: String,
     raw_config: Arc<str>,
 }
 
@@ -80,8 +78,7 @@ struct Running {
 /// the mutable query engine is built fresh on every start.
 #[derive(Debug)]
 struct Blueprint {
-    vars: Arc<BTreeMap<String, String>>,
-    port: String,
+    vars: Arc<RegistryValues>,
     limits: EngineLimits,
 }
 
@@ -144,9 +141,7 @@ impl MySqlSim {
     /// The value of a server variable in the running instance (useful
     /// for asserting the silent-default flaws in tests).
     pub fn server_var(&self, name: &str) -> Option<&str> {
-        self.running
-            .as_ref()
-            .and_then(|r| r.vars.get(name).map(String::as_str))
+        self.running.as_ref().and_then(|r| r.vars.get(name))
     }
 
     /// The full startup path: parse `my.cnf`, absorb the `[mysqld]`
@@ -171,13 +166,8 @@ impl MySqlSim {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(1 << 20),
         };
-        let port = vars
-            .get("port")
-            .cloned()
-            .unwrap_or_else(|| DEFAULT_PORT.to_string());
         Ok(Blueprint {
             vars: Arc::new(vars),
-            port,
             limits,
         })
     }
@@ -211,7 +201,6 @@ impl SystemUnderTest for MySqlSim {
                 self.running = Some(Running {
                     vars: Arc::clone(&blueprint.vars),
                     engine: Engine::new(blueprint.limits.clone()),
-                    port: blueprint.port.clone(),
                     raw_config: file.shared_text(),
                 });
                 StartOutcome::Started
@@ -235,11 +224,11 @@ impl SystemUnderTest for MySqlSim {
             // on the default port, then create/populate/query a table
             // (paper §5.1).
             "connect-and-query" => {
-                if running.port != DEFAULT_PORT {
+                let port = running.vars.get("port").unwrap_or(DEFAULT_PORT);
+                if port != DEFAULT_PORT {
                     return TestOutcome::failed(format!(
                         "can't connect to MySQL server on '127.0.0.1:{DEFAULT_PORT}' \
-                         (server is listening on port {})",
-                        running.port
+                         (server is listening on port {port})"
                     ));
                 }
                 let mut conn = match running.engine.connect() {

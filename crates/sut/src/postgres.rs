@@ -16,11 +16,10 @@
 //! * directive names are case-insensitive (Table 2: mixed case
 //!   accepted) but may **not** be truncated (Table 2: rejected).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use conferr_analysis::postgres::{validate_config, REGISTRY};
-use conferr_analysis::value::ValueType;
+use conferr_analysis::value::{RegistryValues, ValueType};
 use conferr_analysis::{Dialect, DirectiveSchema, POSTGRES_SCHEMA};
 use conferr_formats::KvFormat;
 
@@ -51,7 +50,7 @@ port = 5432
 
 #[derive(Debug)]
 struct Running {
-    vars: Arc<BTreeMap<String, String>>,
+    vars: Arc<RegistryValues>,
     engine: Engine,
 }
 
@@ -62,7 +61,7 @@ struct Running {
 /// start.
 #[derive(Debug)]
 struct Blueprint {
-    vars: Arc<BTreeMap<String, String>>,
+    vars: Arc<RegistryValues>,
     limits: EngineLimits,
 }
 
@@ -108,9 +107,7 @@ impl PostgresSim {
 
     /// The value of a parameter in the running instance.
     pub fn parameter(&self, name: &str) -> Option<&str> {
-        self.running
-            .as_ref()
-            .and_then(|r| r.vars.get(name).map(String::as_str))
+        self.running.as_ref().and_then(|r| r.vars.get(name))
     }
 
     /// The full startup path: parse `postgresql.conf`, validate every

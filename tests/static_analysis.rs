@@ -31,7 +31,7 @@ use conferr_model::{
     ConfigSet, ErrorClass, ErrorGenerator, FaultScenario, GeneratedFault, StructuralKind, TreeEdit,
     TypoKind,
 };
-use conferr_plugins::{VariationClass, VariationPlugin};
+use conferr_plugins::{TokenClass, TypoPlugin, VariationClass, VariationPlugin};
 use conferr_sut::{
     ApacheSim, AppServerSim, BindSim, ConfigFileSpec, ConfigPayload, Deadline, DjbdnsSim, MySqlSim,
     PostgresSim, StartOutcome, SystemUnderTest, TestOutcome,
@@ -361,6 +361,77 @@ fn pruned_profile_is_byte_identical_over_table2_variations() {
             class.label()
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned verdicts over the single-edit fault spaces.
+// ---------------------------------------------------------------------------
+
+/// `FaultLinter::lint`'s verdicts over one system's single-edit fault
+/// space, the one the `typo-distinct` benchmark samples from: every
+/// directive deleted, plus every typo of the five kinds in every
+/// directive name and value. Returns the number of faults and the
+/// number of `SemanticallySilent`, `Unknown`, `WillFailParse` and
+/// `WillFailValidate` verdicts. A dialect model that compares too
+/// little or too much moves the counts.
+fn single_edit_verdict_histogram(sut: &mut dyn SystemUnderTest) -> [usize; 5] {
+    let directive: NodeQuery = "//directive".parse().expect("static query");
+    let campaign = Campaign::new(sut).expect("campaign");
+    let baseline = campaign.baseline();
+    let mut space: Vec<Vec<TreeEdit>> = Vec::new();
+    for (file, tree) in baseline.iter() {
+        for (path, _) in directive.select_nodes(tree) {
+            space.push(vec![TreeEdit::Delete {
+                file: file.to_string(),
+                path,
+            }]);
+        }
+    }
+    for class in [TokenClass::DirectiveNames, TokenClass::DirectiveValues] {
+        let typos = TypoPlugin::new(Keyboard::qwerty_us(), class);
+        for fault in typos.generate(baseline).expect("typos") {
+            let GeneratedFault::Scenario(s) = fault else {
+                panic!("a typo is always expressible");
+            };
+            space.push(s.edits);
+        }
+    }
+    let linter = campaign.engine().linter().expect("a modeled system");
+    let mut histogram = [space.len(), 0, 0, 0, 0];
+    for edits in &space {
+        let slot = match linter.lint(edits).verdict {
+            StaticVerdict::SemanticallySilent => 1,
+            StaticVerdict::Unknown => 2,
+            StaticVerdict::WillFailParse => 3,
+            StaticVerdict::WillFailValidate { .. } => 4,
+        };
+        histogram[slot] += 1;
+    }
+    histogram
+}
+
+#[test]
+fn single_edit_verdicts_are_pinned_mysql() {
+    assert_eq!(
+        single_edit_verdict_histogram(&mut MySqlSim::new()),
+        [3394, 597, 545, 4, 2248]
+    );
+}
+
+#[test]
+fn single_edit_verdicts_are_pinned_postgres() {
+    assert_eq!(
+        single_edit_verdict_histogram(&mut PostgresSim::new()),
+        [1760, 10, 199, 0, 1551]
+    );
+}
+
+#[test]
+fn single_edit_verdicts_are_pinned_apache() {
+    assert_eq!(
+        single_edit_verdict_histogram(&mut ApacheSim::new()),
+        [31407, 12945, 3513, 26, 14923]
+    );
 }
 
 // ---------------------------------------------------------------------------
