@@ -20,7 +20,8 @@
 //!   serialized bytes with the extracted models, yielding a
 //!   [`verdict::StaticVerdict`] and a per-file [`touch::FileTouch`]
 //!   set. The injection engine hands [`FaultLinter::judge`] the parse
-//!   it makes once per fault (and then passes on to the SUT's start);
+//!   it makes once per fault, and passes that parse and the judge's
+//!   [`DialectCheck`] on to the SUT's start;
 //!   [`FaultLinter::lint`] makes that parse itself — apply the edits,
 //!   serialize with the real format, re-parse with the real parser —
 //!   for callers outside the engine.
@@ -53,7 +54,7 @@ pub mod touch;
 pub mod value;
 pub mod verdict;
 
-pub use lint::{FaultLinter, FileSurvey, Lint};
+pub use lint::{DialectCheck, DialectModel, FaultLinter, FileSurvey, Lint};
 pub use schema::{
     schema_for, Dialect, DirectiveSchema, FileSchema, ReadScope, TestImpact, APACHE_SCHEMA,
     APPSERVER_SCHEMA, BIND_SCHEMA, DJBDNS_SCHEMA, MYSQL_SCHEMA, POSTGRES_SCHEMA,

@@ -4,13 +4,15 @@
 //! A verdict is judged on the bytes the simulator starts from: the
 //! edited file serialized with its real format and parsed again with
 //! the real parser. [`FaultLinter::judge`] takes that parse (or its
-//! `ParseError`), runs the extracted dialect validator over it and
-//! compares the typed model the validator returns (the dialect's
-//! `fingerprint`: resolved values, service shape, warnings) with the
-//! baseline's model by `==`. The injection engine hands it the parse
-//! it makes once per fault and then passes on to the SUT's start.
-//! [`FaultLinter::lint`] is the standalone entry point: it runs the
-//! round trip itself (apply to the baseline, serialize, parse) and
+//! `ParseError`), runs the extracted dialect validator over it (a
+//! [`DialectCheck`]) and compares the typed model the validator
+//! returns (the dialect's `fingerprint`: resolved values, service
+//! shape, warnings) with the baseline's model by `==`. The injection
+//! engine hands it the parse it makes once per fault, and passes that
+//! parse and the judge's check on to the SUT's start, whose simulator
+//! builds its startup state from the check instead of validating
+//! again. [`FaultLinter::lint`] is the standalone entry point: it runs
+//! the round trip itself (apply to the baseline, serialize, parse) and
 //! judges the result. Because every stage reuses the exact code the
 //! simulator runs at startup, `WillFailParse`/`WillFailValidate`
 //! verdicts are sound by construction — the dynamic start cannot
@@ -112,7 +114,7 @@ impl FaultLinter {
                 let format = formats.get(fs.file)?;
                 let text = format.serialize(tree).ok()?;
                 let reparsed = format.parse(&text).ok()?;
-                dialect_check(fs.dialect, reparsed.root())?.ok()
+                DialectCheck::run(fs.dialect, reparsed.root())?.result.ok()
             });
             baseline_models.insert(fs.file, model);
         }
@@ -137,7 +139,7 @@ impl FaultLinter {
     /// made instead, under its fault memo.
     pub fn lint(&self, edits: &[TreeEdit]) -> Lint {
         let [edit] = edits else {
-            return self.judge(edits, false, None);
+            return self.judge(edits, false, None).0;
         };
         let file = edit.file();
         let probe = FaultScenario {
@@ -155,9 +157,11 @@ impl FaultLinter {
             Some(format.parse(&text))
         });
         self.judge(edits, in_place, reparsed.as_ref().map(Result::as_ref))
+            .0
     }
 
-    /// Judges a fault from the parse of its edited file.
+    /// Judges a fault from the parse of its edited file, and returns
+    /// the [`DialectCheck`] it ran on that parse beside the verdict.
     ///
     /// `in_place` is the [`edit_parses_in_place`] answer for a single
     /// edit, which decides its touch map (see [`touch_of_edit`]); it
@@ -168,30 +172,34 @@ impl FaultLinter {
     /// fault) or the edited tree cannot be expressed in the format
     /// (the campaign reports it without starting the SUT). Empty and
     /// compound edit lists are judged without looking at `reparsed`.
+    ///
+    /// The check is the validation of a single edit's parsed file, the
+    /// one the simulator's start runs on the same tree. It is `None`
+    /// when nothing was validated: no tree, several edits, or a
+    /// dialect that is not [fully modeled](Dialect::is_fully_modeled).
     pub fn judge(
         &self,
         edits: &[TreeEdit],
         in_place: bool,
         reparsed: Option<Result<&ConfTree, &ParseError>>,
-    ) -> Lint {
+    ) -> (Lint, Option<DialectCheck>) {
         let [edit] = edits else {
             if edits.is_empty() {
-                return Lint::identity();
+                return (Lint::identity(), None);
             }
             // Compound faults: per-edit path refinement against the
             // baseline is unsound (later edits see shifted paths), so
             // bound them by their edited files only.
-            return Lint::undecided(
-                edits
-                    .iter()
-                    .map(|e| (e.file().to_string(), FileTouch::WholeFile))
-                    .collect(),
-            );
+            let touch = edits
+                .iter()
+                .map(|e| (e.file().to_string(), FileTouch::WholeFile))
+                .collect();
+            return (Lint::undecided(touch), None);
         };
         let file = edit.file();
         let refined = || touch_of_edit(self.schema, &self.baseline, edit, in_place);
         let (Some(fs), Some(reparsed)) = (self.schema.file(file), reparsed) else {
-            return Lint::undecided(refined());
+            return (Lint::undecided(refined()), None);
         };
         let tree = match reparsed {
             Ok(tree) => tree,
@@ -200,34 +208,32 @@ impl FaultLinter {
                 // bytes; its wrapper comes from the shared dialect
                 // formatter, so this diagnostic is the dynamic one.
                 let diagnostic = fs.dialect.parse_failure_diagnostic(&e.to_string());
-                return Lint {
+                let lint = Lint {
                     verdict: StaticVerdict::WillFailParse,
                     touch: Arc::new(whole_file_touch(file)),
                     diagnostic: Some(diagnostic.into()),
                 };
+                return (lint, None);
             }
         };
 
-        let Some(checked) = dialect_check(fs.dialect, tree.root()) else {
-            return Lint::undecided(refined());
+        let Some(check) = DialectCheck::run(fs.dialect, tree.root()) else {
+            return (Lint::undecided(refined()), None);
         };
-        match checked {
-            Err(violation) => {
+        let lint = match &check.result {
+            Err(violation) => Lint {
+                verdict: violation.clone().into_verdict(),
+                touch: Arc::new(whole_file_touch(file)),
                 // The shared decider's message *is* the simulator's
                 // startup diagnostic, verbatim.
-                let diagnostic = Some(Arc::from(violation.message.as_str()));
-                Lint {
-                    verdict: violation.into_verdict(),
-                    touch: Arc::new(whole_file_touch(file)),
-                    diagnostic,
-                }
-            }
+                diagnostic: Some(Arc::from(violation.message.as_str())),
+            },
             Ok(model) => {
                 let silent = self
                     .baseline_models
                     .get(file)
                     .and_then(Option::as_ref)
-                    .is_some_and(|base| *base == model);
+                    .is_some_and(|base| base == model);
                 Lint {
                     verdict: if silent {
                         StaticVerdict::SemanticallySilent
@@ -238,7 +244,8 @@ impl FaultLinter {
                     diagnostic: None,
                 }
             }
-        }
+        };
+        (lint, Some(check))
     }
 }
 
@@ -249,25 +256,47 @@ fn whole_file_touch(file: &str) -> TouchMap {
 }
 
 /// A fully modeled dialect's typed fingerprint of one file:
-/// everything its functional tests can observe.
+/// everything its functional tests can observe. The linter compares
+/// models with `==`; the simulators build their startup state from
+/// them.
 #[derive(Debug, PartialEq)]
-enum DialectModel {
+pub enum DialectModel {
+    /// `my.cnf`: [`crate::mysql::fingerprint`].
     MySql(crate::mysql::ServerModel),
-    Postgres(RegistryValues),
+    /// `postgresql.conf`: [`crate::postgres::fingerprint`], shared
+    /// with the simulator's startup state built from it.
+    Postgres(Arc<RegistryValues>),
+    /// `httpd.conf`: [`crate::apache::fingerprint`].
     Apache(crate::apache::StartupModel),
+    /// tinydns `data`: [`crate::tinydns::fingerprint`].
     TinyDns(Vec<(String, String)>),
 }
 
-/// Runs the dialect's validator and returns its model, or `None` when
-/// the dialect is not [fully modeled](Dialect::is_fully_modeled).
-fn dialect_check(dialect: Dialect, root: &Node) -> Option<Result<DialectModel, Violation>> {
-    Some(match dialect {
-        Dialect::MySqlIni => crate::mysql::fingerprint(root).map(DialectModel::MySql),
-        Dialect::PostgresKv => crate::postgres::fingerprint(root).map(DialectModel::Postgres),
-        Dialect::ApacheHttpd => crate::apache::fingerprint(root).map(DialectModel::Apache),
-        Dialect::TinyDns => crate::tinydns::fingerprint(root).map(DialectModel::TinyDns),
-        Dialect::BindZone | Dialect::AppServerXml => return None,
-    })
+/// One run of a dialect's startup validator over one parsed file: the
+/// typed model, or the first violation in the order the simulator
+/// reports it, tagged with the dialect that ran.
+#[derive(Debug, PartialEq)]
+pub struct DialectCheck {
+    /// The dialect whose validator ran.
+    pub dialect: Dialect,
+    /// What it returned.
+    pub result: Result<DialectModel, Violation>,
+}
+
+impl DialectCheck {
+    /// Runs `dialect`'s validator over `root`, or returns `None` when
+    /// the dialect is not [fully modeled](Dialect::is_fully_modeled).
+    pub fn run(dialect: Dialect, root: &Node) -> Option<DialectCheck> {
+        let result = match dialect {
+            Dialect::MySqlIni => crate::mysql::fingerprint(root).map(DialectModel::MySql),
+            Dialect::PostgresKv => crate::postgres::fingerprint(root)
+                .map(|vars| DialectModel::Postgres(Arc::new(vars))),
+            Dialect::ApacheHttpd => crate::apache::fingerprint(root).map(DialectModel::Apache),
+            Dialect::TinyDns => crate::tinydns::fingerprint(root).map(DialectModel::TinyDns),
+            Dialect::BindZone | Dialect::AppServerXml => return None,
+        };
+        Some(DialectCheck { dialect, result })
+    }
 }
 
 /// Per-file node statistics for the `conferr-lint` CLI: how much of a
@@ -557,16 +586,21 @@ mod tests {
         }];
         let bytes = "[mysqld]\nprot=3306\nsort_buffer_size=2097152\n# notes\n";
         let tree = IniFormat::new().parse(bytes).unwrap();
-        let judged = l.judge(&edits, true, Some(Ok(&tree)));
+        let (judged, check) = l.judge(&edits, true, Some(Ok(&tree)));
         assert_eq!(judged.verdict, l.lint(&edits).verdict);
         assert!(matches!(
             judged.verdict,
             StaticVerdict::WillFailValidate { .. }
         ));
+        // The check it hands back is the simulator's validation of
+        // that tree.
+        assert_eq!(check, DialectCheck::run(Dialect::MySqlIni, tree.root()));
+        assert!(check.is_some_and(|c| c.result.is_err()));
 
         let error = IniFormat::new().parse("[mysqld\n").unwrap_err();
-        let judged = l.judge(&edits, true, Some(Err(&error)));
+        let (judged, check) = l.judge(&edits, true, Some(Err(&error)));
         assert_eq!(judged.verdict, StaticVerdict::WillFailParse);
+        assert!(check.is_none(), "nothing parsed, nothing checked");
         assert_eq!(
             judged.diagnostic.as_deref(),
             Some(
@@ -576,8 +610,10 @@ mod tests {
             )
         );
 
-        // No bytes to judge: no prediction.
-        assert_eq!(l.judge(&edits, false, None).verdict, StaticVerdict::Unknown);
+        // No bytes to judge: no prediction, no check.
+        let (judged, check) = l.judge(&edits, false, None);
+        assert_eq!(judged.verdict, StaticVerdict::Unknown);
+        assert!(check.is_none());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! static and dynamic paths.
 
 use std::borrow::Cow;
-use std::sync::LazyLock;
+use std::sync::{Arc, LazyLock};
 
 use conferr_tree::Node;
 
@@ -565,8 +565,9 @@ pub fn check_dump_config(root: &Node) -> Result<(), Violation> {
 /// their check's outcome is part of it too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerModel {
-    /// The resolved `[mysqld]` variables.
-    pub vars: RegistryValues,
+    /// The resolved `[mysqld]` variables, shared with the simulator's
+    /// startup state built from them.
+    pub vars: Arc<RegistryValues>,
     /// The `mysqldump` diagnostic for the tool sections, if any.
     pub dump_error: Option<String>,
 }
@@ -579,7 +580,7 @@ pub struct ServerModel {
 /// The fatal startup [`Violation`], when validation fails.
 pub fn fingerprint(root: &Node) -> Result<ServerModel, Violation> {
     Ok(ServerModel {
-        vars: validate_server_config(root)?,
+        vars: Arc::new(validate_server_config(root)?),
         dump_error: check_dump_config(root).err().map(|v| v.message),
     })
 }

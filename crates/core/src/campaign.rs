@@ -16,15 +16,17 @@
 //! handed to the SUT, whose [`conferr_sut::ParseCache`] then skips
 //! re-parsing it at startup. A mutated file gets at most one parse per
 //! cold fault: the static linter judges that parse, and the SUT's start
-//! reuses it. A single-edit fault whose edited node parses in place
+//! reuses it, together with the dialect check the linter ran on a
+//! single edit's file, so that file is validated once too. A
+//! single-edit fault whose edited node parses in place
 //! ([`conferr_analysis::edit_parses_in_place`], asked once per cold
 //! single-edit fault, whose answer also bounds the fault's touch map)
-//! needs none, because its mutated tree already is the parse of its
-//! serialized bytes and shares every untouched subtree with the
-//! baseline. A
-//! campaign runs on the executor's serial loop over its borrowed SUT;
-//! for multi-core throughput, [`crate::CampaignExecutor`] shards fault
-//! loads across worker threads over the same kind of shared engine.
+//! needs no parse at all, because its mutated tree already is the
+//! parse of its serialized bytes and shares every untouched subtree
+//! with the baseline. A campaign runs on the executor's serial loop
+//! over its borrowed SUT; for multi-core throughput,
+//! [`crate::CampaignExecutor`] shards fault loads across worker
+//! threads over the same kind of shared engine.
 //! Both campaign handles give out that [`InjectionEngine`], the one
 //! place the campaign's knobs, start counters and linter live.
 
@@ -621,8 +623,9 @@ impl InjectionEngine {
     /// A cold preparation also returns this fault's payload with the
     /// engine's parse attached to every mutated file (see
     /// [`Self::prepare_cold`]), whether parsed or known without a
+    /// parse, and the linter's dialect check beside a single edit's
     /// parse. It is handed to this fault's start and dropped after it;
-    /// the memo never keeps a parse.
+    /// the memo never keeps a parse or a check.
     fn prepare(&self, scenario: &FaultScenario) -> (Arc<Prepared>, Option<ConfigPayload>) {
         if self.memoize_faults() {
             if let Some(hit) = self.memo.lock().get(&scenario.edits) {
@@ -647,15 +650,16 @@ impl InjectionEngine {
     /// once: the mutated tree itself when [`Self::known_parse`] takes
     /// the answer as proof that it is that parse, a full parse of the
     /// serialized bytes otherwise. The linter judges that parse with
-    /// the same answer, and the copy of the payload that carries it
-    /// goes to the start, whose simulator then skips its own parse of
-    /// the same bytes.
+    /// the same answer and hands back the dialect check it ran on it,
+    /// which joins the edited file's parse. The copy of the payload
+    /// that carries both goes to the start, whose simulator then skips
+    /// its own parse and validation of the same bytes.
     fn prepare_cold(&self, scenario: &FaultScenario) -> (Prepared, Option<ConfigPayload>) {
         let edits = &scenario.edits;
         let linter = self.analysis.as_ref().map(|a| &a.linter);
         let unparsed = |diff, result| Prepared {
             diff,
-            lint: linter.map(|l| l.judge(edits, false, None)),
+            lint: linter.map(|l| l.judge(edits, false, None).0),
             payload: Err(result),
         };
         let mutated = match scenario.apply(&self.baseline) {
@@ -701,7 +705,7 @@ impl InjectionEngine {
         let known = single
             .filter(|edit| self.known_parse(edit, in_place))
             .map(TreeEdit::file);
-        let parsed: ConfigPayload = payload
+        let mut parsed: ConfigPayload = payload
             .iter()
             .map(|(file, text)| {
                 let format = self.formats[file].as_ref();
@@ -715,15 +719,17 @@ impl InjectionEngine {
                 (file.to_string(), text)
             })
             .collect();
-        let reparsed = single.and_then(|edit| {
-            let file = edit.file();
-            parsed
-                .get(file)
-                .map(|text| text.parse_with(self.formats[file].as_ref()))
-        });
+        let edited =
+            single.and_then(|edit| parsed.get(edit.file()).map(|text| (edit.file(), text)));
+        let reparsed = edited.map(|(file, text)| text.parse_with(self.formats[file].as_ref()));
+        let (lint, check) = linter.judge(edits, in_place, reparsed.as_ref().map(Result::as_ref));
+        if let (Some((file, text)), Some(check)) = (edited, check) {
+            let text = text.clone().with_check(check);
+            parsed.insert(file, text);
+        }
         let prepared = Prepared {
             diff,
-            lint: Some(linter.judge(edits, in_place, reparsed.as_ref().map(Result::as_ref))),
+            lint: Some(lint),
             payload: Ok(payload),
         };
         (prepared, Some(parsed))

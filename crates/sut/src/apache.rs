@@ -23,8 +23,8 @@
 
 use std::sync::Arc;
 
-use conferr_analysis::apache::{startup_model, validate_tree, StartupModel};
-use conferr_analysis::{Dialect, DirectiveSchema, APACHE_SCHEMA};
+use conferr_analysis::apache::StartupModel;
+use conferr_analysis::{Dialect, DialectModel, DirectiveSchema, APACHE_SCHEMA};
 use conferr_formats::ApacheFormat;
 
 use crate::minihttp::{HttpService, VirtualFs, VirtualHost};
@@ -212,15 +212,21 @@ impl ApacheSim {
     /// The full startup path: parse, validate every directive, build
     /// the HTTP service. Pure in the configuration text. Validation
     /// and model extraction live in `conferr_analysis::apache` —
-    /// shared verbatim with the static linter — and the service is
-    /// assembled infallibly from the extracted [`StartupModel`].
+    /// shared verbatim with the static linter, whose check of the same
+    /// parse the file may carry — and the service is assembled
+    /// infallibly from the extracted [`StartupModel`].
     fn parse_and_validate(file: &FileText) -> ApacheStartup {
-        let tree = file
-            .parse_with(&ApacheFormat::new())
+        let check = file
+            .check_with(&ApacheFormat::new(), Dialect::ApacheHttpd)
             .map_err(|e| Dialect::ApacheHttpd.parse_failure_diagnostic(&e.to_string()))?;
-        validate_tree(tree.root()).map_err(|v| v.message)?;
-        let model = startup_model(tree.root()).map_err(|v| v.message)?;
-        Ok((Arc::new(Self::service_from_model(&model)), model.warnings))
+        match &check.result {
+            Ok(DialectModel::Apache(model)) => Ok((
+                Arc::new(Self::service_from_model(model)),
+                model.warnings.clone(),
+            )),
+            Ok(other) => unreachable!("an Apache check holds {other:?}"),
+            Err(violation) => Err(violation.message.clone()),
+        }
     }
 
     fn service_from_model(model: &StartupModel) -> HttpService {

@@ -27,11 +27,9 @@
 
 use std::sync::Arc;
 
-use conferr_analysis::mysql::{
-    check_dump_config, validate_server_config, DEFAULT_PORT, SERVER_REGISTRY,
-};
+use conferr_analysis::mysql::{check_dump_config, DEFAULT_PORT, SERVER_REGISTRY};
 use conferr_analysis::value::{RegistryValues, ValueType};
-use conferr_analysis::{Dialect, DirectiveSchema, MYSQL_SCHEMA};
+use conferr_analysis::{Dialect, DialectModel, DirectiveSchema, MYSQL_SCHEMA};
 use conferr_formats::{ConfigFormat, IniFormat};
 
 use crate::minidb::{Engine, EngineLimits};
@@ -148,14 +146,18 @@ impl MySqlSim {
     /// group with MySQL's lenient value discipline, check path-valued
     /// directives. Pure in the configuration text.
     fn parse_and_validate(file: &FileText) -> MySqlStartup {
-        let tree = file
-            .parse_with(&IniFormat::new())
-            .map_err(|e| Dialect::MySqlIni.parse_failure_diagnostic(&e.to_string()))?;
         // The lenient value discipline, section skipping and path
         // checks live in `conferr_analysis::mysql` — shared verbatim
         // with the static linter, so its verdicts cannot drift from
-        // this startup path.
-        let vars = validate_server_config(tree.root()).map_err(|v| v.message)?;
+        // this startup path, and the file may carry its check.
+        let check = file
+            .check_with(&IniFormat::new(), Dialect::MySqlIni)
+            .map_err(|e| Dialect::MySqlIni.parse_failure_diagnostic(&e.to_string()))?;
+        let vars = match &check.result {
+            Ok(DialectModel::MySql(model)) => &model.vars,
+            Ok(other) => unreachable!("a MySQL check holds {other:?}"),
+            Err(violation) => return Err(violation.message.clone()),
+        };
         let limits = EngineLimits {
             max_connections: vars
                 .get("max_connections")
@@ -167,7 +169,7 @@ impl MySqlSim {
                 .unwrap_or(1 << 20),
         };
         Ok(Blueprint {
-            vars: Arc::new(vars),
+            vars: Arc::clone(vars),
             limits,
         })
     }

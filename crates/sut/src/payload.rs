@@ -33,14 +33,17 @@
 //!
 //! A [`FileText`] can also carry a parse of its own bytes
 //! ([`FileText::with_parse`]), or a tree its maker knows to be that
-//! parse ([`FileText::with_known_parse`], asserted in debug builds).
-//! The campaign engine gives each freshly prepared mutated file one
-//! of the two, judges that parse statically, and hands the same parse
-//! to the start, where a cache miss uses it instead of parsing the
-//! bytes again ([`FileText::parse_with`]). Cache entries keep only the
-//! text and the derived value, never the carried parse, and a disabled
-//! cache ignores it: the reference path always parses the bytes
-//! itself.
+//! parse ([`FileText::with_known_parse`], asserted in debug builds),
+//! and beside the parse a dialect check of it
+//! ([`FileText::with_check`], asserted in debug builds too). The
+//! campaign engine gives each freshly prepared mutated file one of
+//! the two parses, judges that parse statically, attaches the judge's
+//! check to the edited file, and hands both to the start, where a
+//! cache miss uses them instead of parsing and validating the bytes
+//! again ([`FileText::parse_with`], [`FileText::check_with`]). Cache
+//! entries keep only the text and the derived value, never the
+//! carried parse or check, and a disabled cache ignores both: the
+//! reference path always parses and validates the bytes itself.
 //!
 //! [`SystemUnderTest::start`]: crate::SystemUnderTest::start
 
@@ -48,16 +51,23 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
+use conferr_analysis::{Dialect, DialectCheck};
 use conferr_formats::{ConfigFormat, ParseError};
 use conferr_tree::ConfTree;
 
-/// Stable identity of one exact configuration text: the 64-bit
-/// FNV-1a hash of its bytes.
+/// Stable identity of one exact configuration text: a 64-bit
+/// FNV-style hash that takes the bytes one little-endian 8-byte word
+/// per step, the tail one byte per step, and the length last.
+///
+/// Each step XORs a value into the running hash and multiplies by the
+/// odd FNV prime, a bijection of the hash, so two texts of one length
+/// that differ in a single byte never share an identity.
 ///
 /// Identities index the [`ParseCache`]; equality of identities is
 /// necessary but *not* sufficient for a cache hit — the cache always
 /// confirms byte equality of the underlying text, so a hash collision
-/// degrades to a cold parse instead of a wrong answer.
+/// degrades to a cold parse instead of a wrong answer. Nothing
+/// persists an identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ContentId(u64);
 
@@ -66,12 +76,19 @@ impl ContentId {
     pub fn of(text: &str) -> Self {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let step = |hash: u64, value: u64| (hash ^ value).wrapping_mul(FNV_PRIME);
+        let bytes = text.as_bytes();
+        let mut words = bytes.chunks_exact(8);
         let mut hash = FNV_OFFSET;
-        for byte in text.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
+        for word in &mut words {
+            let word: [u8; 8] = word.try_into().expect("chunks of 8 bytes");
+            hash = step(hash, u64::from_le_bytes(word));
         }
-        ContentId(hash)
+        for &byte in words.remainder() {
+            hash = step(hash, u64::from(byte));
+        }
+        let len = u64::try_from(bytes.len()).expect("lengths fit in 64 bits");
+        ContentId(step(hash, len))
     }
 }
 
@@ -109,6 +126,7 @@ pub struct FileText {
     id: ContentId,
     origin: TextOrigin,
     parsed: Option<Arc<CarriedParse>>,
+    check: Option<Arc<DialectCheck>>,
 }
 
 /// A parse of a [`FileText`]'s own bytes, tagged with the name of the
@@ -136,6 +154,7 @@ impl FileText {
             id,
             origin,
             parsed: None,
+            check: None,
         }
     }
 
@@ -192,6 +211,7 @@ impl FileText {
             format: format.name().to_string(),
             tree: format.parse(&self.text),
         }));
+        self.check = None;
         self
     }
 
@@ -226,6 +246,7 @@ impl FileText {
             format: format.name().to_string(),
             tree: Ok(tree),
         }));
+        self.check = None;
         self
     }
 
@@ -246,13 +267,93 @@ impl FileText {
         }
     }
 
-    /// The same text without any carried parse.
+    /// This text, carrying `check` as the check of its carried parse
+    /// without running it: the caller vouches that `check` equals
+    /// `DialectCheck::run(check.dialect, ..)` on the carried tree, and
+    /// debug builds assert it. The campaign engine attaches the check
+    /// its linter ran on the parse the file carries. A later
+    /// [`FileText::with_parse`] or [`FileText::with_known_parse`]
+    /// drops it.
+    #[must_use]
+    pub fn with_check(mut self, check: DialectCheck) -> Self {
+        debug_assert!(
+            self.parsed
+                .as_ref()
+                .and_then(|parsed| parsed.tree.as_ref().ok())
+                .and_then(|tree| DialectCheck::run(check.dialect, tree.root()))
+                .as_ref()
+                == Some(&check),
+            "the carried {:?} check differs from a check of the carried parse of {:?}",
+            check.dialect,
+            self.text
+        );
+        self.check = Some(Arc::new(check));
+        self
+    }
+
+    /// Checks the text's parse by `format` under `dialect`: the
+    /// carried check when [`FileText::with_check`] attached one of the
+    /// same dialect to a parse by a format of the same name, a fresh
+    /// [`DialectCheck::run`] on [`FileText::parse_with`]'s tree
+    /// otherwise. Either way the result equals a check of
+    /// `format.parse(self.text())`; for a carried check that is the
+    /// attaching caller's promise.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    ///
+    /// use conferr_analysis::{Dialect, DialectCheck};
+    /// use conferr_formats::{ConfigFormat, KvFormat};
+    /// use conferr_sut::FileText;
+    ///
+    /// let tree = KvFormat::new().parse("port = 5432\n").unwrap();
+    /// let check = DialectCheck::run(Dialect::PostgresKv, tree.root()).unwrap();
+    /// let file = FileText::mutated("port = 5432\n")
+    ///     .with_known_parse(&KvFormat::new(), tree)
+    ///     .with_check(check);
+    /// let a = file.check_with(&KvFormat::new(), Dialect::PostgresKv).unwrap();
+    /// let b = file.check_with(&KvFormat::new(), Dialect::PostgresKv).unwrap();
+    /// assert!(Arc::ptr_eq(&a, &b), "no validation ran");
+    /// assert!(a.result.is_ok());
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// The format's [`ParseError`] when the text does not parse.
+    ///
+    /// # Panics
+    ///
+    /// When `dialect` is not [fully modeled](Dialect::is_fully_modeled).
+    pub fn check_with(
+        &self,
+        format: &dyn ConfigFormat,
+        dialect: Dialect,
+    ) -> Result<Arc<DialectCheck>, ParseError> {
+        match (&self.parsed, &self.check) {
+            (Some(parsed), Some(check))
+                if parsed.format == format.name() && check.dialect == dialect =>
+            {
+                Ok(Arc::clone(check))
+            }
+            _ => {
+                let tree = self.parse_with(format)?;
+                let check = DialectCheck::run(dialect, tree.root())
+                    .unwrap_or_else(|| panic!("{dialect:?} has no validator"));
+                Ok(Arc::new(check))
+            }
+        }
+    }
+
+    /// The same text without any carried parse or check.
     fn without_parse(&self) -> FileText {
         FileText {
             text: Arc::clone(&self.text),
             id: self.id,
             origin: self.origin,
             parsed: None,
+            check: None,
         }
     }
 }
@@ -518,9 +619,9 @@ impl<T> ParseCache<T> {
     }
 
     /// Enables or disables memoization. While disabled every lookup
-    /// runs `parse` on the file stripped of any carried parse, and
-    /// nothing is stored — the reference cold path used by benches and
-    /// equivalence tests.
+    /// runs `parse` on the file stripped of any carried parse and
+    /// check, and nothing is stored — the reference cold path used by
+    /// benches and equivalence tests.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
     }
@@ -533,8 +634,9 @@ impl<T> ParseCache<T> {
     /// Returns the memoized representation of `file`'s exact text
     /// under `file_name`, running `parse` (the full paper-faithful
     /// parse-and-validate path) on the file when no byte-identical
-    /// entry exists. `parse` may take the parse the file carries (see
-    /// [`FileText::parse_with`]); a disabled cache hands it the bare
+    /// entry exists. `parse` may take the parse and check the file
+    /// carries (see [`FileText::parse_with`] and
+    /// [`FileText::check_with`]); a disabled cache hands it the bare
     /// text instead.
     pub fn get_or_parse<F>(&mut self, file_name: &str, file: &FileText, parse: F) -> Arc<T>
     where
@@ -577,6 +679,7 @@ impl<T> ParseCache<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use conferr_analysis::DialectModel;
     use std::cell::Cell;
 
     #[test]
@@ -584,6 +687,38 @@ mod tests {
         assert_eq!(ContentId::of("a"), ContentId::of("a"));
         assert_ne!(ContentId::of("a"), ContentId::of("b"));
         assert_ne!(ContentId::of(""), ContentId::of("\0"));
+        assert_ne!(ContentId::of("12345678"), ContentId::of("1234567"));
+    }
+
+    #[test]
+    fn no_single_byte_substitution_of_a_default_config_keeps_its_id() {
+        let sims: [&dyn crate::SystemUnderTest; 3] = [
+            &crate::MySqlSim::new(),
+            &crate::PostgresSim::new(),
+            &crate::ApacheSim::new(),
+        ];
+        for sim in sims {
+            for (name, text) in crate::default_configs(sim) {
+                // An ASCII text stays a text under exactly the ASCII
+                // substitutions.
+                assert!(text.is_ascii(), "{name}");
+                let original = ContentId::of(&text);
+                let mut bytes = text.into_bytes();
+                for at in 0..bytes.len() {
+                    let kept = bytes[at];
+                    for byte in (0..=0x7f).filter(|&b| b != kept) {
+                        bytes[at] = byte;
+                        let edited = std::str::from_utf8(&bytes).expect("ASCII");
+                        assert_ne!(
+                            ContentId::of(edited),
+                            original,
+                            "{name}: byte {at} = {byte}"
+                        );
+                    }
+                    bytes[at] = kept;
+                }
+            }
+        }
     }
 
     #[test]
@@ -702,6 +837,86 @@ mod tests {
         cache.set_enabled(false);
         let bypass = cache.get_or_parse("f", &file, |f| carries_parse(f, &KvFormat::new()));
         assert!(!*bypass, "the reference path parses the bytes itself");
+    }
+
+    /// `port = 5432` parsed by kv, carrying its Postgres check.
+    fn checked_postgres_file() -> FileText {
+        use conferr_formats::KvFormat;
+        let tree = KvFormat::new().parse("port = 5432\n").unwrap();
+        let check = DialectCheck::run(Dialect::PostgresKv, tree.root()).unwrap();
+        FileText::mutated("port = 5432\n")
+            .with_known_parse(&KvFormat::new(), tree)
+            .with_check(check)
+    }
+
+    /// Two `check_with` calls that share one check: the file carries
+    /// its check under `dialect`, of a parse by `format`.
+    fn carries_check(file: &FileText, format: &dyn ConfigFormat, dialect: Dialect) -> bool {
+        let (a, b) = (
+            file.check_with(format, dialect),
+            file.check_with(format, dialect),
+        );
+        Arc::ptr_eq(&a.unwrap(), &b.unwrap())
+    }
+
+    #[test]
+    fn a_carried_check_serves_its_own_dialect_and_format_only() {
+        use conferr_formats::{IniFormat, KvFormat};
+        let file = checked_postgres_file();
+        assert!(carries_check(&file, &KvFormat::new(), Dialect::PostgresKv));
+        assert!(carries_check(
+            &file.clone(),
+            &KvFormat::new(),
+            Dialect::PostgresKv
+        ));
+        // Another dialect validates afresh, and its own way.
+        assert!(!carries_check(&file, &KvFormat::new(), Dialect::MySqlIni));
+        let mysql = file
+            .check_with(&KvFormat::new(), Dialect::MySqlIni)
+            .unwrap();
+        assert_eq!(mysql.dialect, Dialect::MySqlIni);
+        assert!(matches!(mysql.result, Ok(DialectModel::MySql(_))));
+        // So does another format, and a new parse drops the check.
+        assert!(!carries_check(
+            &file,
+            &IniFormat::new(),
+            Dialect::PostgresKv
+        ));
+        let reparsed = file.with_parse(&KvFormat::new());
+        assert!(!carries_check(
+            &reparsed,
+            &KvFormat::new(),
+            Dialect::PostgresKv
+        ));
+    }
+
+    #[test]
+    fn only_an_enabled_cache_hands_over_the_carried_check() {
+        use conferr_formats::KvFormat;
+        let file = checked_postgres_file();
+        let carried = |f: &FileText| carries_check(f, &KvFormat::new(), Dialect::PostgresKv);
+        let mut cache: ParseCache<bool> = ParseCache::new();
+        assert!(
+            *cache.get_or_parse("f", &file, carried),
+            "a miss builds from the carried check"
+        );
+        cache.set_enabled(false);
+        assert!(
+            !*cache.get_or_parse("f", &file, carried),
+            "the reference path validates the bytes itself"
+        );
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the carried PostgresKv check differs")]
+    fn a_wrong_check_fails_in_debug_builds() {
+        use conferr_formats::KvFormat;
+        let tree = KvFormat::new().parse("port = 5433\n").unwrap();
+        let check = DialectCheck::run(Dialect::PostgresKv, tree.root()).unwrap();
+        let _ = FileText::mutated("port = 5432\n")
+            .with_parse(&KvFormat::new())
+            .with_check(check);
     }
 
     #[test]

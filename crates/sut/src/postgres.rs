@@ -18,9 +18,9 @@
 
 use std::sync::Arc;
 
-use conferr_analysis::postgres::{validate_config, REGISTRY};
+use conferr_analysis::postgres::REGISTRY;
 use conferr_analysis::value::{RegistryValues, ValueType};
-use conferr_analysis::{Dialect, DirectiveSchema, POSTGRES_SCHEMA};
+use conferr_analysis::{Dialect, DialectModel, DirectiveSchema, POSTGRES_SCHEMA};
 use conferr_formats::KvFormat;
 
 use crate::minidb::{Engine, EngineLimits};
@@ -115,13 +115,18 @@ impl PostgresSim {
     /// Pure in the configuration text; errors carry the exact FATAL
     /// diagnostic.
     fn parse_and_validate(file: &FileText) -> PostgresStartup {
-        let tree = file
-            .parse_with(&KvFormat::new())
-            .map_err(|e| Dialect::PostgresKv.parse_failure_diagnostic(&e.to_string()))?;
         // Strict per-parameter validation and the cross-directive
         // constraints live in `conferr_analysis::postgres` — shared
-        // verbatim with the static linter.
-        let vars = validate_config(tree.root()).map_err(|v| v.message)?;
+        // verbatim with the static linter, whose check the file may
+        // carry.
+        let check = file
+            .check_with(&KvFormat::new(), Dialect::PostgresKv)
+            .map_err(|e| Dialect::PostgresKv.parse_failure_diagnostic(&e.to_string()))?;
+        let vars = match &check.result {
+            Ok(DialectModel::Postgres(vars)) => vars,
+            Ok(other) => unreachable!("a Postgres check holds {other:?}"),
+            Err(violation) => return Err(violation.message.clone()),
+        };
         let limits = EngineLimits {
             max_connections: vars
                 .get("max_connections")
@@ -130,7 +135,7 @@ impl PostgresSim {
             max_statement_bytes: 1 << 20,
         };
         Ok(Blueprint {
-            vars: Arc::new(vars),
+            vars: Arc::clone(vars),
             limits,
         })
     }

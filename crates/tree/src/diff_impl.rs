@@ -92,6 +92,13 @@ fn signature(n: &Node) -> (&str, Option<&str>) {
     (n.kind(), n.attr("name"))
 }
 
+/// Whether `a` and `b` have one signature. Handles on one node do
+/// without the attribute lookups: a single-point edit leaves every
+/// untouched sibling shared with the baseline.
+fn same_signature(a: &Node, b: &Node) -> bool {
+    Node::ptr_eq(a, b) || signature(a) == signature(b)
+}
+
 fn shallow_equal(a: &Node, b: &Node) -> bool {
     a.kind() == b.kind() && a.text() == b.text() && a.attrs().eq(b.attrs())
 }
@@ -173,13 +180,13 @@ fn lcs_pairs(a: &[Node], b: &[Node]) -> Vec<(usize, usize)> {
     let n = a.len();
     let m = b.len();
     let mut prefix = 0;
-    while prefix < n && prefix < m && signature(&a[prefix]) == signature(&b[prefix]) {
+    while prefix < n && prefix < m && same_signature(&a[prefix], &b[prefix]) {
         prefix += 1;
     }
     let mut suffix = 0;
     while suffix < n - prefix
         && suffix < m - prefix
-        && signature(&a[n - 1 - suffix]) == signature(&b[m - 1 - suffix])
+        && same_signature(&a[n - 1 - suffix], &b[m - 1 - suffix])
     {
         suffix += 1;
     }
@@ -293,6 +300,49 @@ mod tests {
         let ops = diff(&base(), &new);
         assert_eq!(ops.len(), 1);
         assert!(matches!(&ops[0], DiffOp::Inserted { .. }));
+    }
+
+    /// A config of `len` directives, built afresh (nothing shared).
+    fn long(len: usize) -> ConfTree {
+        let mut root = Node::new("config");
+        for i in 0..len {
+            let name = format!("d{i}");
+            root = root.with_child(
+                Node::new("directive")
+                    .with_attr("name", &name)
+                    .with_text("1"),
+            );
+        }
+        ConfTree::new(root)
+    }
+
+    #[test]
+    fn shared_siblings_diff_like_unshared_ones() {
+        let baseline = long(40);
+        let rename = |tree: &mut ConfTree| {
+            tree.set_attr_at(&TreePath::from(vec![17]), "name", "x17")
+                .unwrap();
+        };
+        let delete = |tree: &mut ConfTree| {
+            tree.delete(&TreePath::from(vec![23])).unwrap();
+        };
+        // A rename changes the signature: one deletion plus one
+        // insertion.
+        for (edit, count) in [(&rename as &dyn Fn(&mut ConfTree), 2), (&delete, 1)] {
+            // Copy-on-write: the edited tree shares every untouched
+            // sibling with `baseline`.
+            let mut shared = baseline.clone();
+            edit(&mut shared);
+            assert!(Node::ptr_eq(
+                &shared.root().children()[0],
+                &baseline.root().children()[0]
+            ));
+            let mut unshared = long(40);
+            edit(&mut unshared);
+            let ops = diff(&baseline, &shared);
+            assert_eq!(ops, diff(&long(40), &unshared));
+            assert_eq!(ops.len(), count, "{ops:?}");
+        }
     }
 
     #[test]

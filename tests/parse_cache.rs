@@ -16,6 +16,9 @@
 //! * the engine parses each cold fault's mutated file once and the
 //!   start receives that parse, while memo hits and the uncached
 //!   reference path parse the bytes themselves;
+//! * a cold single-edit fault's start also receives the linter's
+//!   dialect check of that parse, equal to a fresh check of it, while
+//!   memo hits and compound faults carry none;
 //! * a single-edit fault whose edited node parses in place carries its
 //!   mutated tree as that parse, and the tree equals a full parse of
 //!   the bytes the start receives.
@@ -28,13 +31,14 @@ use std::sync::Arc;
 use conferr::{
     profile_to_json, Campaign, CampaignExecutor, ExecutorCampaign, ResilienceProfile, SutFactory,
 };
+use conferr_analysis::{Dialect, DialectCheck};
 use conferr_bench::{table1_faultload, DEFAULT_SEED};
 use conferr_formats::{format_by_name, ConfigFormat};
 use conferr_keyboard::Keyboard;
 use conferr_model::{
     ConfigSet, ErrorClass, ErrorGenerator, FaultScenario, GeneratedFault, StructuralKind, TreeEdit,
 };
-use conferr_plugins::{StructuralPlugin, TokenClass, TypoPlugin};
+use conferr_plugins::{compound_pairs, StructuralPlugin, TokenClass, TypoPlugin};
 use conferr_sut::{
     ApacheSim, BindSim, CacheStats, ConfigFileSpec, ConfigPayload, Deadline, DirectiveSchema,
     DjbdnsSim, FileText, MySqlSim, PostgresSim, StartOutcome, SystemUnderTest, TestOutcome,
@@ -316,14 +320,19 @@ fn unchanged_files_of_multi_file_suts_parse_once() {
 
 /// Forwards to a simulator and logs, for each mutated file a start
 /// receives, whether it carries a parse: two `parse_with` calls that
-/// share one root. Files that do not parse are not logged. It also
+/// share one root. Files that do not parse are not logged. For those
+/// of a fully modeled dialect it also logs whether they carry a
+/// dialect check: two `check_with` calls that share one check. It
 /// checks every mutated file's parse against a fresh parse of its
-/// bytes, and counts the parses the engine spliced (see [`SpliceLog`]).
+/// bytes and every carried check against a fresh check of that parse,
+/// and counts the parses the engine spliced (see [`SpliceLog`]).
 #[derive(Debug)]
 struct ParseProbe {
     inner: Box<dyn SystemUnderTest>,
     formats: BTreeMap<String, Box<dyn ConfigFormat>>,
+    dialects: BTreeMap<&'static str, Dialect>,
     carried: Rc<RefCell<Vec<bool>>>,
+    checked: Rc<RefCell<Vec<bool>>>,
     splices: Rc<RefCell<SpliceLog>>,
 }
 
@@ -334,6 +343,8 @@ struct SpliceLog {
     baseline: ConfigSet,
     /// Parses (carried or not) that differ from `format.parse(text)`.
     mismatches: usize,
+    /// Carried checks that differ from a fresh check of the parse.
+    check_mismatches: usize,
     /// Parses sharing an untouched root child with `baseline`: the
     /// engine kept the mutated tree instead of parsing the bytes,
     /// since a parse allocates every node afresh.
@@ -357,10 +368,20 @@ impl ParseProbe {
             .into_iter()
             .map(|spec| (spec.name, format_by_name(&spec.format).expect("format")))
             .collect();
+        let dialects = inner
+            .schema()
+            .map(|schema| schema.files)
+            .unwrap_or_default()
+            .iter()
+            .filter(|fs| fs.dialect.is_fully_modeled())
+            .map(|fs| (fs.file, fs.dialect))
+            .collect();
         ParseProbe {
             inner,
             formats,
+            dialects,
             carried: Rc::default(),
+            checked: Rc::default(),
             splices: Rc::default(),
         }
     }
@@ -391,10 +412,20 @@ impl SystemUnderTest for ParseProbe {
                     log.spliced += 1;
                 }
             }
-            if let (Ok(a), Ok(b)) = (parse, file.parse_with(format)) {
-                self.carried
-                    .borrow_mut()
-                    .push(Node::ptr_eq(a.root(), b.root()));
+            let (Ok(a), Ok(b)) = (parse, file.parse_with(format)) else {
+                continue;
+            };
+            self.carried
+                .borrow_mut()
+                .push(Node::ptr_eq(a.root(), b.root()));
+            if let Some(&dialect) = self.dialects.get(name) {
+                let check = file.check_with(format, dialect).expect("parses");
+                let again = file.check_with(format, dialect).expect("parses");
+                let carried = Arc::ptr_eq(&check, &again);
+                if carried && Some(&*check) != DialectCheck::run(dialect, a.root()).as_ref() {
+                    log.check_mismatches += 1;
+                }
+                self.checked.borrow_mut().push(carried);
             }
         }
         self.inner.start(configs, deadline)
@@ -434,6 +465,7 @@ fn cold_faults_start_from_the_engines_parse_and_memo_hits_do_not() {
     ] {
         let mut probe = ParseProbe::new(make_sut());
         let carried = Rc::clone(&probe.carried);
+        let checked = Rc::clone(&probe.checked);
         let mut campaign = Campaign::new(&mut probe).expect("campaign");
         // Distinct edit lists, so the first pass is all memo misses.
         let mut seen = HashSet::new();
@@ -453,6 +485,12 @@ fn cold_faults_start_from_the_engines_parse_and_memo_hits_do_not() {
             cold.iter().all(|&c| c),
             "every cold start must receive the engine's parse"
         );
+        let cold_checks = checked.take();
+        assert_eq!(cold_checks.len(), cold.len());
+        assert!(
+            cold_checks.iter().all(|&c| c),
+            "every cold start must receive the judge's check"
+        );
 
         campaign.run_faults(faults).expect("memo pass");
         let hits = carried.take();
@@ -461,7 +499,48 @@ fn cold_faults_start_from_the_engines_parse_and_memo_hits_do_not() {
             hits.iter().all(|&c| !c),
             "a memo hit must hand over text without a parse"
         );
+        let hit_checks = checked.take();
+        assert_eq!(hit_checks.len(), hits.len());
+        assert!(
+            hit_checks.iter().all(|&c| !c),
+            "a memo hit must hand over text without a check"
+        );
     }
+}
+
+#[test]
+fn compound_faults_carry_a_parse_but_no_check() {
+    let mut probe = ParseProbe::new(Box::new(MySqlSim::new()));
+    let carried = Rc::clone(&probe.carried);
+    let checked = Rc::clone(&probe.checked);
+    let mut campaign = Campaign::new(&mut probe).expect("campaign");
+    let typos = TypoPlugin::new(Keyboard::qwerty_us(), TokenClass::DirectiveValues)
+        .generate(campaign.baseline())
+        .expect("typos");
+    // Distinct two-edit lists, so every fault is a memo miss.
+    let mut seen = HashSet::new();
+    let mut compounds = compound_pairs(&typos, DEFAULT_SEED, 200);
+    compounds.retain(|fault| match fault {
+        GeneratedFault::Scenario(s) => s.edits.len() == 2 && seen.insert(s.edits.clone()),
+        GeneratedFault::Inexpressible { .. } => false,
+    });
+
+    campaign.run_faults(compounds).expect("run");
+    let parses = carried.take();
+    assert!(
+        parses.len() > 50,
+        "the load must start on many mutated files"
+    );
+    assert!(
+        parses.iter().all(|&c| c),
+        "a cold compound start receives the engine's parse"
+    );
+    let checks = checked.take();
+    assert_eq!(checks.len(), parses.len());
+    assert!(
+        checks.iter().all(|&c| !c),
+        "the linter validates no compound, so none carries a check"
+    );
 }
 
 /// Every single-node deletion of `baseline`, comments, blanks and
@@ -527,6 +606,10 @@ fn single_edit_faults_carry_their_mutated_tree_as_the_parse() {
         assert_eq!(
             log.mismatches, 0,
             "{name}: a carried parse is not the parse of its bytes"
+        );
+        assert_eq!(
+            log.check_mismatches, 0,
+            "{name}: a carried check is not the check of its parse"
         );
         assert!(
             log.spliced * 100 >= reached * 95,
