@@ -22,8 +22,8 @@
 //!
 //! * every timed profile is byte-identical to the serial reference;
 //! * cold batch ≤ parallel total × 1.15 + 2 ms. The parallel total is
-//!   the reference with the batch's one-parse-cache-per-worker
-//!   structure, which a multi-worker cold run pays for by design;
+//!   the reference with the batch's one-SUT-per-worker structure,
+//!   which a multi-worker cold run pays for by design;
 //! * warm batch ≤ serial total + 1 ms;
 //! * a **million-fault smoke run** — a lazily enumerated 10⁶-fault
 //!   space streamed into a counting sink — yields exactly 10⁶

@@ -12,12 +12,15 @@
 //! baseline's serialized text cached as `Arc<str>` payload entries
 //! ([`conferr_sut::FileText`]) so a file whose tree is still
 //! pointer-shared with the baseline is neither re-serialized nor
-//! diffed — its shared text (plus precomputed content identity) is
-//! handed to the SUT, whose [`conferr_sut::ParseCache`] then skips
-//! re-parsing it at startup. A mutated file gets at most one parse per
+//! diffed — a clone of its baseline entry is handed to the SUT, and
+//! since every clone shares one startup slot, each simulator's
+//! [`conferr_sut::ParseCache`] reads the baseline's startup state from
+//! it instead of re-parsing. A mutated file gets at most one parse per
 //! cold fault: the static linter judges that parse, and the SUT's start
 //! reuses it, together with the dialect check the linter ran on a
-//! single edit's file, so that file is validated once too. A
+//! single edit's file, so that file is validated once too. The fault
+//! memo keeps the mutated payload files, so a repeated fault's start
+//! reads their startup slots the same way. A
 //! single-edit fault whose edited node parses in place
 //! ([`conferr_analysis::edit_parses_in_place`], asked once per cold
 //! single-edit fault, whose answer also bounds the fault's touch map)
@@ -56,9 +59,11 @@ use crate::{InjectionOutcome, InjectionResult, ResilienceProfile};
 const MAX_DIFF_LINES: usize = 6;
 
 /// Fault-memo entries retained before the table is reset wholesale.
-/// Sized far above any single fault load; the epoch clear merely
-/// bounds memory on unbounded campaign streams.
-const FAULT_MEMO_CAPACITY: usize = 8192;
+/// Each entry's payload files also hold the startup state their first
+/// start built, so this bounds the memory of both. A repeated load of
+/// up to this many distinct faults is prepared and started cold once;
+/// the epoch clear bounds memory on unbounded campaign streams.
+const FAULT_MEMO_CAPACITY: usize = 1024;
 
 /// Errors that abort a whole campaign (as opposed to per-injection
 /// outcomes, which are recorded in the profile).
@@ -205,11 +210,11 @@ pub struct InjectionEngine {
     formats: BTreeMap<String, Box<dyn ConfigFormat>>,
     baseline: ConfigSet,
     /// `serialize(baseline[file])` wrapped as baseline-origin payload
-    /// entries (shared `Arc<str>` text plus content identity), computed
-    /// once. Injections reuse these entries verbatim — a
-    /// reference-count bump, no `String` clone — for every file the
-    /// scenario did not touch, and the SUT's parse cache pins their
-    /// parsed form.
+    /// entries, computed once. Injections reuse clones of these
+    /// entries — reference-count bumps, no `String` clone — for every
+    /// file the scenario did not touch, so every start shares their
+    /// startup slots and the baseline's startup state is built once
+    /// per engine.
     baseline_payload: ConfigPayload,
     /// Files whose baseline serializes back to its source text byte
     /// for byte, and that text ends in `\n`. A single-edit fault on
@@ -218,7 +223,8 @@ pub struct InjectionEngine {
     /// Memoized apply → diff → serialize → parse → judge results,
     /// keyed by the exact edit list. Repeated fault loads (bench
     /// reruns, Table 2 variation probes) skip the whole preparation;
-    /// the SUT start and functional tests still run per injection.
+    /// the SUT start and functional tests still run per injection,
+    /// from the startup state the entry's payload files hold.
     memo: Mutex<HashMap<Vec<TreeEdit>, Arc<Prepared>>>,
     /// When false, every fault is prepared (and judged) from scratch —
     /// the reference cold path used by benches and equivalence tests.
@@ -581,9 +587,9 @@ impl InjectionEngine {
 
     /// Serializes a configuration set to a startup payload. Files
     /// whose tree is still pointer-shared with the baseline reuse the
-    /// cached baseline entry — shared `Arc<str>` text plus its content
-    /// identity, so the SUT's parse cache can skip re-parsing them —
-    /// instead of walking the tree again; the cost is proportional to
+    /// cached baseline entry — shared `Arc<str>` text plus its startup
+    /// slot, so the SUT's start can skip re-parsing them — instead of
+    /// walking the tree again; the cost is proportional to
     /// the files an edit touched, and only those are serialized and
     /// tagged as mutated.
     fn payload_for(&self, set: &ConfigSet) -> Result<ConfigPayload, String> {

@@ -12,8 +12,10 @@
 //!   `run_batch` / `run_source` calls. Each worker keeps a private
 //!   cache of SUT instances **keyed by [`SutFactory`] identity**, so a
 //!   worker that has ever driven a `postgres-sim` reuses that instance
-//!   — and its content-addressed parse cache — for every later
-//!   campaign built from the same factory.
+//!   for every later campaign built from the same factory. The
+//!   instances memoize no startup state of their own: a start reads
+//!   it from the payload's files, which every worker shares (see
+//!   [`conferr_sut::ParseCache`]).
 //! * [`CampaignBatch`] — N campaigns submitted as one unit, each
 //!   backed either by an eager fault `Vec` ([`CampaignBatch::push`])
 //!   or by a live, lazily-pulled [`FaultSource`]
@@ -182,7 +184,7 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 ///
 /// Workers cache one SUT per *factory* (not per call), so handing the
 /// same `SutFactory` to many campaigns is what makes the pool
-/// amortize SUT construction and parse-cache warmup across them. Two
+/// amortize SUT construction across them. Two
 /// clones of one factory share identity ([`SutFactory::key`]); two
 /// independently built factories never do, even for the same
 /// closure.
@@ -536,7 +538,7 @@ pub(crate) struct SutCache {
     /// The entry currently driving a fault, if any. A panic can only
     /// leave *that* SUT half-mutated, so panic recovery sheds exactly
     /// this entry ([`SutCache::shed_live`]) and every other cached
-    /// SUT keeps its warmed parse cache.
+    /// SUT stays in service.
     live: Option<usize>,
 }
 
@@ -1782,36 +1784,35 @@ mod tests {
         assert_eq!(sink.summary().total, eager.len());
     }
 
+    /// Violates the `FaultSource` contract in both directions: claims
+    /// more faults than it appends, then claims progress while
+    /// appending nothing — and reports `hint` as its size, whatever it
+    /// holds. Appends `remaining` from the back, one fault per pull.
+    #[derive(Debug)]
+    struct Lying {
+        remaining: Vec<GeneratedFault>,
+        hint: (usize, Option<usize>),
+    }
+
+    impl conferr_model::FaultSource for Lying {
+        fn next_chunk(
+            &mut self,
+            max: usize,
+            out: &mut Vec<GeneratedFault>,
+        ) -> Result<usize, conferr_model::GenerateError> {
+            if let Some(fault) = self.remaining.pop() {
+                out.push(fault);
+            }
+            Ok(max + 5) // never the truth
+        }
+
+        fn size_hint(&self) -> (usize, Option<usize>) {
+            self.hint
+        }
+    }
+
     #[test]
     fn miscounting_sources_cannot_hang_the_pool() {
-        use conferr_model::{FaultSource, GenerateError};
-
-        /// Violates the `FaultSource` contract in both directions:
-        /// claims more faults than it appends, then claims progress
-        /// while appending nothing — and reports `hint` as its size,
-        /// whatever it holds.
-        #[derive(Debug)]
-        struct Lying {
-            remaining: Vec<GeneratedFault>,
-            hint: (usize, Option<usize>),
-        }
-        impl FaultSource for Lying {
-            fn next_chunk(
-                &mut self,
-                max: usize,
-                out: &mut Vec<GeneratedFault>,
-            ) -> Result<usize, GenerateError> {
-                if let Some(fault) = self.remaining.pop() {
-                    out.push(fault);
-                }
-                Ok(max + 5) // never the truth
-            }
-
-            fn size_hint(&self) -> (usize, Option<usize>) {
-                self.hint
-            }
-        }
-
         let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).unwrap();
         let faults = plugin().generate(campaign.baseline()).unwrap();
         let nine: Vec<GeneratedFault> = faults.iter().take(9).cloned().collect();
@@ -1853,6 +1854,65 @@ mod tests {
                     reference.outcomes(),
                     "run_batch: threads = {threads}, hint = {hint:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn combinators_count_what_a_miscounting_source_appends() {
+        use conferr_model::FaultSourceExt;
+        use std::sync::mpsc::RecvTimeoutError;
+
+        type Combine = fn(BoxFaultSource, BoxFaultSource) -> BoxFaultSource;
+        // Each case puts the source under test where `s` is and an
+        // honest one where `other` is.
+        let cases: [(&str, Combine); 6] = [
+            ("chain", |s, other| Box::new(s.chain(other))),
+            ("take", |s, _| Box::new(s.take(5))),
+            ("skip", |s, _| Box::new(s.skip(3))),
+            ("sample", |s, _| Box::new(s.sample(7, 0.5))),
+            ("product, left", |s, other| Box::new(s.product(other))),
+            ("product, right", |s, other| Box::new(other.product(s))),
+        ];
+        let campaign = ExecutorCampaign::new(sut_factory(PostgresSim::new)).unwrap();
+        let faults = plugin().generate(campaign.baseline()).unwrap();
+        let (tested, other) = (faults[..9].to_vec(), faults[9..12].to_vec());
+        for (name, combine) in cases {
+            for threads in [1, 3] {
+                let case = format!("{name}, threads = {threads}");
+                let (campaign, tested, other) = (campaign.clone(), tested.clone(), other.clone());
+                let (done, outcomes) = std::sync::mpsc::channel();
+                // Each case runs on a helper thread with a bounded
+                // wait, so a combinator that spins fails the test
+                // instead of hanging it.
+                let helper = std::thread::spawn(move || {
+                    let executor = CampaignExecutor::new(threads);
+                    let run = |s: BoxFaultSource| {
+                        let source = combine(s, Box::new(EagerSource::new(other.clone())));
+                        let mut sink = crate::CollectingSink::new();
+                        executor.run_source(&campaign, source, &mut sink).unwrap();
+                        sink.into_outcomes()
+                    };
+                    let honest = run(Box::new(EagerSource::new(tested.clone())));
+                    let lying = run(Box::new(Lying {
+                        remaining: tested.into_iter().rev().collect(),
+                        hint: (0, None),
+                    }));
+                    // The receiver is gone only once the wait below timed out.
+                    let _ = done.send((honest, lying));
+                });
+                let (honest, lying) = match outcomes.recv_timeout(Duration::from_secs(60)) {
+                    Ok(outcomes) => outcomes,
+                    // The helper panicked before sending: surface its panic.
+                    Err(RecvTimeoutError::Disconnected) => {
+                        resume_unwind(helper.join().expect_err("the helper sent nothing"))
+                    }
+                    // A hung helper cannot be joined; it is left detached.
+                    Err(RecvTimeoutError::Timeout) => panic!("{case}: no return within 60 s"),
+                };
+                helper.join().expect("the helper returns after sending");
+                assert!(!honest.is_empty(), "{case}");
+                assert_eq!(lying, honest, "{case}");
             }
         }
     }

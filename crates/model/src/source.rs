@@ -365,17 +365,18 @@ impl<A: FaultSource, B: FaultSource> FaultSource for ChainSource<A, B> {
     ) -> Result<usize, GenerateError> {
         let max = max.max(1);
         let hint = self.size_hint();
+        let before = out.len();
         if let Some(a) = &mut self.a {
-            let n = a.next_chunk(max, out)?;
-            if n > 0 {
-                debug_check_hint(hint, n);
-                return Ok(n);
+            a.next_chunk(max, out)?;
+            if out.len() > before {
+                debug_check_hint(hint, out.len() - before);
+                return Ok(out.len() - before);
             }
             self.a = None;
         }
-        let n = self.b.next_chunk(max, out)?;
-        debug_check_hint(hint, n);
-        Ok(n)
+        self.b.next_chunk(max, out)?;
+        debug_check_hint(hint, out.len() - before);
+        Ok(out.len() - before)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -407,7 +408,10 @@ impl<S: FaultSource> FaultSource for TakeSource<S> {
             return Ok(0);
         }
         let hint = self.size_hint();
-        let n = self.inner.next_chunk(max, out)?;
+        let before = out.len();
+        self.inner.next_chunk(max, out)?;
+        out.truncate(before + max);
+        let n = out.len() - before;
         debug_check_hint(hint, n);
         self.remaining -= n;
         Ok(n)
@@ -440,18 +444,19 @@ impl<S: FaultSource> FaultSource for SkipSource<S> {
         while self.to_skip > 0 {
             self.scratch.clear();
             let pull = self.to_skip.min(DEFAULT_PULL);
-            let n = self.inner.next_chunk(pull, &mut self.scratch)?;
-            if n == 0 {
+            self.inner.next_chunk(pull, &mut self.scratch)?;
+            if self.scratch.is_empty() {
                 // Inner ran dry inside the prefix: nothing survives.
                 self.to_skip = 0;
                 return Ok(0);
             }
-            self.to_skip -= n.min(self.to_skip);
+            self.to_skip -= self.scratch.len().min(self.to_skip);
         }
         let hint = self.size_hint();
-        let n = self.inner.next_chunk(max, out)?;
-        debug_check_hint(hint, n);
-        Ok(n)
+        let before = out.len();
+        self.inner.next_chunk(max, out)?;
+        debug_check_hint(hint, out.len() - before);
+        Ok(out.len() - before)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -508,7 +513,8 @@ impl<S: FaultSource> FaultSource for SampleSource<S> {
         // mean exhausted.
         loop {
             self.scratch.clear();
-            if self.inner.next_chunk(max, &mut self.scratch)? == 0 {
+            self.inner.next_chunk(max, &mut self.scratch)?;
+            if self.scratch.is_empty() {
                 debug_check_hint(hint, out.len() - before);
                 return Ok(out.len() - before);
             }
@@ -586,8 +592,9 @@ impl<A: FaultSource, B: FaultSource> FaultSource for ProductSource<A, B> {
             // exhaustion instead of silently enumerating a truncated
             // product.
             loop {
+                let pulled = self.right_faults.len();
                 match right.next_chunk(DEFAULT_PULL, &mut self.right_faults) {
-                    Ok(0) => break,
+                    Ok(_) if self.right_faults.len() == pulled => break,
                     Ok(_) => {}
                     Err(e) => {
                         self.right = None;
@@ -607,10 +614,11 @@ impl<A: FaultSource, B: FaultSource> FaultSource for ProductSource<A, B> {
         while out.len() - before < max {
             if self.current.is_none() {
                 chunk.clear();
-                if self.left.next_chunk(1, &mut chunk)? == 0 {
+                self.left.next_chunk(1, &mut chunk)?;
+                let Some(fault) = chunk.pop() else {
                     break;
-                }
-                self.current = chunk.pop();
+                };
+                self.current = Some(fault);
                 self.right_pos = 0;
             }
             let a = self.current.as_ref().expect("set above");

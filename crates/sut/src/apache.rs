@@ -195,7 +195,7 @@ type ApacheStartup = Result<(Arc<HttpService>, Vec<String>), String>;
 #[derive(Debug, Default)]
 pub struct ApacheSim {
     running: Option<Running>,
-    cache: ParseCache<ApacheStartup>,
+    cache: ParseCache,
 }
 
 impl ApacheSim {

@@ -73,7 +73,7 @@ type ServerStartup = Result<Arc<Running>, String>;
 #[derive(Debug, Default)]
 pub struct AppServerSim {
     running: Option<Arc<Running>>,
-    cache: ParseCache<ServerStartup>,
+    cache: ParseCache,
 }
 
 impl AppServerSim {

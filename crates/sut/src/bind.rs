@@ -69,7 +69,7 @@ type ZoneParse = Result<(String, Vec<LoadedRecord>), String>;
 #[derive(Debug, Default)]
 pub struct BindSim {
     running: Option<Running>,
-    cache: ParseCache<ZoneParse>,
+    cache: ParseCache,
 }
 
 #[derive(Debug, Clone)]

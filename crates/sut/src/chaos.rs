@@ -83,8 +83,8 @@ pub enum ChaosAction {
 /// tests can separate chaos-affected outcomes from real ones.
 pub const CHAOS_PREFIX: &str = "chaos:";
 
-// Byte-wise 64-bit FNV-1a. The seeded chaos decisions are pinned to
-// it, so it stays byte-wise (`ContentId::of` steps by 8-byte words).
+// Byte-wise 64-bit FNV-1a, to which the seeded chaos decisions are
+// pinned.
 fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash = hash;

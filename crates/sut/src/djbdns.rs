@@ -52,7 +52,7 @@ type DataParse = Result<Arc<ZoneStore>, String>;
 #[derive(Debug, Default)]
 pub struct DjbdnsSim {
     running: Option<Running>,
-    cache: ParseCache<DataParse>,
+    cache: ParseCache,
 }
 
 impl DjbdnsSim {

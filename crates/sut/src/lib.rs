@@ -24,11 +24,13 @@
 //! fault-injected) configuration text, starts it, runs its functional
 //! tests and classifies the outcome. Because the simulators are
 //! deterministic functions of that text, each memoizes its
-//! parse-and-validate startup path in a content-addressed
-//! [`ParseCache`] — byte-identical text provably yields the identical
-//! [`StartOutcome`], so repeated starts cost a lookup instead of a
-//! re-parse while mutated text always takes the full paper-faithful
-//! startup path on first sight (see [`payload`] for the design).
+//! parse-and-validate startup path through a [`ParseCache`], in the
+//! startup slot of the payload file it starts from — one file provably
+//! yields one [`StartOutcome`], so a repeated start from that file, or
+//! from any clone of it, costs a lookup instead of a re-parse on every
+//! simulator instance, while each freshly serialized file takes the
+//! full paper-faithful startup path on its first start (see
+//! [`payload`] for the design).
 //!
 //! # Architecture
 //!
@@ -62,7 +64,7 @@ pub use chaos::{ChaosAction, ChaosConfig, ChaosSut, CHAOS_PREFIX};
 pub use deadline::Deadline;
 pub use djbdns::DjbdnsSim;
 pub use mysql::MySqlSim;
-pub use payload::{CacheStats, ConfigPayload, ContentId, FileText, ParseCache, TextOrigin};
+pub use payload::{CacheStats, ConfigPayload, FileText, ParseCache, TextOrigin};
 pub use postgres::PostgresSim;
 
 // The declarative schemas the simulators expose for static analysis.
@@ -220,8 +222,10 @@ impl TestOutcome {
 /// way an administrator's smoke script would (paper §5.1: create a
 /// table and query it; fetch a page; resolve forward and reverse
 /// names). Determinism is what makes the [`ParseCache`] sound: the
-/// same configuration bytes must always produce the same
-/// [`StartOutcome`].
+/// same configuration bytes under the same file name must always
+/// produce the same startup state and [`StartOutcome`], since every
+/// instance that starts from one payload file reads the startup state
+/// the first of them built.
 ///
 /// # Examples
 ///
@@ -245,9 +249,8 @@ pub trait SystemUnderTest: fmt::Debug {
     fn config_files(&self) -> Vec<ConfigFileSpec>;
 
     /// Starts the system from the serialized configuration payload
-    /// (shared per-file text plus content identity, as produced by
-    /// serializing a mutated configuration set — see
-    /// [`ConfigPayload`]).
+    /// (shared per-file text, as produced by serializing a mutated
+    /// configuration set — see [`ConfigPayload`]).
     ///
     /// `deadline` is the soft budget for the whole fault cycle.
     /// In-process simulators may ignore it (the campaign engine
@@ -306,7 +309,8 @@ pub fn default_configs(sut: &dyn SystemUnderTest) -> BTreeMap<String, String> {
 }
 
 /// Builds the default configuration payload for a system, tagging
-/// every file as baseline text (pinned once parsed).
+/// every file as baseline text. Each call makes fresh files, so the
+/// first start from each call's payload parses it in full.
 pub fn default_payload(sut: &dyn SystemUnderTest) -> ConfigPayload {
     sut.config_files()
         .into_iter()

@@ -87,7 +87,7 @@ type MySqlStartup = Result<Blueprint, String>;
 #[derive(Debug, Default)]
 pub struct MySqlSim {
     running: Option<Running>,
-    cache: ParseCache<MySqlStartup>,
+    cache: ParseCache,
 }
 
 impl MySqlSim {

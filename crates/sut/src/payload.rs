@@ -1,4 +1,4 @@
-//! Configuration payloads and the startup parse cache.
+//! Configuration payloads and the startup memo.
 //!
 //! A campaign's hot loop is inject → serialize → **start** → test, and
 //! the paper-faithful `start` re-parses configuration text exactly as
@@ -6,30 +6,30 @@
 //! campaign's wall-clock goes: most injections mutate one file and
 //! leave every other file byte-identical to the baseline, and repeated
 //! fault loads (bench reruns, Table 2 variation probes) present the
-//! very same mutated text over and over.
+//! very same mutated file over and over.
 //!
 //! Two types remove that redundancy without changing a single
 //! outcome:
 //!
-//! * [`ConfigPayload`] — what [`SystemUnderTest::start`] now consumes
+//! * [`ConfigPayload`] — what [`SystemUnderTest::start`] consumes
 //!   instead of a fresh `BTreeMap<String, String>`: per-file shared
-//!   text (`Arc<str>`, no clone per injection) plus a stable
-//!   [`ContentId`] identity and a [`TextOrigin`] tag. The campaign
-//!   engine derives the tag from its baseline pointer-equality check:
-//!   a file whose tree is still `Arc`-shared with the baseline
-//!   provably carries no edit and is handed out as
+//!   text (`Arc<str>`, no clone per injection) plus a [`TextOrigin`]
+//!   tag. The campaign engine derives the tag from its baseline
+//!   pointer-equality check: a file whose tree is still `Arc`-shared
+//!   with the baseline provably carries no edit and is handed out as
 //!   [`TextOrigin::Baseline`]; everything else is serialized fresh and
 //!   tagged [`TextOrigin::Mutated`].
-//! * [`ParseCache`] — a content-addressed memo table each simulator
-//!   keeps from `(file name, ContentId)` to its parsed/validated
-//!   startup representation. A hit requires **byte-identical text**
-//!   (verified by comparison, never by hash alone), so a memoized
-//!   start is provably indistinguishable from a cold parse; the first
-//!   sighting of any mutated text always runs the full
-//!   parse-and-validate path, keeping failure semantics unchanged.
-//!   Baseline-origin entries are pinned for the simulator's lifetime;
-//!   mutated-origin entries live in a FIFO-bounded window so unbounded
-//!   campaigns cannot grow the cache without limit.
+//! * [`ParseCache`] — a simulator's switch and counters for the one
+//!   startup slot each [`FileText`] carries. The first start from a
+//!   file runs the full parse-and-validate path and leaves its result
+//!   in that slot; every clone of the file shares the slot, so a later
+//!   start from the same file — on any simulator instance, on any
+//!   thread — reads it back instead of parsing again. Nothing looks
+//!   text up by content: a fresh `FileText` starts with an empty
+//!   slot, even when its bytes equal another's, so the first sighting
+//!   of every serialized text takes the full path. The campaign engine
+//!   hands out its baseline files and its fault memo's payload files
+//!   as clones, which is what makes their starts repeat.
 //!
 //! A [`FileText`] can also carry a parse of its own bytes
 //! ([`FileText::with_parse`]), or a tree its maker knows to be that
@@ -38,95 +38,55 @@
 //! ([`FileText::with_check`], asserted in debug builds too). The
 //! campaign engine gives each freshly prepared mutated file one of
 //! the two parses, judges that parse statically, attaches the judge's
-//! check to the edited file, and hands both to the start, where a
-//! cache miss uses them instead of parsing and validating the bytes
-//! again ([`FileText::parse_with`], [`FileText::check_with`]). Cache
-//! entries keep only the text and the derived value, never the
-//! carried parse or check, and a disabled cache ignores both: the
-//! reference path always parses and validates the bytes itself.
+//! check to the edited file, and hands both to the start, where an
+//! empty slot is filled from them instead of parsing and validating
+//! the bytes again ([`FileText::parse_with`],
+//! [`FileText::check_with`]). The slot keeps only the derived value,
+//! never the carried parse or check, and a disabled cache ignores
+//! both: the reference path always parses and validates the bytes
+//! itself.
 //!
 //! [`SystemUnderTest::start`]: crate::SystemUnderTest::start
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::any::Any;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use conferr_analysis::{Dialect, DialectCheck};
 use conferr_formats::{ConfigFormat, ParseError};
 use conferr_tree::ConfTree;
 
-/// Stable identity of one exact configuration text: a 64-bit
-/// FNV-style hash that takes the bytes one little-endian 8-byte word
-/// per step, the tail one byte per step, and the length last.
-///
-/// Each step XORs a value into the running hash and multiplies by the
-/// odd FNV prime, a bijection of the hash, so two texts of one length
-/// that differ in a single byte never share an identity.
-///
-/// Identities index the [`ParseCache`]; equality of identities is
-/// necessary but *not* sufficient for a cache hit — the cache always
-/// confirms byte equality of the underlying text, so a hash collision
-/// degrades to a cold parse instead of a wrong answer. Nothing
-/// persists an identity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ContentId(u64);
-
-impl ContentId {
-    /// Computes the identity of `text`.
-    pub fn of(text: &str) -> Self {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let step = |hash: u64, value: u64| (hash ^ value).wrapping_mul(FNV_PRIME);
-        let bytes = text.as_bytes();
-        let mut words = bytes.chunks_exact(8);
-        let mut hash = FNV_OFFSET;
-        for word in &mut words {
-            let word: [u8; 8] = word.try_into().expect("chunks of 8 bytes");
-            hash = step(hash, u64::from_le_bytes(word));
-        }
-        for &byte in words.remainder() {
-            hash = step(hash, u64::from(byte));
-        }
-        let len = u64::try_from(bytes.len()).expect("lengths fit in 64 bits");
-        ContentId(step(hash, len))
-    }
-}
-
-/// Where a payload file's text came from, which decides its cache
-/// retention class.
+/// Where a payload file's text came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TextOrigin {
     /// The campaign's pristine baseline text for this file — the
     /// engine proved (by baseline pointer equality) that the injection
-    /// did not touch it. Parsed representations are pinned in the
-    /// cache for the simulator's lifetime.
+    /// did not touch it.
     Baseline,
-    /// Freshly serialized, potentially fault-carrying text. Its first
-    /// sighting always takes the full parse-and-validate path; the
-    /// memoized result lives in the FIFO-bounded transient window.
+    /// Freshly serialized, potentially fault-carrying text.
     Mutated,
 }
 
-/// One configuration file's text, shared by `Arc` and carrying its
-/// [`ContentId`] identity.
+/// One configuration file's text, shared by `Arc`, with one startup
+/// slot that all its clones share (see [`ParseCache`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use conferr_sut::{ContentId, FileText, TextOrigin};
+/// use conferr_sut::{FileText, TextOrigin};
 ///
 /// let file = FileText::mutated("port = 5432\n");
 /// assert_eq!(file.text(), "port = 5432\n");
 /// assert_eq!(file.origin(), TextOrigin::Mutated);
-/// assert_eq!(file.content_id(), ContentId::of("port = 5432\n"));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FileText {
     text: Arc<str>,
-    id: ContentId,
     origin: TextOrigin,
     parsed: Option<Arc<CarriedParse>>,
     check: Option<Arc<DialectCheck>>,
+    startup: Arc<OnceLock<Startup>>,
 }
 
 /// A parse of a [`FileText`]'s own bytes, tagged with the name of the
@@ -145,20 +105,37 @@ impl fmt::Debug for CarriedParse {
     }
 }
 
+/// The value a [`ParseCache::get_or_parse`] built from a
+/// [`FileText`], keyed by the file name it was built for and, through
+/// the `Any`, by its type.
+#[derive(Debug)]
+struct Startup {
+    file_name: Box<str>,
+    value: Arc<dyn Any + Send + Sync>,
+}
+
+impl Startup {
+    /// The value, when it was built for `file_name` as a `T`.
+    fn get<T: Send + Sync + 'static>(&self, file_name: &str) -> Option<Arc<T>> {
+        if *self.file_name != *file_name {
+            return None;
+        }
+        Arc::clone(&self.value).downcast().ok()
+    }
+}
+
 impl FileText {
     fn new(text: impl Into<Arc<str>>, origin: TextOrigin) -> Self {
-        let text = text.into();
-        let id = ContentId::of(&text);
         FileText {
-            text,
-            id,
+            text: text.into(),
             origin,
             parsed: None,
             check: None,
+            startup: Arc::default(),
         }
     }
 
-    /// Wraps baseline text (pinned when cached).
+    /// Wraps baseline text.
     pub fn baseline(text: impl Into<Arc<str>>) -> Self {
         Self::new(text, TextOrigin::Baseline)
     }
@@ -179,12 +156,7 @@ impl FileText {
         Arc::clone(&self.text)
     }
 
-    /// The text's stable content identity.
-    pub fn content_id(&self) -> ContentId {
-        self.id
-    }
-
-    /// The retention class this text was tagged with.
+    /// Where this text came from.
     pub fn origin(&self) -> TextOrigin {
         self.origin
     }
@@ -349,11 +321,9 @@ impl FileText {
     /// The same text without any carried parse or check.
     fn without_parse(&self) -> FileText {
         FileText {
-            text: Arc::clone(&self.text),
-            id: self.id,
-            origin: self.origin,
             parsed: None,
             check: None,
+            ..self.clone()
         }
     }
 }
@@ -362,8 +332,9 @@ impl FileText {
 /// [`SystemUnderTest::start`]: file name → [`FileText`].
 ///
 /// The campaign engine builds one payload per injection; files the
-/// fault did not touch reuse the engine's cached baseline `Arc<str>`
-/// (and its precomputed [`ContentId`]) instead of cloning `String`s.
+/// fault did not touch are clones of the engine's baseline files, so
+/// they share its `Arc<str>` text and its startup slot instead of
+/// cloning `String`s.
 ///
 /// # Examples
 ///
@@ -450,172 +421,64 @@ impl FromIterator<(String, FileText)> for ConfigPayload {
 /// [`SystemUnderTest::parse_cache_stats`]: crate::SystemUnderTest::parse_cache_stats
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from a memoized representation (byte-identical
-    /// text, verified).
+    /// Lookups served from a file's startup slot.
     pub hits: u64,
     /// Lookups that ran the full parse-and-validate path.
     pub misses: u64,
     /// Parses performed while the cache was disabled
-    /// ([`ParseCache::set_enabled`]); these never touch the memo
-    /// table.
+    /// ([`ParseCache::set_enabled`]); these never touch a startup
+    /// slot.
     pub bypassed: u64,
-    /// Memoized representations currently held (pinned + transient).
-    pub entries: usize,
-    /// Pinned (baseline-origin) representations currently held.
-    pub pinned: usize,
 }
 
-struct Entry<T> {
-    text: Arc<str>,
-    value: Arc<T>,
-}
-
-impl<T> Clone for Entry<T> {
-    fn clone(&self) -> Self {
-        Entry {
-            text: Arc::clone(&self.text),
-            value: Arc::clone(&self.value),
-        }
-    }
-}
-
-/// Per-file memo table: pinned baseline entries plus a FIFO-bounded
-/// window of mutated-text entries.
-struct FileCache<T> {
-    pinned: HashMap<ContentId, Entry<T>>,
-    recent: HashMap<ContentId, Entry<T>>,
-    order: VecDeque<ContentId>,
-}
-
-impl<T> Default for FileCache<T> {
-    fn default() -> Self {
-        FileCache {
-            pinned: HashMap::new(),
-            recent: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-}
-
-impl<T> FileCache<T> {
-    fn lookup(&self, file: &FileText) -> Option<Arc<T>> {
-        let id = file.content_id();
-        let entry = self.pinned.get(&id).or_else(|| self.recent.get(&id))?;
-        // Identity is an index, not a proof: a hit requires the exact
-        // bytes, so a hash collision costs a re-parse, never a wrong
-        // outcome.
-        (*entry.text == *file.text()).then(|| Arc::clone(&entry.value))
-    }
-
-    fn store(&mut self, file: &FileText, value: Arc<T>) {
-        let id = file.content_id();
-        let entry = Entry {
-            text: file.shared_text(),
-            value,
-        };
-        match file.origin() {
-            TextOrigin::Baseline => {
-                self.pinned.insert(id, entry);
-            }
-            TextOrigin::Mutated => {
-                if self.recent.contains_key(&id) || self.pinned.contains_key(&id) {
-                    // A collision under the same id keeps the older
-                    // entry; the newer text simply stays uncached (a
-                    // pinned-id collision in particular must not park
-                    // an unreachable entry in the FIFO window —
-                    // lookups check `pinned` first).
-                    return;
-                }
-                while self.recent.len() >= CAPACITY_PER_FILE {
-                    let Some(oldest) = self.order.pop_front() else {
-                        break;
-                    };
-                    self.recent.remove(&oldest);
-                }
-                self.recent.insert(id, entry);
-                self.order.push_back(id);
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.pinned.len() + self.recent.len()
-    }
-}
-
-/// Content-addressed memoization of a simulator's startup
-/// parse-and-validate path.
+/// Memoization of a simulator's startup parse-and-validate path in
+/// the startup slot of each [`FileText`] it starts from.
 ///
-/// `T` is whatever deterministic representation the simulator derives
-/// from one file's text — typically a `Result<Blueprint, String>`
-/// capturing either the validated startup state or the exact
-/// startup diagnostic. Because simulators are deterministic functions
-/// of their configuration text, memoizing by byte-identical content is
-/// observationally invisible: a cache hit returns precisely what the
-/// full parse would have produced (asserted end-to-end by
-/// `tests/parse_cache.rs`).
+/// A simulator derives some deterministic representation from one
+/// file's text — typically a `Result<Blueprint, String>` capturing
+/// either the validated startup state or the exact startup
+/// diagnostic. Because simulators are deterministic functions of their
+/// configuration text and file name, a value built once per file is
+/// observationally invisible: a hit returns precisely what the full
+/// parse would have produced (asserted end-to-end by
+/// `tests/parse_cache.rs`). The slot is shared by every clone of the
+/// file, so one build serves every simulator instance that starts from
+/// it. It holds one value, keyed by file name and type; a lookup under
+/// another key builds its value without storing it.
 ///
 /// # Examples
 ///
 /// ```
 /// use conferr_sut::{FileText, ParseCache};
 ///
-/// let mut cache: ParseCache<usize> = ParseCache::new();
+/// let mut cache = ParseCache::new();
 /// let conf = FileText::baseline("listen 80\n");
 ///
 /// let parsed = cache.get_or_parse("app.conf", &conf, |file| file.text().len());
 /// assert_eq!(*parsed, 10);
 ///
-/// // Same content: memoized, the closure does not run again.
-/// let memoized = cache.get_or_parse("app.conf", &conf, |_| unreachable!());
+/// // The same file, or a clone of it: memoized, the closure does not
+/// // run again, whichever cache asks.
+/// let memoized = ParseCache::new().get_or_parse("app.conf", &conf.clone(), |_| unreachable!());
 /// assert_eq!(parsed, memoized);
+/// assert_eq!(cache.get_or_parse("app.conf", &conf, |_| 0), parsed);
 /// assert_eq!(cache.stats().hits, 1);
 ///
-/// // Different content under the same name: full parse.
-/// let edited = FileText::mutated("listen 8080\n");
-/// assert_eq!(*cache.get_or_parse("app.conf", &edited, |file| file.text().len()), 12);
+/// // Another file, even of equal text: full parse.
+/// let edited = FileText::mutated("listen 80\n");
+/// assert_eq!(*cache.get_or_parse("app.conf", &edited, |file| file.text().len()), 10);
 /// assert_eq!(cache.stats().misses, 2);
 /// ```
-pub struct ParseCache<T> {
-    files: HashMap<String, FileCache<T>>,
-    enabled: bool,
-    hits: u64,
-    misses: u64,
-    bypassed: u64,
+#[derive(Debug, Default)]
+pub struct ParseCache {
+    disabled: bool,
+    stats: CacheStats,
 }
 
-/// Transient (mutated-origin) entries retained per file. Sized to
-/// hold several full Table 1 fault loads' worth of distinct texts;
-/// beyond that, the oldest entries are evicted first.
-const CAPACITY_PER_FILE: usize = 1024;
-
-impl<T> Default for ParseCache<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> fmt::Debug for ParseCache<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParseCache")
-            .field("enabled", &self.enabled)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl<T> ParseCache<T> {
-    /// Creates an enabled cache. Each file keeps a bounded FIFO
-    /// window of mutated-origin entries; baseline-origin entries are
-    /// always pinned and not counted against it.
+impl ParseCache {
+    /// Creates an enabled cache.
     pub fn new() -> Self {
-        ParseCache {
-            files: HashMap::new(),
-            enabled: true,
-            hits: 0,
-            misses: 0,
-            bypassed: 0,
-        }
+        ParseCache::default()
     }
 
     /// Enables or disables memoization. While disabled every lookup
@@ -623,103 +486,65 @@ impl<T> ParseCache<T> {
     /// check, and nothing is stored — the reference cold path used by
     /// benches and equivalence tests.
     pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
+        self.disabled = !enabled;
     }
 
     /// `true` iff memoization is active.
     pub fn enabled(&self) -> bool {
-        self.enabled
+        !self.disabled
     }
 
-    /// Returns the memoized representation of `file`'s exact text
-    /// under `file_name`, running `parse` (the full paper-faithful
-    /// parse-and-validate path) on the file when no byte-identical
-    /// entry exists. `parse` may take the parse and check the file
-    /// carries (see [`FileText::parse_with`] and
-    /// [`FileText::check_with`]); a disabled cache hands it the bare
-    /// text instead.
-    pub fn get_or_parse<F>(&mut self, file_name: &str, file: &FileText, parse: F) -> Arc<T>
+    /// Returns the value `file`'s startup slot holds for `file_name`,
+    /// running `parse` (the full paper-faithful parse-and-validate
+    /// path) on the file when the slot holds none. An empty slot keeps
+    /// the result; a slot holding another file name's or type's value
+    /// is left as it is. Concurrent lookups of one empty slot run
+    /// `parse` once, and the others wait for its result. `parse` may
+    /// take the parse and check the file carries (see
+    /// [`FileText::parse_with`] and [`FileText::check_with`]); a
+    /// disabled cache hands it the bare text instead.
+    pub fn get_or_parse<T, F>(&mut self, file_name: &str, file: &FileText, parse: F) -> Arc<T>
     where
+        T: Send + Sync + 'static,
         F: FnOnce(&FileText) -> T,
     {
-        if !self.enabled {
-            self.bypassed += 1;
+        if self.disabled {
+            self.stats.bypassed += 1;
             return Arc::new(parse(&file.without_parse()));
         }
-        if let Some(hit) = self.files.get(file_name).and_then(|fc| fc.lookup(file)) {
-            self.hits += 1;
-            return hit;
+        let mut parse = Some(parse);
+        let stored = file.startup.get_or_init(|| {
+            let parse = parse.take().expect("the slot is filled once");
+            Startup {
+                file_name: file_name.into(),
+                value: Arc::new(parse(file)),
+            }
+        });
+        if let Some(value) = stored.get(file_name) {
+            match parse {
+                Some(_) => self.stats.hits += 1,
+                None => self.stats.misses += 1,
+            }
+            return value;
         }
-        self.misses += 1;
-        let value = Arc::new(parse(file));
-        self.files
-            .entry(file_name.to_string())
-            .or_default()
-            .store(file, Arc::clone(&value));
-        value
+        self.stats.misses += 1;
+        let parse = parse.expect("a slot this lookup filled holds its key");
+        Arc::new(parse(file))
     }
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            bypassed: self.bypassed,
-            entries: self.files.values().map(FileCache::len).sum(),
-            pinned: self.files.values().map(|fc| fc.pinned.len()).sum(),
-        }
-    }
-
-    /// Drops every memoized representation (counters are kept).
-    pub fn clear(&mut self) {
-        self.files.clear();
+        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SystemUnderTest;
     use conferr_analysis::DialectModel;
     use std::cell::Cell;
-
-    #[test]
-    fn content_id_is_stable_and_discriminating() {
-        assert_eq!(ContentId::of("a"), ContentId::of("a"));
-        assert_ne!(ContentId::of("a"), ContentId::of("b"));
-        assert_ne!(ContentId::of(""), ContentId::of("\0"));
-        assert_ne!(ContentId::of("12345678"), ContentId::of("1234567"));
-    }
-
-    #[test]
-    fn no_single_byte_substitution_of_a_default_config_keeps_its_id() {
-        let sims: [&dyn crate::SystemUnderTest; 3] = [
-            &crate::MySqlSim::new(),
-            &crate::PostgresSim::new(),
-            &crate::ApacheSim::new(),
-        ];
-        for sim in sims {
-            for (name, text) in crate::default_configs(sim) {
-                // An ASCII text stays a text under exactly the ASCII
-                // substitutions.
-                assert!(text.is_ascii(), "{name}");
-                let original = ContentId::of(&text);
-                let mut bytes = text.into_bytes();
-                for at in 0..bytes.len() {
-                    let kept = bytes[at];
-                    for byte in (0..=0x7f).filter(|&b| b != kept) {
-                        bytes[at] = byte;
-                        let edited = std::str::from_utf8(&bytes).expect("ASCII");
-                        assert_ne!(
-                            ContentId::of(edited),
-                            original,
-                            "{name}: byte {at} = {byte}"
-                        );
-                    }
-                    bytes[at] = kept;
-                }
-            }
-        }
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn payload_from_texts_round_trips() {
@@ -735,29 +560,87 @@ mod tests {
 
     #[test]
     fn identical_content_is_parsed_once() {
-        let mut cache: ParseCache<String> = ParseCache::new();
+        // One file and its clones, looked up by two caches on two
+        // threads at once: one parse, one shared value.
+        let runs = AtomicUsize::new(0);
+        let file = FileText::mutated("abc");
+        let lookup = |file: FileText| {
+            let mut cache = ParseCache::new();
+            let value = cache.get_or_parse("f", &file, |f| {
+                runs.fetch_add(1, Ordering::Relaxed);
+                f.text().to_uppercase()
+            });
+            let again = cache.get_or_parse::<String, _>("f", &file, |_| unreachable!());
+            assert!(Arc::ptr_eq(&value, &again));
+            (value, cache.stats())
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| lookup(file.clone()));
+            let b = s.spawn(|| lookup(file.clone()));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        assert_eq!(*a.0, "ABC");
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!((a.1.hits + b.1.hits, a.1.misses + b.1.misses), (3, 1));
+    }
+
+    #[test]
+    fn one_file_text_starts_two_simulators_from_one_build() {
+        let (mut a, mut b) = (crate::MySqlSim::new(), crate::MySqlSim::new());
+        let payload = crate::default_payload(&a);
+        let deadline = crate::Deadline::unlimited();
+        let first = a.start(&payload, &deadline);
+        assert!(first.is_running());
+        assert_eq!(b.start(&payload.clone(), &deadline), first);
+        assert_eq!(a.start(&payload, &deadline), first);
+        let (a, b) = (
+            a.parse_cache_stats().unwrap(),
+            b.parse_cache_stats().unwrap(),
+        );
+        assert_eq!((a.hits, a.misses, b.hits, b.misses), (1, 1, 1, 0));
+    }
+
+    #[test]
+    fn a_fresh_file_text_with_equal_text_builds_again() {
         let runs = Cell::new(0);
         let parse = |file: &FileText| {
             runs.set(runs.get() + 1);
-            file.text().to_uppercase()
+            file.text().len()
         };
-        let file = FileText::mutated("abc");
-        let a = cache.get_or_parse("f", &file, parse);
-        let b = cache.get_or_parse("f", &file, parse);
-        // Same content under a *fresh* FileText (new Arc) still hits.
-        let c = cache.get_or_parse("f", &FileText::mutated("abc"), parse);
-        assert_eq!(runs.get(), 1);
-        assert_eq!(*a, "ABC");
-        assert!(Arc::ptr_eq(&a, &b) && Arc::ptr_eq(&b, &c));
+        let mut cache = ParseCache::new();
+        let a = cache.get_or_parse("f", &FileText::mutated("abc"), parse);
+        let b = cache.get_or_parse("f", &FileText::mutated("abc"), parse);
+        assert_eq!((*a, *b), (3, 3));
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(runs.get(), 2);
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 1, 1));
+        assert_eq!((stats.hits, stats.misses), (0, 2));
+    }
+
+    #[test]
+    fn another_file_name_or_startup_type_builds_without_replacing_the_stored_value() {
+        let mut cache = ParseCache::new();
+        let file = FileText::mutated("abc");
+        let stored = cache.get_or_parse("a.conf", &file, |_| 1_usize);
+        // Another name: built on every lookup, never stored.
+        assert_eq!(*cache.get_or_parse("b.conf", &file, |_| 2_usize), 2);
+        assert_eq!(*cache.get_or_parse("b.conf", &file, |_| 3_usize), 3);
+        // Another type under the same name: likewise.
+        assert_eq!(*cache.get_or_parse("a.conf", &file, |_| 'x'), 'x');
+        assert_eq!(*cache.get_or_parse("a.conf", &file, |_| 'y'), 'y');
+        // The stored value still answers its own key.
+        let again = cache.get_or_parse::<usize, _>("a.conf", &file, |_| unreachable!());
+        assert!(Arc::ptr_eq(&stored, &again));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 5));
     }
 
     #[test]
     fn same_content_under_different_names_is_parsed_per_name() {
         // Diagnostics may embed the file name, so the memo key
         // includes it.
-        let mut cache: ParseCache<usize> = ParseCache::new();
+        let mut cache = ParseCache::new();
         let file = FileText::baseline("x");
         cache.get_or_parse("a.conf", &file, |_| 1);
         let b = cache.get_or_parse("b.conf", &file, |_| 2);
@@ -767,7 +650,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_always_parses_and_stores_nothing() {
-        let mut cache: ParseCache<usize> = ParseCache::new();
+        let mut cache = ParseCache::new();
         cache.set_enabled(false);
         assert!(!cache.enabled());
         let file = FileText::baseline("x");
@@ -775,10 +658,9 @@ mod tests {
         cache.get_or_parse("f", &file, |_| 2);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.bypassed), (0, 0, 2));
-        assert_eq!(stats.entries, 0);
         // Re-enabling starts cold.
         cache.set_enabled(true);
-        cache.get_or_parse("f", &file, |_| 3);
+        assert_eq!(*cache.get_or_parse("f", &file, |_| 3), 3);
         assert_eq!(cache.stats().misses, 1);
     }
 
@@ -831,7 +713,7 @@ mod tests {
     fn only_an_enabled_cache_hands_over_the_carried_parse() {
         use conferr_formats::KvFormat;
         let file = FileText::mutated("port = 5432\n").with_parse(&KvFormat::new());
-        let mut cache: ParseCache<bool> = ParseCache::new();
+        let mut cache = ParseCache::new();
         let miss = cache.get_or_parse("f", &file, |f| carries_parse(f, &KvFormat::new()));
         assert!(*miss, "a miss builds from the carried parse");
         cache.set_enabled(false);
@@ -895,7 +777,7 @@ mod tests {
         use conferr_formats::KvFormat;
         let file = checked_postgres_file();
         let carried = |f: &FileText| carries_check(f, &KvFormat::new(), Dialect::PostgresKv);
-        let mut cache: ParseCache<bool> = ParseCache::new();
+        let mut cache = ParseCache::new();
         assert!(
             *cache.get_or_parse("f", &file, carried),
             "a miss builds from the carried check"
@@ -917,40 +799,5 @@ mod tests {
         let _ = FileText::mutated("port = 5432\n")
             .with_parse(&KvFormat::new())
             .with_check(check);
-    }
-
-    #[test]
-    fn mutated_entries_are_evicted_fifo_and_pinned_entries_are_not() {
-        let mut cache: ParseCache<usize> = ParseCache::new();
-        let base = FileText::baseline("base");
-        cache.get_or_parse("f", &base, |_| 0);
-        // One mutated text more than the window holds.
-        let texts: Vec<String> = (0..=CAPACITY_PER_FILE).map(|i| format!("m{i}")).collect();
-        for (i, text) in texts.iter().enumerate() {
-            cache.get_or_parse("f", &FileText::mutated(text.as_str()), move |_| i + 1);
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.pinned, 1);
-        assert_eq!(
-            stats.entries,
-            CAPACITY_PER_FILE + 1,
-            "full window + 1 pinned"
-        );
-        // m0 (oldest) was evicted; base and the newest text still hit.
-        cache.get_or_parse("f", &base, |_| unreachable!());
-        let newest = FileText::mutated(texts[CAPACITY_PER_FILE].as_str());
-        cache.get_or_parse("f", &newest, |_| unreachable!());
-        let evicted = cache.get_or_parse("f", &FileText::mutated("m0"), |_| 0);
-        assert_eq!(*evicted, 0, "m0 is parsed afresh");
-    }
-
-    #[test]
-    fn clear_drops_entries() {
-        let mut cache: ParseCache<usize> = ParseCache::new();
-        cache.get_or_parse("f", &FileText::baseline("x"), |_| 1);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        cache.get_or_parse("f", &FileText::baseline("x"), |_| 2);
-        assert_eq!(cache.stats().misses, 2);
     }
 }

@@ -72,7 +72,7 @@ type PostgresStartup = Result<Blueprint, String>;
 #[derive(Debug, Default)]
 pub struct PostgresSim {
     running: Option<Running>,
-    cache: ParseCache<PostgresStartup>,
+    cache: ParseCache,
 }
 
 impl PostgresSim {

@@ -1,20 +1,20 @@
-//! Property tests for the startup parse cache.
+//! Property tests for the startup memo.
 //!
 //! The soundness claims (see `conferr_sut::payload`):
 //!
-//! * **Mutated files always bypass the cache**: text that differs
-//!   from anything parsed before — in particular from the pinned
-//!   baseline — is never served from a memoized entry; its first
-//!   sighting runs the full parse-and-validate path, and only
-//!   byte-identical re-sightings may hit.
-//! * A cache hit is observationally identical to a cold parse: the
+//! * **Mutated files always take the full startup path first**: a
+//!   fresh `FileText` starts with an empty startup slot, whatever its
+//!   bytes, so its first start runs the full parse-and-validate path;
+//!   only a start from that same file, or a clone of it, may hit, on
+//!   any simulator instance.
+//! * A hit is observationally identical to a cold parse: the
 //!   `StartOutcome` matches a caching-disabled simulator fed the same
 //!   payload.
-//! * `ParseCache` itself parses each distinct content exactly once
-//!   and returns the memoized value thereafter.
+//! * `ParseCache` builds each file's value exactly once, however many
+//!   clones and caches look it up.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeSet;
 
 use conferr_sut::{
     default_configs, default_payload, ConfigPayload, Deadline, FileText, ParseCache, PostgresSim,
@@ -54,18 +54,20 @@ proptest! {
             // character); force a visible mutation instead.
             mutated_text.push('#');
         }
+        let mutated = |text: &str| {
+            let mut payload = ConfigPayload::new();
+            payload.insert("postgresql.conf", FileText::mutated(text));
+            payload
+        };
 
-        // Warm simulator: baseline parsed and pinned first.
+        // Warm simulator: started from the defaults first.
         let mut warm = PostgresSim::new();
         warm.start(&default_payload(&warm), &Deadline::unlimited());
         let before = warm.parse_cache_stats().unwrap();
-        prop_assert_eq!(before.pinned, 1);
 
-        // First sighting of the mutated text: must NOT be served from
-        // the baseline entry — the miss counter proves the full
-        // parse-and-validate path ran.
-        let mut payload = ConfigPayload::new();
-        payload.insert("postgresql.conf", FileText::mutated(mutated_text.as_str()));
+        // First start from the mutated file: the miss counter proves
+        // the full parse-and-validate path ran.
+        let payload = mutated(&mutated_text);
         let outcome = warm.start(&payload, &Deadline::unlimited());
         let after = warm.parse_cache_stats().unwrap();
         prop_assert_eq!(after.misses, before.misses + 1);
@@ -78,36 +80,50 @@ proptest! {
         let reference = cold.start(&payload, &Deadline::unlimited());
         prop_assert_eq!(&outcome, &reference);
 
-        // Only a byte-identical re-sighting may hit, and the memoized
-        // outcome is unchanged.
+        // A start from the same file hits, on this simulator and on
+        // another, and the memoized outcome is unchanged.
         let replay = warm.start(&payload, &Deadline::unlimited());
-        let replay_stats = warm.parse_cache_stats().unwrap();
-        prop_assert_eq!(replay_stats.hits, after.hits + 1);
+        prop_assert_eq!(warm.parse_cache_stats().unwrap().hits, after.hits + 1);
         prop_assert_eq!(&replay, &reference);
+        let mut other = PostgresSim::new();
+        prop_assert_eq!(&other.start(&payload.clone(), &Deadline::unlimited()), &reference);
+        prop_assert_eq!(other.parse_cache_stats().unwrap().hits, 1);
+
+        // A fresh file of the same bytes takes the full path again.
+        let fresh = warm.start(&mutated(&mutated_text), &Deadline::unlimited());
+        prop_assert_eq!(warm.parse_cache_stats().unwrap().misses, after.misses + 1);
+        prop_assert_eq!(&fresh, &reference);
     }
 
     #[test]
     fn parse_cache_parses_each_distinct_content_exactly_once(
-        texts in prop::collection::vec("[a-c]{0,4}", 1..12),
+        texts in prop::collection::vec("[a-c]{0,4}", 1..6),
+        picks in prop::collection::vec((0usize..6, any::<bool>()), 1..24),
     ) {
-        let runs: RefCell<HashMap<String, usize>> = RefCell::new(HashMap::new());
-        let mut cache: ParseCache<usize> = ParseCache::new();
-        for text in &texts {
-            let file = FileText::mutated(text.as_str());
-            let value = cache.get_or_parse("f", &file, |f| {
-                *runs.borrow_mut().entry(f.text().to_string()).or_insert(0) += 1;
+        // One file per text, equal texts included; each pick looks a
+        // clone of one file up through one of two caches.
+        let files: Vec<FileText> = texts.iter().map(|t| FileText::mutated(t.as_str())).collect();
+        let runs = RefCell::new(vec![0usize; files.len()]);
+        let mut caches = [ParseCache::new(), ParseCache::new()];
+        let mut picked = BTreeSet::new();
+        for &(pick, second) in &picks {
+            let i = pick % files.len();
+            picked.insert(i);
+            let cache = &mut caches[usize::from(second)];
+            let value = cache.get_or_parse("f", &files[i].clone(), |f| {
+                runs.borrow_mut()[i] += 1;
                 f.text().len()
             });
-            prop_assert_eq!(*value, text.len());
+            prop_assert_eq!(*value, texts[i].len());
         }
-        for (text, count) in runs.borrow().iter() {
-            prop_assert_eq!(*count, 1, "{} parsed more than once", text);
+        for (i, &count) in runs.borrow().iter().enumerate() {
+            prop_assert_eq!(count, usize::from(picked.contains(&i)), "file {}", i);
         }
-        let stats = cache.stats();
-        prop_assert_eq!(stats.misses as usize, runs.borrow().len());
-        prop_assert_eq!(
-            stats.hits as usize,
-            texts.len() - runs.borrow().len()
-        );
+        let (hits, misses) = caches
+            .iter()
+            .map(ParseCache::stats)
+            .fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses));
+        prop_assert_eq!(misses as usize, picked.len());
+        prop_assert_eq!(hits as usize, picks.len() - picked.len());
     }
 }

@@ -30,7 +30,7 @@ fn serial_profile(
 /// caches persist between the calls — must match campaigns run on
 /// fresh serial `Campaign`s byte for byte, over Postgres's full
 /// Table 1 load. This is the soundness condition for reusing SUT
-/// instances (and their parse caches) across campaigns.
+/// instances across campaigns.
 #[test]
 fn executor_reuse_is_byte_identical_to_fresh_serial_campaigns() {
     let keyboard = Keyboard::qwerty_us();

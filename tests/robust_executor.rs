@@ -532,8 +532,10 @@ fn a_panicking_sink_poisons_the_batch_and_the_executor_still_drops() {
 /// Builds one boxed simulator.
 type Build = fn() -> Box<dyn SystemUnderTest + Send>;
 
-/// A SUT that is a new simulator at every `start` — the reference
-/// for warm reuse, where one instance serves fault after fault.
+/// A SUT that is a new simulator at every `start`, with parse caching
+/// off — the reference for warm reuse, where one instance serves fault
+/// after fault. Caching off keeps the reference free of the startup
+/// state that payload files share across starts.
 #[derive(Debug)]
 struct FreshPerStart {
     build: Build,
@@ -558,6 +560,7 @@ impl SystemUnderTest for FreshPerStart {
     }
     fn start(&mut self, configs: &ConfigPayload, deadline: &Deadline) -> StartOutcome {
         self.inner = (self.build)();
+        self.inner.set_parse_caching(false);
         self.inner.start(configs, deadline)
     }
     fn test_names(&self) -> Vec<String> {
