@@ -10,10 +10,21 @@
 //! construction (listen sockets, document roots, virtual hosts) to
 //! predict startup *warnings* and give the linter a semantic
 //! fingerprint of everything the `http-get` probe can observe.
+//!
+//! That model reads few nodes ([`startup_reads`]), and validation
+//! judges each node on its own, so the fingerprint of a file that
+//! differs from a validated one in a single node can be derived from
+//! the validated file's: validate the written node alone, and replay
+//! the service construction only when it reads that node. The linter
+//! derives the check of a single in-place edit this way
+//! ([`DialectModel::patched`](crate::DialectModel::patched)), and the
+//! simulator starts from it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use conferr_tree::Node;
+use conferr_model::TreeEdit;
+use conferr_tree::{ConfTree, Node, TreePath};
 
 use crate::value::parse_int_strict;
 use crate::verdict::{ValidationClass, Violation};
@@ -250,6 +261,35 @@ pub fn check_directive(node: &Node) -> Result<(), Violation> {
     }
 }
 
+/// Validates one node on its own: a directive against the registry, a
+/// section's name against [`SECTIONS`] (not its contents), anything
+/// else not at all.
+///
+/// # Errors
+///
+/// A [`Violation`] carrying the verbatim `httpd` startup diagnostic.
+fn check_node(node: &Node) -> Result<(), Violation> {
+    match node.kind() {
+        "directive" => check_directive(node),
+        "section" => {
+            let name = node.attr("name").unwrap_or("");
+            if SECTIONS.iter().any(|s| s.eq_ignore_ascii_case(name)) {
+                Ok(())
+            } else {
+                Err(Violation::new(
+                    canonical_name(name),
+                    ValidationClass::UnknownDirective,
+                    format!(
+                        "Invalid command '<{name}', perhaps misspelled or defined by a module \
+                         not included in the server configuration"
+                    ),
+                ))
+            }
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Recursively validates every directive and section name.
 ///
 /// # Errors
@@ -258,23 +298,9 @@ pub fn check_directive(node: &Node) -> Result<(), Violation> {
 /// simulator reports.
 pub fn validate_tree(node: &Node) -> Result<(), Violation> {
     for child in node.children() {
-        match child.kind() {
-            "directive" => check_directive(child)?,
-            "section" => {
-                let name = child.attr("name").unwrap_or("");
-                if !SECTIONS.iter().any(|s| s.eq_ignore_ascii_case(name)) {
-                    return Err(Violation::new(
-                        canonical_name(name),
-                        ValidationClass::UnknownDirective,
-                        format!(
-                            "Invalid command '<{name}', perhaps misspelled or defined by a \
-                             module not included in the server configuration"
-                        ),
-                    ));
-                }
-                validate_tree(child)?;
-            }
-            _ => {}
+        check_node(child)?;
+        if child.kind() == "section" {
+            validate_tree(child)?;
         }
     }
     Ok(())
@@ -400,13 +426,7 @@ pub fn startup_model(root: &Node) -> Result<StartupModel, Violation> {
     }
     let main_aliases = collect_aliases(root);
     let mut vhosts = Vec::new();
-    for section in root.children_of_kind("section") {
-        if !section
-            .attr("name")
-            .is_some_and(|n| n.eq_ignore_ascii_case("VirtualHost"))
-        {
-            continue;
-        }
+    for section in root.children().iter().filter(|node| is_vhost(node)) {
         let server_name = directive_args(section, "ServerName").map(|s| s.trim().to_string());
         if server_name.is_none() {
             // The common mistake called out in §2.2: a VirtualHost
@@ -465,11 +485,97 @@ pub fn fingerprint(root: &Node) -> Result<StartupModel, Violation> {
     startup_model(root)
 }
 
+/// The top-level directives [`startup_model`] reads. This list and
+/// [`VHOST_READS`] must name everything it reads:
+/// `tests/patched_check.rs` fails when one name is missing.
+const MAIN_READS: &[&str] = &[
+    "Listen",
+    "DocumentRoot",
+    "DirectoryIndex",
+    "DefaultType",
+    "AddType",
+    "Alias",
+    "ScriptAlias",
+];
+
+/// The directives [`startup_model`] reads directly inside a top-level
+/// `<VirtualHost>`.
+const VHOST_READS: &[&str] = &["ServerName", "DocumentRoot", "Alias", "ScriptAlias"];
+
+fn is_vhost(node: &Node) -> bool {
+    node.kind() == "section"
+        && node
+            .attr("name")
+            .is_some_and(|n| n.eq_ignore_ascii_case("VirtualHost"))
+}
+
+fn is_directive_in(node: &Node, names: &[&str]) -> bool {
+    node.kind() == "directive"
+        && node
+            .attr("name")
+            .is_some_and(|n| names.iter().any(|r| r.eq_ignore_ascii_case(n)))
+}
+
+/// Whether [`startup_model`] reads `node`, standing at `path` in the
+/// tree rooted at `root`: a top-level `Listen`, `DocumentRoot`,
+/// `DirectoryIndex`, `DefaultType`, `AddType`, `Alias` or
+/// `ScriptAlias`, a top-level `<VirtualHost>`, or a `ServerName`,
+/// `DocumentRoot`, `Alias` or `ScriptAlias` directly inside one. The
+/// model depends on no other node, so an edit that writes none of
+/// these, before or after, leaves it as it was.
+pub fn startup_reads(root: &Node, path: &TreePath, node: &Node) -> bool {
+    match path.indices() {
+        [_] => is_vhost(node) || is_directive_in(node, MAIN_READS),
+        [top, _] => {
+            root.children().get(*top).is_some_and(is_vhost) && is_directive_in(node, VHOST_READS)
+        }
+        _ => false,
+    }
+}
+
+/// [`fingerprint`] of `after`, the tree `before` with one `SetText`,
+/// `SetAttr` or `Delete` applied, derived from `base`, the fingerprint
+/// of `before`, or `None` for any other edit.
+///
+/// Every other node passed validation in `before`, so only the written
+/// node is validated: [`check_directive`] or the section-name rule, and
+/// nothing for a deletion. [`startup_model`] runs again only when it
+/// reads the old node or the new one ([`startup_reads`]); otherwise
+/// `after` shares `base`.
+///
+/// # Errors
+///
+/// The [`Violation`] [`fingerprint`] would report for `after`.
+pub(crate) fn patched_fingerprint(
+    base: &Arc<StartupModel>,
+    before: &ConfTree,
+    after: &ConfTree,
+    edit: &TreeEdit,
+) -> Option<Result<Arc<StartupModel>, Violation>> {
+    let (path, written) = match edit {
+        TreeEdit::SetText { path, .. } | TreeEdit::SetAttr { path, .. } => {
+            (path, Some(after.node_at(path).ok()?))
+        }
+        TreeEdit::Delete { path, .. } => (path, None),
+        _ => return None,
+    };
+    let old = before.node_at(path).ok()?;
+    if let Some(Err(violation)) = written.map(check_node) {
+        return Some(Err(violation));
+    }
+    let reads = startup_reads(before.root(), path, old)
+        || written.is_some_and(|node| startup_reads(after.root(), path, node));
+    Some(if reads {
+        startup_model(after.root()).map(Arc::new)
+    } else {
+        Ok(Arc::clone(base))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use conferr_formats::{ApacheFormat, ConfigFormat};
-    use conferr_tree::ConfTree;
 
     fn parse(text: &str) -> ConfTree {
         ApacheFormat::new().parse(text).expect("fixture parses")

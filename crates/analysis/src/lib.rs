@@ -21,7 +21,9 @@
 //!   [`verdict::StaticVerdict`] and a per-file [`touch::FileTouch`]
 //!   set. The injection engine hands [`FaultLinter::judge`] the parse
 //!   it makes once per fault, and passes that parse and the judge's
-//!   [`DialectCheck`] on to the SUT's start;
+//!   [`DialectCheck`] on to the SUT's start; for a known parse of an
+//!   Apache file the judge patches the baseline's check instead of
+//!   running it whole ([`DialectModel::patched`]).
 //!   [`FaultLinter::lint`] makes that parse itself — apply the edits,
 //!   serialize with the real format, re-parse with the real parser —
 //!   for callers outside the engine.
@@ -36,7 +38,7 @@
 //! outside `conferr-formats` that asks
 //! `ConfigFormat::parses_in_place`). The engine asks once per
 //! single-edit fault and uses the same answer to skip that fault's
-//! parse.
+//! parse, splice its text and let the judge patch its check.
 //!
 //! The soundness contract is asymmetric by design: `WillFailParse`
 //! and `WillFailValidate` promise a failing dynamic start,

@@ -11,7 +11,11 @@
 //! engine hands it the parse it makes once per fault, and passes that
 //! parse and the judge's check on to the SUT's start, whose simulator
 //! builds its startup state from the check instead of validating
-//! again. [`FaultLinter::lint`] is the standalone entry point: it runs
+//! again. When that parse is the engine's *known parse* (the baseline
+//! tree with one in-place edit applied), the judge patches Apache's
+//! check from the baseline's model instead of running it whole (see
+//! [`DialectModel::patched`]). [`FaultLinter::lint`] is the standalone
+//! entry point: it runs
 //! the round trip itself (apply to the baseline, serialize, parse) and
 //! judges the result. Because every stage reuses the exact code the
 //! simulator runs at startup, `WillFailParse`/`WillFailValidate`
@@ -75,15 +79,27 @@ impl Lint {
 /// Construction captures the baseline [`ConfigSet`] and computes each
 /// modeled file's baseline model (its dialect's typed fingerprint)
 /// through the same serialize→re-parse round trip later applied to
-/// edited trees, so model comparisons never see formatting noise. A
-/// fault whose edited file validates to a model `==` the baseline's
-/// is `SemanticallySilent`. The linter is `Sync` and keeps no
-/// per-fault state; campaigns share one across worker threads.
+/// edited trees, so model comparisons never see formatting noise; a
+/// file its caller knows to round-trip is modeled on its baseline tree
+/// directly (see [`FaultLinter::with_round_trips`]). A fault whose
+/// edited file validates to a model `==` the baseline's is
+/// `SemanticallySilent`. The linter is `Sync` and keeps no per-fault
+/// state; campaigns share one across worker threads.
 pub struct FaultLinter {
     schema: &'static DirectiveSchema,
     baseline: ConfigSet,
     formats: BTreeMap<&'static str, Box<dyn ConfigFormat>>,
-    baseline_models: BTreeMap<&'static str, Option<DialectModel>>,
+    baseline_models: BTreeMap<&'static str, BaselineModel>,
+}
+
+/// One schema file's baseline model.
+struct BaselineModel {
+    /// The dialect's model of the baseline, `None` when the baseline
+    /// does not serialize, parse or validate.
+    model: Option<DialectModel>,
+    /// The model was computed on the baseline tree itself, so it can be
+    /// patched into the model of that tree with one edit applied.
+    of_tree: bool,
 }
 
 impl std::fmt::Debug for FaultLinter {
@@ -95,13 +111,34 @@ impl std::fmt::Debug for FaultLinter {
 }
 
 impl FaultLinter {
-    /// Builds a linter for `schema` over the given baseline.
+    /// Builds a linter for `schema` over the given baseline, modeling
+    /// every baseline file through the serialize→re-parse round trip.
     ///
     /// # Errors
     ///
     /// When a schema file names a format the registry does not
     /// provide (a schema bug, not a user error).
     pub fn new(schema: &'static DirectiveSchema, baseline: ConfigSet) -> Result<Self, String> {
+        Self::with_round_trips(schema, baseline, |_| false)
+    }
+
+    /// [`FaultLinter::new`] for a caller that knows which baseline
+    /// files round-trip: `round_trips(file)` promises that `baseline`'s
+    /// tree for `file` is the parse of its own serialization. Such a
+    /// file is modeled on that tree without the round trip, which
+    /// would give the same tree back, and only such a model lets
+    /// [`FaultLinter::judge`] patch the check of a known parse instead
+    /// of running it whole.
+    ///
+    /// # Errors
+    ///
+    /// When a schema file names a format the registry does not
+    /// provide (a schema bug, not a user error).
+    pub fn with_round_trips(
+        schema: &'static DirectiveSchema,
+        baseline: ConfigSet,
+        round_trips: impl Fn(&str) -> bool,
+    ) -> Result<Self, String> {
         let mut formats = BTreeMap::new();
         for fs in schema.files {
             let format = format_by_name(fs.format)
@@ -110,13 +147,19 @@ impl FaultLinter {
         }
         let mut baseline_models = BTreeMap::new();
         for fs in schema.files {
+            let of_tree = round_trips(fs.file);
             let model = baseline.get(fs.file).and_then(|tree| {
-                let format = formats.get(fs.file)?;
-                let text = format.serialize(tree).ok()?;
-                let reparsed = format.parse(&text).ok()?;
-                DialectCheck::run(fs.dialect, reparsed.root())?.result.ok()
+                let check = if of_tree {
+                    DialectCheck::run(fs.dialect, tree.root())
+                } else {
+                    let format = formats.get(fs.file)?;
+                    let text = format.serialize(tree).ok()?;
+                    let reparsed = format.parse(&text).ok()?;
+                    DialectCheck::run(fs.dialect, reparsed.root())
+                };
+                check?.result.ok()
             });
-            baseline_models.insert(fs.file, model);
+            baseline_models.insert(fs.file, BaselineModel { model, of_tree });
         }
         Ok(FaultLinter {
             schema,
@@ -139,7 +182,7 @@ impl FaultLinter {
     /// made instead, under its fault memo.
     pub fn lint(&self, edits: &[TreeEdit]) -> Lint {
         let [edit] = edits else {
-            return self.judge(edits, false, None).0;
+            return self.judge(edits, false, false, None).0;
         };
         let file = edit.file();
         let probe = FaultScenario {
@@ -156,8 +199,13 @@ impl FaultLinter {
             in_place = edit_parses_in_place(format.as_ref(), self.baseline.get(file)?, tree, edit);
             Some(format.parse(&text))
         });
-        self.judge(edits, in_place, reparsed.as_ref().map(Result::as_ref))
-            .0
+        self.judge(
+            edits,
+            in_place,
+            false,
+            reparsed.as_ref().map(Result::as_ref),
+        )
+        .0
     }
 
     /// Judges a fault from the parse of its edited file, and returns
@@ -177,10 +225,22 @@ impl FaultLinter {
     /// one the simulator's start runs on the same tree. It is `None`
     /// when nothing was validated: no tree, several edits, or a
     /// dialect that is not [fully modeled](Dialect::is_fully_modeled).
+    ///
+    /// `known` says that the parse is the *known parse*: the edit's
+    /// own tree, the baseline with that one edit applied, which the
+    /// injection engine hands over instead of parsing when the edited
+    /// node parses in place. The check of such a tree can be patched
+    /// from the baseline's model ([`DialectModel::patched`]) when that
+    /// model is of the baseline tree itself (see
+    /// [`FaultLinter::with_round_trips`]): for Apache, only the written
+    /// node is validated, and the service construction is replayed only
+    /// when it reads that node. Every other check runs whole, and both
+    /// are equal to [`DialectCheck::run`] on the tree.
     pub fn judge(
         &self,
         edits: &[TreeEdit],
         in_place: bool,
+        known: bool,
         reparsed: Option<Result<&ConfTree, &ParseError>>,
     ) -> (Lint, Option<DialectCheck>) {
         let [edit] = edits else {
@@ -217,7 +277,18 @@ impl FaultLinter {
             }
         };
 
-        let Some(check) = DialectCheck::run(fs.dialect, tree.root()) else {
+        let base = self.baseline_models.get(file);
+        let patched = base
+            .filter(|base| known && base.of_tree)
+            .and_then(|base| {
+                let before = self.baseline.get(file)?;
+                base.model.as_ref()?.patched(before, tree, edit)
+            })
+            .map(|result| DialectCheck {
+                dialect: fs.dialect,
+                result,
+            });
+        let Some(check) = patched.or_else(|| DialectCheck::run(fs.dialect, tree.root())) else {
             return (Lint::undecided(refined()), None);
         };
         let lint = match &check.result {
@@ -229,10 +300,8 @@ impl FaultLinter {
                 diagnostic: Some(Arc::from(violation.message.as_str())),
             },
             Ok(model) => {
-                let silent = self
-                    .baseline_models
-                    .get(file)
-                    .and_then(Option::as_ref)
+                let silent = base
+                    .and_then(|base| base.model.as_ref())
                     .is_some_and(|base| base == model);
                 Lint {
                     verdict: if silent {
@@ -266,10 +335,42 @@ pub enum DialectModel {
     /// `postgresql.conf`: [`crate::postgres::fingerprint`], shared
     /// with the simulator's startup state built from it.
     Postgres(Arc<RegistryValues>),
-    /// `httpd.conf`: [`crate::apache::fingerprint`].
-    Apache(crate::apache::StartupModel),
+    /// `httpd.conf`: [`crate::apache::fingerprint`], shared with the
+    /// baseline's model by a check patched from it.
+    Apache(Arc<crate::apache::StartupModel>),
     /// tinydns `data`: [`crate::tinydns::fingerprint`].
     TinyDns(Vec<(String, String)>),
+}
+
+impl DialectModel {
+    /// The model of `after`, the tree `before` that `self` models with
+    /// `edit` applied, derived from `self` instead of validating all of
+    /// `after`, or `None` when the dialect derives none for that edit.
+    /// Only Apache does, for a `SetText`, `SetAttr` or `Delete`: it
+    /// validates the written node alone, since every other node passed
+    /// in `before`, and replays [`crate::apache::startup_model`] only
+    /// when that reads the old or the new node
+    /// ([`crate::apache::startup_reads`]); otherwise the model shares
+    /// `self`'s by `Arc`.
+    ///
+    /// # Errors
+    ///
+    /// The [`Violation`] a [`DialectCheck::run`] on `after` would
+    /// report.
+    pub fn patched(
+        &self,
+        before: &ConfTree,
+        after: &ConfTree,
+        edit: &TreeEdit,
+    ) -> Option<Result<DialectModel, Violation>> {
+        match self {
+            DialectModel::Apache(base) => {
+                crate::apache::patched_fingerprint(base, before, after, edit)
+                    .map(|result| result.map(DialectModel::Apache))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// One run of a dialect's startup validator over one parsed file: the
@@ -291,7 +392,9 @@ impl DialectCheck {
             Dialect::MySqlIni => crate::mysql::fingerprint(root).map(DialectModel::MySql),
             Dialect::PostgresKv => crate::postgres::fingerprint(root)
                 .map(|vars| DialectModel::Postgres(Arc::new(vars))),
-            Dialect::ApacheHttpd => crate::apache::fingerprint(root).map(DialectModel::Apache),
+            Dialect::ApacheHttpd => {
+                crate::apache::fingerprint(root).map(|model| DialectModel::Apache(Arc::new(model)))
+            }
             Dialect::TinyDns => crate::tinydns::fingerprint(root).map(DialectModel::TinyDns),
             Dialect::BindZone | Dialect::AppServerXml => return None,
         };
@@ -586,7 +689,7 @@ mod tests {
         }];
         let bytes = "[mysqld]\nprot=3306\nsort_buffer_size=2097152\n# notes\n";
         let tree = IniFormat::new().parse(bytes).unwrap();
-        let (judged, check) = l.judge(&edits, true, Some(Ok(&tree)));
+        let (judged, check) = l.judge(&edits, true, false, Some(Ok(&tree)));
         assert_eq!(judged.verdict, l.lint(&edits).verdict);
         assert!(matches!(
             judged.verdict,
@@ -598,7 +701,7 @@ mod tests {
         assert!(check.is_some_and(|c| c.result.is_err()));
 
         let error = IniFormat::new().parse("[mysqld\n").unwrap_err();
-        let (judged, check) = l.judge(&edits, true, Some(Err(&error)));
+        let (judged, check) = l.judge(&edits, true, false, Some(Err(&error)));
         assert_eq!(judged.verdict, StaticVerdict::WillFailParse);
         assert!(check.is_none(), "nothing parsed, nothing checked");
         assert_eq!(
@@ -611,7 +714,7 @@ mod tests {
         );
 
         // No bytes to judge: no prediction, no check.
-        let (judged, check) = l.judge(&edits, false, None);
+        let (judged, check) = l.judge(&edits, false, false, None);
         assert_eq!(judged.verdict, StaticVerdict::Unknown);
         assert!(check.is_none());
     }

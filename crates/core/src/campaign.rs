@@ -26,14 +26,17 @@
 //! single-edit fault, whose answer also bounds the fault's touch map)
 //! needs no parse at all, because its mutated tree already is the
 //! parse of its serialized bytes and shares every untouched subtree
-//! with the baseline. A campaign runs on the executor's serial loop
+//! with the baseline. Such a fault's text is the baseline text with
+//! the one edited top-level node's lines spliced in, and the linter
+//! patches the baseline's Apache check instead of validating the whole
+//! file. A campaign runs on the executor's serial loop
 //! over its borrowed SUT; for multi-core throughput,
 //! [`crate::CampaignExecutor`] shards fault loads across worker
 //! threads over the same kind of shared engine.
 //! Both campaign handles give out that [`InjectionEngine`], the one
 //! place the campaign's knobs, start counters and linter live.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -42,14 +45,14 @@ use std::time::Duration;
 use conferr_analysis::{
     edit_parses_in_place, FaultLinter, Lint, PrunePlan, StaticVerdict, TouchMap,
 };
-use conferr_formats::{format_by_name, ConfigFormat};
+use conferr_formats::{child_offsets, format_by_name, splice_child, ConfigFormat};
 use conferr_model::{
     ConfigSet, ErrorGenerator, FaultScenario, FaultSource, GenerateError, GeneratedFault, TreeEdit,
 };
 use conferr_sut::{
     ConfigPayload, Deadline, FileText, StartOutcome, SystemUnderTest, TextOrigin, Tier,
 };
-use conferr_tree::diff;
+use conferr_tree::{diff, ConfTree};
 use parking_lot::Mutex;
 
 use crate::executor::{serial_loop, SutSlot};
@@ -217,9 +220,12 @@ pub struct InjectionEngine {
     /// per engine.
     baseline_payload: ConfigPayload,
     /// Files whose baseline serializes back to its source text byte
-    /// for byte, and that text ends in `\n`. A single-edit fault on
-    /// one of them may skip its parse (see [`Self::known_parse`]).
-    splice_ready: BTreeSet<String>,
+    /// for byte, that text ends in `\n`, and it is the baseline's root
+    /// children serialized one by one, each mapped to where those
+    /// children start in it ([`child_offsets`]). A single-edit fault
+    /// on one of them may skip its parse (see [`Self::known_parse`])
+    /// and then splices its text (see [`Self::splice`]).
+    splice_ready: BTreeMap<String, Vec<usize>>,
     /// Memoized apply → diff → serialize → parse → judge results,
     /// keyed by the exact edit list. Repeated fault loads (bench
     /// reruns, Table 2 variation probes) skip the whole preparation;
@@ -293,8 +299,11 @@ impl InjectionEngine {
     /// `SemanticallySilent` verdicts are gated on that evidence.
     ///
     /// A file is *splice-ready* when its parsed baseline serializes
-    /// back to its source text byte for byte and that text ends in
-    /// `\n`. Deciding this costs no parse beyond the baseline's own.
+    /// back to its source text byte for byte, that text ends in `\n`,
+    /// and it is the baseline's root children serialized one by one.
+    /// Deciding this costs no parse beyond the baseline's own, and the
+    /// linter, told that these files round-trip, models them on their
+    /// baseline trees without one either.
     pub(crate) fn new(
         sut: &mut dyn SystemUnderTest,
         overrides: Option<&ConfigPayload>,
@@ -302,7 +311,7 @@ impl InjectionEngine {
         let mut formats = BTreeMap::new();
         let mut baseline = ConfigSet::new();
         let mut baseline_payload = ConfigPayload::new();
-        let mut splice_ready = BTreeSet::new();
+        let mut splice_ready = BTreeMap::new();
         for spec in sut.config_files() {
             let format =
                 format_by_name(&spec.format).ok_or_else(|| CampaignError::UnknownFormat {
@@ -329,7 +338,9 @@ impl InjectionEngine {
             // also its serialization, the baseline is the parse of
             // its own serialization.
             if serialized == text && text.ends_with('\n') {
-                splice_ready.insert(spec.name.clone());
+                if let Some(offsets) = child_offsets(format.as_ref(), &tree, text) {
+                    splice_ready.insert(spec.name.clone(), offsets);
+                }
             }
             baseline_payload.insert(spec.name.clone(), FileText::baseline(serialized));
             baseline.insert(spec.name.clone(), tree);
@@ -345,7 +356,7 @@ impl InjectionEngine {
                 }
             }
         }
-        let analysis = Self::scout(sut, &formats, &baseline, &baseline_payload);
+        let analysis = Self::scout(sut, &formats, &baseline, &baseline_payload, &splice_ready);
         Ok(InjectionEngine {
             tier: sut.tier(),
             formats,
@@ -379,6 +390,7 @@ impl InjectionEngine {
         formats: &BTreeMap<String, Box<dyn ConfigFormat>>,
         baseline: &ConfigSet,
         baseline_payload: &ConfigPayload,
+        splice_ready: &BTreeMap<String, Vec<usize>>,
     ) -> Option<EngineAnalysis> {
         let schema = sut.schema()?;
         if schema
@@ -388,7 +400,8 @@ impl InjectionEngine {
         {
             return None;
         }
-        let linter = FaultLinter::new(schema, baseline.clone()).ok()?;
+        let round_trips = |file: &str| splice_ready.contains_key(file);
+        let linter = FaultLinter::with_round_trips(schema, baseline.clone(), round_trips).ok()?;
         // Scouting always runs unlimited: the baseline probe decides
         // soundness, it must never be cut short by a fault budget.
         let unlimited = Deadline::unlimited();
@@ -591,8 +604,15 @@ impl InjectionEngine {
     /// slot, so the SUT's start can skip re-parsing them — instead of
     /// walking the tree again; the cost is proportional to
     /// the files an edit touched, and only those are serialized and
-    /// tagged as mutated.
-    fn payload_for(&self, set: &ConfigSet) -> Result<ConfigPayload, String> {
+    /// tagged as mutated. The file of `known`, a single edit whose
+    /// tree is its known parse (see [`Self::known_parse`]), is spliced
+    /// instead (see [`Self::splice`]), at a cost proportional to the
+    /// one top-level node the edit is under.
+    fn payload_for(
+        &self,
+        set: &ConfigSet,
+        known: Option<&TreeEdit>,
+    ) -> Result<ConfigPayload, String> {
         let mut out = ConfigPayload::new();
         for (file, tree) in set.iter_arcs() {
             if self
@@ -610,7 +630,11 @@ impl InjectionEngine {
             let Some(format) = self.formats.get(file) else {
                 return Err(format!("no serializer registered for {file:?}"));
             };
-            match format.serialize(tree) {
+            let text = match known.filter(|edit| edit.file() == file) {
+                Some(edit) => self.splice(format.as_ref(), tree, edit),
+                None => format.serialize(tree),
+            };
+            match text {
                 Ok(text) => {
                     out.insert(file.to_string(), FileText::mutated(text));
                 }
@@ -618,6 +642,41 @@ impl InjectionEngine {
             }
         }
         Ok(out)
+    }
+
+    /// The serialization of `tree`, the baseline of the edited file
+    /// with the known-parse `edit` applied (see [`Self::known_parse`]):
+    /// the baseline text with the lines of the top-level node the edit
+    /// is under replaced by that node's own lines, or removed for a
+    /// top-level `Delete` ([`splice_child`]). The file is splice-ready,
+    /// so the other top-level nodes' lines are theirs in the baseline
+    /// text; debug builds assert the result against a full serialize.
+    fn splice(
+        &self,
+        format: &dyn ConfigFormat,
+        tree: &ConfTree,
+        edit: &TreeEdit,
+    ) -> Result<String, conferr_formats::SerializeError> {
+        let file = edit.file();
+        let (path, deleted) = match edit {
+            TreeEdit::SetText { path, .. } | TreeEdit::SetAttr { path, .. } => (path, false),
+            TreeEdit::Delete { path, .. } => (path, true),
+            _ => unreachable!("a known parse comes from a SetText, SetAttr or Delete"),
+        };
+        let [top, below @ ..] = path.indices() else {
+            unreachable!("a known parse never edits the root")
+        };
+        let node = (!deleted || !below.is_empty()).then(|| &tree.root().children()[*top]);
+        let baseline = self
+            .baseline_payload
+            .text(file)
+            .expect("every file has a baseline");
+        let text = splice_child(format, baseline, &self.splice_ready[file], *top, node)?;
+        debug_assert!(
+            format.serialize(tree).as_ref() == Ok(&text),
+            "the spliced {file} text differs from its serialization: {text:?}"
+        );
+        Ok(text)
     }
 
     /// Prepares one scenario's injection: apply to the baseline,
@@ -651,13 +710,18 @@ impl InjectionEngine {
     }
 
     /// The un-memoized preparation path. With a linter, a single-edit
-    /// fault gets one [`edit_parses_in_place`] answer, and every
-    /// mutated file gets its parse by the engine's format for it here,
-    /// once: the mutated tree itself when [`Self::known_parse`] takes
-    /// the answer as proof that it is that parse, a full parse of the
-    /// serialized bytes otherwise. The linter judges that parse with
-    /// the same answer and hands back the dialect check it ran on it,
-    /// which joins the edited file's parse. The copy of the payload
+    /// fault gets one [`edit_parses_in_place`] answer before anything
+    /// is serialized, and [`Self::known_parse`] decides from it whether
+    /// the mutated tree is the parse of its own serialization. If it
+    /// is, that answer licenses three shortcuts: the edited file's
+    /// text is spliced into the baseline text instead of serialized
+    /// whole (see [`Self::payload_for`]), the mutated tree is carried
+    /// as its parse, and the linter, told so, may patch the baseline's
+    /// dialect check instead of running it whole (see
+    /// [`FaultLinter::judge`]). Every other mutated file is serialized
+    /// and parsed in full, once. The linter judges the edited file's
+    /// parse with the same answers and hands back the dialect check
+    /// it ran on it, which joins that parse. The copy of the payload
     /// that carries both goes to the start, whose simulator then skips
     /// its own parse and validation of the same bytes.
     fn prepare_cold(&self, scenario: &FaultScenario) -> (Prepared, Option<ConfigPayload>) {
@@ -665,7 +729,7 @@ impl InjectionEngine {
         let linter = self.analysis.as_ref().map(|a| &a.linter);
         let unparsed = |diff, result| Prepared {
             diff,
-            lint: linter.map(|l| l.judge(edits, false, None).0),
+            lint: linter.map(|l| l.judge(edits, false, false, None).0),
             payload: Err(result),
         };
         let mutated = match scenario.apply(&self.baseline) {
@@ -679,9 +743,22 @@ impl InjectionEngine {
             }
         };
         let diff: Arc<[String]> = self.diff_summary(&mutated).into();
+        let single = match edits.as_slice() {
+            [edit] => Some(edit),
+            _ => None,
+        };
+        let in_place = linter.is_some()
+            && single.is_some_and(|edit| {
+                let file = edit.file();
+                let format = self.formats[file].as_ref();
+                (self.baseline.get(file).zip(mutated.get(file))).is_some_and(|(before, after)| {
+                    edit_parses_in_place(format, before, after, edit)
+                })
+            });
+        let known = single.filter(|edit| self.known_parse(edit, in_place));
         // Serialization can legitimately fail: the mutated tree may
         // not be expressible in the file format (paper §3.2/§5.4).
-        let payload = match self.payload_for(&mutated) {
+        let payload = match self.payload_for(&mutated, known) {
             Ok(payload) => payload,
             Err(reason) => {
                 return (
@@ -698,26 +775,14 @@ impl InjectionEngine {
             };
             return (prepared, None);
         };
-        let single = match edits.as_slice() {
-            [edit] => Some(edit),
-            _ => None,
-        };
-        let in_place = single.is_some_and(|edit| {
-            let file = edit.file();
-            let format = self.formats[file].as_ref();
-            (self.baseline.get(file).zip(mutated.get(file)))
-                .is_some_and(|(before, after)| edit_parses_in_place(format, before, after, edit))
-        });
-        let known = single
-            .filter(|edit| self.known_parse(edit, in_place))
-            .map(TreeEdit::file);
+        let known_file = known.map(TreeEdit::file);
         let mut parsed: ConfigPayload = payload
             .iter()
             .map(|(file, text)| {
                 let format = self.formats[file].as_ref();
                 let text = match (text.origin(), mutated.get(file)) {
                     (TextOrigin::Baseline, _) => text.clone(),
-                    (TextOrigin::Mutated, Some(tree)) if known == Some(file) => {
+                    (TextOrigin::Mutated, Some(tree)) if known_file == Some(file) => {
                         text.clone().with_known_parse(format, tree.clone())
                     }
                     (TextOrigin::Mutated, _) => text.clone().with_parse(format),
@@ -728,7 +793,12 @@ impl InjectionEngine {
         let edited =
             single.and_then(|edit| parsed.get(edit.file()).map(|text| (edit.file(), text)));
         let reparsed = edited.map(|(file, text)| text.parse_with(self.formats[file].as_ref()));
-        let (lint, check) = linter.judge(edits, in_place, reparsed.as_ref().map(Result::as_ref));
+        let (lint, check) = linter.judge(
+            edits,
+            in_place,
+            known.is_some(),
+            reparsed.as_ref().map(Result::as_ref),
+        );
         if let (Some((file, text)), Some(check)) = (edited, check) {
             let text = text.clone().with_check(check);
             parsed.insert(file, text);
@@ -747,10 +817,12 @@ impl InjectionEngine {
     /// file is splice-ready (see [`Self::new`]) and the edit is a
     /// `SetText`, `SetAttr` or `Delete` (see
     /// [`ConfigFormat::parses_in_place`]). Every other line of the
-    /// file then parses as in the baseline.
+    /// file then parses as in the baseline. The same answer lets the
+    /// fault splice its text ([`Self::splice`]) and lets the linter
+    /// patch its check, so none of the three needs a test of its own.
     fn known_parse(&self, edit: &TreeEdit, in_place: bool) -> bool {
         in_place
-            && self.splice_ready.contains(edit.file())
+            && self.splice_ready.contains_key(edit.file())
             && matches!(
                 edit,
                 TreeEdit::SetText { .. } | TreeEdit::SetAttr { .. } | TreeEdit::Delete { .. }
@@ -1193,14 +1265,14 @@ mod tests {
         let engine = crlf_engine();
         // What the engine hands the SUT for every file a fault leaves
         // untouched.
-        let payload = engine.payload_for(engine.baseline()).unwrap();
+        let payload = engine.payload_for(engine.baseline(), None).unwrap();
         assert_eq!(payload.text("postgresql.conf"), Some(CRLF_POSTGRES));
     }
 
     #[test]
     fn a_crlf_baseline_is_splice_ready() {
         let engine = crlf_engine();
-        assert!(engine.splice_ready.contains("postgresql.conf"));
+        assert!(engine.splice_ready.contains_key("postgresql.conf"));
         let scenario = FaultScenario {
             id: "typo".into(),
             description: "port typo".into(),
@@ -1266,7 +1338,10 @@ mod tests {
         // cached baseline entries: same Arc<str> allocation (no text
         // clone), baseline origin, and text matching a from-scratch
         // serialization.
-        let payload = campaign.engine.payload_for(campaign.baseline()).unwrap();
+        let payload = campaign
+            .engine
+            .payload_for(campaign.baseline(), None)
+            .unwrap();
         assert_eq!(payload.len(), campaign.engine.baseline_payload.len());
         for (file, entry) in payload.iter() {
             let baseline_entry = campaign.engine.baseline_payload.get(file).unwrap();
@@ -1372,7 +1447,7 @@ mod tests {
             panic!("structural faults are scenarios");
         };
         let mutated = scenario.apply(campaign.baseline()).unwrap();
-        let payload = campaign.engine.payload_for(&mutated).unwrap();
+        let payload = campaign.engine.payload_for(&mutated, None).unwrap();
         let entry = payload.get("my.cnf").unwrap();
         assert_eq!(entry.origin(), conferr_sut::TextOrigin::Mutated);
         assert_ne!(

@@ -44,7 +44,12 @@
 //! campaign engine skips the parse of a file that differs from its
 //! baseline in that one node, and the static linter bounds the fault's
 //! touch map to the directives the edit writes, so test-impact
-//! pruning can skip the functional tests that read none of them.
+//! pruning can skip the functional tests that read none of them. The
+//! same three formats serialize a document one root child after
+//! another, so the engine also builds such a file's text from its
+//! baseline text and the one edited top-level node
+//! ([`child_offsets`], [`splice_child`]) instead of serializing it
+//! whole.
 //!
 //! # Examples
 //!
@@ -132,18 +137,119 @@ pub trait ConfigFormat: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// The round trip behind [`ConfigFormat::parses_in_place`]: `node`,
-/// serialized by `format` as the only child of a fresh root, parses
-/// back to exactly `node`.
+/// A fresh root of `format`'s documents, holding no children.
+fn fresh_root(format: &dyn ConfigFormat) -> ConfTree {
+    ConfTree::new(Node::new("config").with_attr("format", format.name()))
+}
+
+/// `node`'s own lines: `node` serialized by `format` as the only child
+/// of a fresh root.
+fn serialize_alone(format: &dyn ConfigFormat, node: &Node) -> Result<String, SerializeError> {
+    let mut tree = fresh_root(format);
+    tree.root_mut().push_child(node.clone());
+    format.serialize(&tree)
+}
+
+/// The round trip behind [`ConfigFormat::parses_in_place`]: `node`'s
+/// own lines parse back to exactly `node`.
 fn parses_alone(format: &dyn ConfigFormat, node: &Node) -> bool {
-    let root = Node::new("config")
-        .with_attr("format", format.name())
-        .with_child(node.clone());
-    format
-        .serialize(&ConfTree::new(root))
+    serialize_alone(format, node)
         .ok()
         .and_then(|text| format.parse(&text).ok())
         .is_some_and(|tree| tree.root().children() == std::slice::from_ref(node))
+}
+
+/// Where each root child of `tree` starts in `text`, followed by
+/// `text.len()`, when `text` is exactly those children's own lines
+/// one after another, each child serialized by `format` as the only
+/// child of one reused fresh root, as [`ConfigFormat::parses_in_place`]
+/// serializes it. `None` otherwise.
+///
+/// Computed once for a baseline, the offsets let [`splice_child`]
+/// rewrite one top-level node's lines without serializing the others.
+///
+/// # Examples
+///
+/// ```
+/// use conferr_formats::{child_offsets, ConfigFormat, KvFormat};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let text = "port = 5432\n# note\n";
+/// let tree = KvFormat::new().parse(text)?;
+/// assert_eq!(child_offsets(&KvFormat::new(), &tree, text), Some(vec![0, 12, 19]));
+/// assert_eq!(child_offsets(&KvFormat::new(), &tree, "port = 5432\n"), None);
+/// # Ok(())
+/// # }
+/// ```
+pub fn child_offsets(format: &dyn ConfigFormat, tree: &ConfTree, text: &str) -> Option<Vec<usize>> {
+    let mut alone = fresh_root(format);
+    let mut offsets = Vec::with_capacity(tree.root().children().len() + 1);
+    let mut end = 0;
+    offsets.push(end);
+    for child in tree.root().children() {
+        let slot = alone.root_mut().children_mut();
+        slot.clear();
+        slot.push(child.clone());
+        let lines = format.serialize(&alone).ok()?;
+        let start = end;
+        end += lines.len();
+        if text.get(start..end) != Some(lines.as_str()) {
+            return None;
+        }
+        offsets.push(end);
+    }
+    (end == text.len()).then_some(offsets)
+}
+
+/// `text`, whose root children start at `offsets` (see
+/// [`child_offsets`]), with the lines of root child `index` replaced
+/// by `node`'s own lines, or removed when `node` is `None`.
+///
+/// For the kv, INI and Apache formats, which serialize a document one
+/// root child after another, that is the serialization of the document
+/// with the one child replaced or removed, at the cost of serializing
+/// that child alone.
+///
+/// # Errors
+///
+/// The format's [`SerializeError`] when `node` cannot be serialized.
+///
+/// # Panics
+///
+/// When `index + 1` is not a valid index into `offsets`, or an offset
+/// is not a character boundary of `text`.
+///
+/// # Examples
+///
+/// ```
+/// use conferr_formats::{child_offsets, splice_child, ConfigFormat, KvFormat};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let kv = KvFormat::new();
+/// let text = "port = 5432\n# note\nmax_connections = 10\n";
+/// let offsets = child_offsets(&kv, &kv.parse(text)?, text).unwrap();
+/// let mut tree = kv.parse(text)?;
+/// tree.root_mut().children_mut()[0].set_text(Some("5433".to_string()));
+/// let spliced = splice_child(&kv, text, &offsets, 0, Some(&tree.root().children()[0]))?;
+/// assert_eq!(spliced, kv.serialize(&tree)?);
+/// assert_eq!(splice_child(&kv, text, &offsets, 1, None)?, "port = 5432\nmax_connections = 10\n");
+/// # Ok(())
+/// # }
+/// ```
+pub fn splice_child(
+    format: &dyn ConfigFormat,
+    text: &str,
+    offsets: &[usize],
+    index: usize,
+    node: Option<&Node>,
+) -> Result<String, SerializeError> {
+    let lines = node.map_or_else(|| Ok(String::new()), |node| serialize_alone(format, node))?;
+    let (head, tail) = (&text[..offsets[index]], &text[offsets[index + 1]..]);
+    let mut out = String::with_capacity(head.len() + lines.len() + tail.len());
+    out.push_str(head);
+    out.push_str(&lines);
+    out.push_str(tail);
+    Ok(out)
 }
 
 /// All built-in formats, for registry-style lookup.
@@ -186,6 +292,54 @@ mod tests {
         assert!(!ZoneFormat::new().parses_in_place(&zone.root().children()[0]));
         let xml = XmlFormat::new().parse("<a><b>1</b></a>").unwrap();
         assert!(!XmlFormat::new().parses_in_place(&xml.root().children()[0]));
+    }
+
+    #[test]
+    fn splicing_one_top_level_node_is_serializing_the_document() {
+        let docs: [(Box<dyn ConfigFormat>, &str); 3] = [
+            (Box::new(KvFormat::new()), "port = 5432\n# note\n\nmax = 10\n"),
+            (
+                Box::new(IniFormat::new()),
+                "# top\n[client]\nport=3306\n\n[mysqld]\nport=3306\nkey=16M\n",
+            ),
+            (
+                Box::new(ApacheFormat::new()),
+                "Listen 80\n<VirtualHost *:80>\n  ServerName a\n  <Directory />\n    Options None\n  </Directory>\n</VirtualHost>\n# end\n",
+            ),
+        ];
+        for (format, lf) in docs {
+            for text in [lf.to_string(), lf.replace('\n', "\r\n")] {
+                let tree = format.parse(&text).unwrap();
+                let offsets = child_offsets(format.as_ref(), &tree, &text).unwrap();
+                let children = tree.root().children();
+                assert_eq!(offsets.len(), children.len() + 1);
+                for (i, child) in children.iter().enumerate() {
+                    // The node itself, its last descendant rewritten,
+                    // and no node at all.
+                    let mut rewritten = tree.clone();
+                    let mut node = &mut rewritten.root_mut().children_mut()[i];
+                    while !node.children().is_empty() {
+                        node = node.children_mut().last_mut().unwrap();
+                    }
+                    node.set_attr("name", "Renamed");
+                    let mut deleted = tree.clone();
+                    deleted.root_mut().children_mut().remove(i);
+                    for (edited, lines) in [
+                        (&tree, Some(child)),
+                        (&rewritten, Some(&rewritten.root().children()[i])),
+                        (&deleted, None),
+                    ] {
+                        assert_eq!(
+                            splice_child(format.as_ref(), &text, &offsets, i, lines).unwrap(),
+                            format.serialize(edited).unwrap(),
+                            "{} document {text:?} at child {i}",
+                            format.name()
+                        );
+                    }
+                }
+                assert_eq!(child_offsets(format.as_ref(), &tree, &text[1..]), None);
+            }
+        }
     }
 
     #[test]

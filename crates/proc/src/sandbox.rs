@@ -150,8 +150,19 @@ impl Drop for SandboxGuard {
 mod tests {
     use super::*;
 
+    /// The sandbox counters are process-wide and the test harness runs
+    /// tests on parallel threads, so the tests that create sandboxes
+    /// take turns: a count taken in one must not see another's.
+    static TURN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn take_turn() -> std::sync::MutexGuard<'static, ()> {
+        TURN.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn sandbox_lifecycle_creates_and_removes() {
+        let _turn = take_turn();
         let before = (created(), cleaned());
         let path = {
             let guard = SandboxGuard::new("unit").expect("sandbox");
@@ -174,6 +185,7 @@ mod tests {
         assert_eq!(sanitize(".."), "_");
         assert_eq!(sanitize(""), "_");
         assert_eq!(sanitize("httpd.conf"), "httpd.conf");
+        let _turn = take_turn();
         let guard = SandboxGuard::new("escape").expect("sandbox");
         let path = guard.write_file("../outside", "x").expect("write");
         assert!(path.starts_with(guard.path()));
@@ -181,6 +193,7 @@ mod tests {
 
     #[test]
     fn cleanup_runs_during_unwind() {
+        let _turn = take_turn();
         let before_cleaned = cleaned();
         let path = std::sync::Arc::new(std::sync::Mutex::new(PathBuf::new()));
         let seen = path.clone();

@@ -436,8 +436,11 @@ fn a_pool_builds_each_distinct_texts_startup_once_across_its_workers() {
 /// of a fully modeled dialect it also logs whether they carry a
 /// dialect check: two `check_with` calls that share one check. It
 /// checks every mutated file's parse against a fresh parse of its
-/// bytes and every carried check against a fresh check of that parse,
-/// and counts the parses the engine spliced (see [`SpliceLog`]).
+/// bytes, its bytes against a serialization of that parse, and every
+/// carried check against a fresh check of that parse, and counts the
+/// parses the engine spliced (see [`SpliceLog`]). Release builds skip
+/// the engine's own assertions of its spliced text and patched check,
+/// so these counts are what catches them there.
 #[derive(Debug)]
 struct ParseProbe {
     inner: Box<dyn SystemUnderTest>,
@@ -455,6 +458,9 @@ struct SpliceLog {
     baseline: ConfigSet,
     /// Parses (carried or not) that differ from `format.parse(text)`.
     mismatches: usize,
+    /// Texts that differ from `format.serialize` of their parse: a
+    /// spliced text that is not the serialization of its tree.
+    text_mismatches: usize,
     /// Carried checks that differ from a fresh check of the parse.
     check_mismatches: usize,
     /// Parses sharing an untouched root child with `baseline`: the
@@ -518,6 +524,11 @@ impl SystemUnderTest for ParseProbe {
             let log = &mut *self.splices.borrow_mut();
             if parse != format.parse(file.text()) {
                 log.mismatches += 1;
+            }
+            if let Ok(tree) = &parse {
+                if format.serialize(tree).as_deref() != Ok(file.text()) {
+                    log.text_mismatches += 1;
+                }
             }
             if let (Ok(tree), Some(base)) = (&parse, log.baseline.get(name)) {
                 if shares_a_root_child(tree, base) {
@@ -715,6 +726,10 @@ fn single_edit_faults_carry_their_mutated_tree_as_the_parse() {
         assert_eq!(profile.summary().harness_failures, 0, "{name}");
         let reached = carried.take().len();
         let log = splices.borrow();
+        assert_eq!(
+            log.text_mismatches, 0,
+            "{name}: a mutated text is not the serialization of its parse"
+        );
         assert_eq!(
             log.mismatches, 0,
             "{name}: a carried parse is not the parse of its bytes"

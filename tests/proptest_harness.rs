@@ -12,7 +12,7 @@ use conferr_analysis::{
     edit_parses_in_place, touch_of_edit, DirectiveSchema, FileTouch, APACHE_SCHEMA, MYSQL_SCHEMA,
     POSTGRES_SCHEMA,
 };
-use conferr_formats::format_by_name;
+use conferr_formats::{child_offsets, format_by_name, splice_child};
 use conferr_keyboard::Keyboard;
 use conferr_model::{
     ConfigSet, EagerSource, ErrorClass, ErrorGenerator, FaultScenario, GeneratedFault, TreeEdit,
@@ -204,7 +204,9 @@ proptest! {
     /// kv, INI or Apache document that serializes back to itself and
     /// ends in `\n`, one `SetText`, `SetAttr` or `Delete` whose node
     /// parses in place leaves a tree that is the parse of its own
-    /// serialization.
+    /// serialization. That serialization is also the document's text
+    /// with the edited top-level node's own lines spliced in, which is
+    /// how the engine builds it.
     #[test]
     fn an_edit_whose_node_parses_in_place_needs_no_parse(
         format in prop::sample::select(vec!["kv", "ini", "apache"]),
@@ -220,6 +222,9 @@ proptest! {
         baseline.insert("doc", fmt.parse(&text).unwrap());
         let tree = baseline.get("doc").unwrap();
         prop_assert_eq!(fmt.serialize(tree).unwrap(), text.clone());
+        let offsets = child_offsets(fmt.as_ref(), tree, &text);
+        prop_assert!(offsets.is_some(), "{} document {:?} has no child offsets", format, text);
+        let offsets = offsets.unwrap();
         let paths: Vec<TreePath> = tree.iter().skip(1).map(|(path, _)| path).collect();
         if let Some(path) = paths.get(idx % paths.len().max(1)).cloned() {
             let file = "doc".to_string();
@@ -245,6 +250,14 @@ proptest! {
                     Ok(mutated),
                     "{} document {:?} edited to {:?}",
                     format, text, bytes
+                );
+                let top = path.indices()[0];
+                let lines = (!deleted || path.depth() > 1).then(|| &mutated.root().children()[top]);
+                prop_assert_eq!(
+                    splice_child(fmt.as_ref(), &text, &offsets, top, lines).unwrap(),
+                    bytes,
+                    "{} document {:?} spliced at {}",
+                    format, text, path
                 );
             }
         }
