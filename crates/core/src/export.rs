@@ -11,8 +11,14 @@
 //! [`crate::JsonlSink`]) write the very same rows one outcome at a
 //! time — a streamed export is byte-identical to exporting the
 //! collected profile.
+//!
+//! Every encoder appends its fields to one buffer: strings go through
+//! one appending escaper ([`push_json_string`]) or CSV quoter, the
+//! result's detail is formatted from the borrowed outcome instead of
+//! being built as a `String` first, and a streaming sink keeps one row
+//! buffer and writes each row with its newline in one `write_all`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::{InjectionOutcome, InjectionResult, ResilienceProfile};
 
@@ -20,70 +26,133 @@ use crate::{InjectionOutcome, InjectionResult, ResilienceProfile};
 pub const CSV_HEADER: &str =
     "system,id,class,cognitive_level,result,verdict,tier,detail,description";
 
-/// Escapes one CSV field (RFC 4180 quoting).
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+/// Appends `value` as one CSV field, quoted in place (RFC 4180) when
+/// its text holds a comma, a quote or a line break.
+fn csv_field(out: &mut String, value: impl fmt::Display) {
+    let start = out.len();
+    let _ = write!(out, "{value}");
+    if out[start..].contains([',', '"', '\n', '\r']) {
+        let mut at = start;
+        while let Some(quote) = out[at..].find('"') {
+            out.insert(at + quote, '"');
+            at += quote + 2;
+        }
+        out.insert(start, '"');
+        out.push('"');
     }
 }
 
-/// Escapes a string for JSON.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` to `out` as a JSON string literal: quoted, with `"`,
+/// `\` and the C0 control characters escaped (`\n`, `\r`, `\t`, and
+/// `\u00xx` for the rest); every other character is copied as is. The
+/// one escaper behind the profile exports and the plan bug base.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    push_json_escaped(out, s);
+    out.push('"');
+}
+
+/// Appends `s` with [`push_json_string`]'s escapes, unquoted.
+fn push_json_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut copied = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.push_str(&s[copied..at]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
             }
-            c => out.push(c),
         }
+        copied = at + 1;
     }
-    out.push('"');
-    out
+    out.push_str(&s[copied..]);
 }
 
-fn result_detail(result: &InjectionResult) -> (&'static str, String) {
-    match result {
-        InjectionResult::DetectedAtStartup { diagnostic } => {
-            ("detected-at-startup", diagnostic.clone())
-        }
-        InjectionResult::DetectedByFunctionalTest { test, diagnostic } => {
-            ("detected-by-tests", format!("{test}: {diagnostic}"))
-        }
-        InjectionResult::Undetected { warnings } => ("ignored", warnings.join("; ")),
-        InjectionResult::Inexpressible { reason } => ("inexpressible", reason.clone()),
-        InjectionResult::Skipped { reason } => ("skipped", reason.clone()),
-        InjectionResult::TimedOut { phase, budget_ms } => {
-            ("timed-out", format!("{phase} exceeded {budget_ms} ms"))
-        }
-        InjectionResult::HarnessFailure { panic_msg } => ("harness-failure", panic_msg.clone()),
+/// Escapes for JSON whatever is formatted into it, so a `Display`
+/// value lands in a JSON string without being collected first.
+struct JsonEscaped<'a>(&'a mut String);
+
+impl fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        push_json_escaped(self.0, s);
+        Ok(())
     }
+}
+
+/// Appends `value`'s text as a JSON string literal.
+fn push_json_display(out: &mut String, value: impl fmt::Display) {
+    out.push('"');
+    let _ = write!(JsonEscaped(out), "{value}");
+    out.push('"');
+}
+
+/// The detail column of an outcome: its diagnostic, test failure,
+/// warnings, reason, timeout or panic message, formatted from the
+/// borrowed result.
+struct ResultDetail<'a>(&'a InjectionResult);
+
+impl fmt::Display for ResultDetail<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            InjectionResult::DetectedAtStartup { diagnostic } => f.write_str(diagnostic),
+            InjectionResult::DetectedByFunctionalTest { test, diagnostic } => {
+                write!(f, "{test}: {diagnostic}")
+            }
+            InjectionResult::Undetected { warnings } => {
+                for (i, warning) in warnings.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str("; ")?;
+                    }
+                    f.write_str(warning)?;
+                }
+                Ok(())
+            }
+            InjectionResult::Inexpressible { reason } | InjectionResult::Skipped { reason } => {
+                f.write_str(reason)
+            }
+            InjectionResult::TimedOut { phase, budget_ms } => {
+                write!(f, "{phase} exceeded {budget_ms} ms")
+            }
+            InjectionResult::HarnessFailure { panic_msg } => f.write_str(panic_msg),
+        }
+    }
+}
+
+/// Appends one outcome's CSV record (no trailing newline).
+pub(crate) fn push_csv_row(out: &mut String, system: &str, o: &InjectionOutcome) {
+    csv_field(out, system);
+    out.push(',');
+    csv_field(out, &o.id);
+    out.push(',');
+    csv_field(out, &o.class);
+    out.push(',');
+    csv_field(out, o.class.cognitive_level());
+    for label in [o.result.label(), o.verdict.label(), o.tier.label()] {
+        out.push(',');
+        out.push_str(label);
+    }
+    out.push(',');
+    csv_field(out, ResultDetail(&o.result));
+    out.push(',');
+    csv_field(out, &o.description);
 }
 
 /// Renders one outcome as a CSV record (no trailing newline) under
 /// [`CSV_HEADER`].
 pub fn outcome_to_csv_row(system: &str, o: &InjectionOutcome) -> String {
-    let (label, detail) = result_detail(&o.result);
-    format!(
-        "{},{},{},{},{},{},{},{},{}",
-        csv_field(system),
-        csv_field(&o.id),
-        csv_field(&o.class.to_string()),
-        csv_field(&o.class.cognitive_level().to_string()),
-        label,
-        o.verdict.label(),
-        o.tier.label(),
-        csv_field(&detail),
-        csv_field(&o.description),
-    )
+    let mut out = String::new();
+    push_csv_row(&mut out, system, o);
+    out
 }
 
 /// Renders the profile as CSV: header plus one row per injection.
@@ -98,7 +167,7 @@ pub fn profile_to_csv(profile: &ResilienceProfile) -> String {
     let mut out = String::from(CSV_HEADER);
     out.push('\n');
     for o in profile.outcomes() {
-        out.push_str(&outcome_to_csv_row(profile.system(), o));
+        push_csv_row(&mut out, profile.system(), o);
         out.push('\n');
     }
     out
@@ -108,11 +177,11 @@ pub fn profile_to_csv(profile: &ResilienceProfile) -> String {
 /// an `outcomes` array), without external dependencies.
 pub fn profile_to_json(profile: &ResilienceProfile) -> String {
     let s = profile.summary();
-    let mut out = String::from("{");
-    let _ = write!(out, "\"system\":{},", json_string(profile.system()));
+    let mut out = String::from("{\"system\":");
+    push_json_string(&mut out, profile.system());
     let _ = write!(
         out,
-        "\"summary\":{{\"total\":{},\"detected_at_startup\":{},\"detected_by_tests\":{},\
+        ",\"summary\":{{\"total\":{},\"detected_at_startup\":{},\"detected_by_tests\":{},\
          \"ignored\":{},\"inexpressible\":{},\"skipped\":{},\"timed_out\":{},\
          \"harness_failures\":{}}},",
         s.total,
@@ -126,59 +195,71 @@ pub fn profile_to_json(profile: &ResilienceProfile) -> String {
     );
     out.push_str("\"outcomes\":[");
     for (i, o) in profile.outcomes().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&outcome_to_json(o));
+        out.push_str(if i > 0 { ",{" } else { "{" });
+        push_outcome_members(&mut out, o);
     }
     out.push_str("]}");
     out
+}
+
+/// Appends an outcome's JSON members, `"id"` through the `"diff"`
+/// array, and the object's closing brace.
+fn push_outcome_members(out: &mut String, o: &InjectionOutcome) {
+    out.push_str("\"id\":");
+    push_json_string(out, &o.id);
+    out.push_str(",\"class\":");
+    push_json_display(out, &o.class);
+    out.push_str(",\"result\":");
+    push_json_string(out, o.result.label());
+    out.push_str(",\"verdict\":");
+    push_json_string(out, o.verdict.label());
+    out.push_str(",\"tier\":");
+    push_json_string(out, o.tier.label());
+    out.push_str(",\"detail\":");
+    push_json_display(out, ResultDetail(&o.result));
+    out.push_str(",\"description\":");
+    push_json_string(out, &o.description);
+    out.push_str(",\"diff\":[");
+    for (j, line) in o.diff.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        push_json_string(out, line);
+    }
+    out.push_str("]}");
+}
+
+/// Appends one outcome's JSON Lines record (no trailing newline).
+pub(crate) fn push_jsonl_row(out: &mut String, system: &str, o: &InjectionOutcome) {
+    out.push_str("{\"system\":");
+    push_json_string(out, system);
+    out.push(',');
+    push_outcome_members(out, o);
 }
 
 /// Renders one outcome as the JSON object used inside
 /// [`profile_to_json`]'s `outcomes` array.
 pub fn outcome_to_json(o: &InjectionOutcome) -> String {
-    let (label, detail) = result_detail(&o.result);
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"id\":{},\"class\":{},\"result\":{},\"verdict\":{},\"tier\":{},\"detail\":{},\"description\":{},\"diff\":[",
-        json_string(&o.id),
-        json_string(&o.class.to_string()),
-        json_string(label),
-        json_string(o.verdict.label()),
-        json_string(o.tier.label()),
-        json_string(&detail),
-        json_string(&o.description),
-    );
-    for (j, line) in o.diff.iter().enumerate() {
-        if j > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(line));
-    }
-    out.push_str("]}");
+    let mut out = String::from('{');
+    push_outcome_members(&mut out, o);
     out
 }
 
 /// Renders one outcome as a JSON Lines record (no trailing newline):
-/// the [`outcome_to_json`] object with the system name prepended, so
-/// each line of a streamed JSONL export is self-describing.
+/// the [`outcome_to_json`] object with the system name as its first
+/// member, so each line of a streamed JSONL export is self-describing.
 pub fn outcome_to_jsonl(system: &str, o: &InjectionOutcome) -> String {
-    let object = outcome_to_json(o);
-    format!(
-        "{{\"system\":{},{}",
-        json_string(system),
-        &object[1..] // splice into the object after its '{'
-    )
+    let mut out = String::new();
+    push_jsonl_row(&mut out, system, o);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::InjectionOutcome;
-    use conferr_analysis::StaticVerdict;
-    use conferr_model::{ErrorClass, TypoKind};
+    use conferr_analysis::{StaticVerdict, ValidationClass};
+    use conferr_model::{ErrorClass, StructuralKind, TypoKind};
     use conferr_sut::Tier;
 
     fn sample() -> ResilienceProfile {
@@ -236,10 +317,135 @@ mod tests {
 
     #[test]
     fn escaping_corner_cases() {
-        assert_eq!(csv_field("plain"), "plain");
-        assert_eq!(csv_field("a\"b"), "\"a\"\"b\"");
-        assert_eq!(json_string("tab\there"), "\"tab\\there\"");
-        assert_eq!(json_string("ctrl\u{1}"), "\"ctrl\\u0001\"");
+        let csv = |s: &str| {
+            let mut out = String::from("x,");
+            csv_field(&mut out, s);
+            out
+        };
+        assert_eq!(csv("plain"), "x,plain");
+        assert_eq!(csv("a\"b"), "x,\"a\"\"b\"");
+        assert_eq!(csv("\"\"x\""), "x,\"\"\"\"\"x\"\"\"");
+        let json = |s: &str| {
+            let mut out = String::from("x:");
+            push_json_string(&mut out, s);
+            out
+        };
+        assert_eq!(json("tab\there"), "x:\"tab\\there\"");
+        assert_eq!(json("ctrl\u{1}"), "x:\"ctrl\\u0001\"");
+        assert_eq!(json("\u{1f}\u{7f}é"), "x:\"\\u001f\u{7f}é\"");
+    }
+
+    /// Every special character class the escapers handle, in one field.
+    fn nasty(tag: &str) -> String {
+        format!("{tag}\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,")
+    }
+
+    /// The three row encoders on every result variant, with quotes,
+    /// backslashes, line breaks, tabs, C0 and DEL controls, multibyte
+    /// characters and commas in every free-text field. The pinned rows
+    /// are the encoders' output before they appended into one buffer.
+    #[test]
+    fn row_encoders_pin_their_bytes_on_every_result() {
+        let results = [
+            InjectionResult::DetectedAtStartup {
+                diagnostic: nasty("diag"),
+            },
+            InjectionResult::DetectedByFunctionalTest {
+                test: nasty("test"),
+                diagnostic: nasty("diag"),
+            },
+            InjectionResult::Undetected { warnings: vec![] },
+            InjectionResult::Undetected {
+                warnings: vec![nasty("w0"), nasty("w1")],
+            },
+            InjectionResult::Inexpressible {
+                reason: nasty("why"),
+            },
+            InjectionResult::Skipped {
+                reason: nasty("why"),
+            },
+            InjectionResult::TimedOut {
+                phase: nasty("phase"),
+                budget_ms: 250,
+            },
+            InjectionResult::HarnessFailure {
+                panic_msg: nasty("panic"),
+            },
+        ];
+        let classes = [
+            ErrorClass::Typo(TypoKind::Omission),
+            ErrorClass::Structural(StructuralKind::Duplication),
+            ErrorClass::Semantic {
+                domain: "dns".into(),
+                rule: "a,\"b\"".into(),
+            },
+        ];
+        let verdicts = [
+            StaticVerdict::WillFailParse,
+            StaticVerdict::WillFailValidate {
+                directive: "x".into(),
+                class: ValidationClass::InvalidValue,
+            },
+            StaticVerdict::SemanticallySilent,
+            StaticVerdict::Unknown,
+        ];
+        let tiers = [Tier::Sim, Tier::Proc, Tier::ProcFallback];
+        let pinned: [[&str; 3]; 8] = [
+            [
+                "{\"system\":\"sys,\\\"x\\\"\",\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"typo/omission\",\"result\":\"detected-at-startup\",\"verdict\":\"will-fail-parse\",\"tier\":\"sim\",\"detail\":\"diag\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "{\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"typo/omission\",\"result\":\"detected-at-startup\",\"verdict\":\"will-fail-parse\",\"tier\":\"sim\",\"detail\":\"diag\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "\"sys,\"\"x\"\"\",\"id\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",typo/omission,skill-based,detected-at-startup,will-fail-parse,sim,\"diag\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",\"desc\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\"",
+            ],
+            [
+                "{\"system\":\"sys,\\\"x\\\"\",\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"structural/duplication\",\"result\":\"detected-by-tests\",\"verdict\":\"will-fail-validate\",\"tier\":\"proc\",\"detail\":\"test\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,: diag\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "{\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"structural/duplication\",\"result\":\"detected-by-tests\",\"verdict\":\"will-fail-validate\",\"tier\":\"proc\",\"detail\":\"test\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,: diag\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "\"sys,\"\"x\"\"\",\"id\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",structural/duplication,skill-based,detected-by-tests,will-fail-validate,proc,\"test\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,: diag\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",\"desc\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\"",
+            ],
+            [
+                "{\"system\":\"sys,\\\"x\\\"\",\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"semantic/dns/a,\\\"b\\\"\",\"result\":\"ignored\",\"verdict\":\"semantically-silent\",\"tier\":\"proc-fallback\",\"detail\":\"\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "{\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"semantic/dns/a,\\\"b\\\"\",\"result\":\"ignored\",\"verdict\":\"semantically-silent\",\"tier\":\"proc-fallback\",\"detail\":\"\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "\"sys,\"\"x\"\"\",\"id\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",\"semantic/dns/a,\"\"b\"\"\",knowledge-based,ignored,semantically-silent,proc-fallback,,\"desc\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\"",
+            ],
+            [
+                "{\"system\":\"sys,\\\"x\\\"\",\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"typo/omission\",\"result\":\"ignored\",\"verdict\":\"unknown\",\"tier\":\"sim\",\"detail\":\"w0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,; w1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "{\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"typo/omission\",\"result\":\"ignored\",\"verdict\":\"unknown\",\"tier\":\"sim\",\"detail\":\"w0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,; w1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "\"sys,\"\"x\"\"\",\"id\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",typo/omission,skill-based,ignored,unknown,sim,\"w0\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,; w1\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",\"desc\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\"",
+            ],
+            [
+                "{\"system\":\"sys,\\\"x\\\"\",\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"structural/duplication\",\"result\":\"inexpressible\",\"verdict\":\"will-fail-parse\",\"tier\":\"proc\",\"detail\":\"why\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "{\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"structural/duplication\",\"result\":\"inexpressible\",\"verdict\":\"will-fail-parse\",\"tier\":\"proc\",\"detail\":\"why\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "\"sys,\"\"x\"\"\",\"id\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",structural/duplication,skill-based,inexpressible,will-fail-parse,proc,\"why\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",\"desc\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\"",
+            ],
+            [
+                "{\"system\":\"sys,\\\"x\\\"\",\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"semantic/dns/a,\\\"b\\\"\",\"result\":\"skipped\",\"verdict\":\"will-fail-validate\",\"tier\":\"proc-fallback\",\"detail\":\"why\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "{\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"semantic/dns/a,\\\"b\\\"\",\"result\":\"skipped\",\"verdict\":\"will-fail-validate\",\"tier\":\"proc-fallback\",\"detail\":\"why\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "\"sys,\"\"x\"\"\",\"id\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",\"semantic/dns/a,\"\"b\"\"\",knowledge-based,skipped,will-fail-validate,proc-fallback,\"why\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",\"desc\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\"",
+            ],
+            [
+                "{\"system\":\"sys,\\\"x\\\"\",\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"typo/omission\",\"result\":\"timed-out\",\"verdict\":\"semantically-silent\",\"tier\":\"sim\",\"detail\":\"phase\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀, exceeded 250 ms\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "{\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"typo/omission\",\"result\":\"timed-out\",\"verdict\":\"semantically-silent\",\"tier\":\"sim\",\"detail\":\"phase\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀, exceeded 250 ms\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "\"sys,\"\"x\"\"\",\"id\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",typo/omission,skill-based,timed-out,semantically-silent,sim,\"phase\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀, exceeded 250 ms\",\"desc\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\"",
+            ],
+            [
+                "{\"system\":\"sys,\\\"x\\\"\",\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"structural/duplication\",\"result\":\"harness-failure\",\"verdict\":\"unknown\",\"tier\":\"proc\",\"detail\":\"panic\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "{\"id\":\"id\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"class\":\"structural/duplication\",\"result\":\"harness-failure\",\"verdict\":\"unknown\",\"tier\":\"proc\",\"detail\":\"panic\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"description\":\"desc\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff\":[\"diff0\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\",\"diff1\\\"\\\\\\n\\r\\t\\u0001\\u001f\u{7f}é🦀,\"]}",
+                "\"sys,\"\"x\"\"\",\"id\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",structural/duplication,skill-based,harness-failure,unknown,proc,\"panic\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\",\"desc\"\"\\\n\r\t\u{1}\u{1f}\u{7f}é🦀,\"",
+            ],
+        ];
+        for (i, (result, [jsonl, json, csv])) in results.into_iter().zip(pinned).enumerate() {
+            let o = InjectionOutcome {
+                id: nasty("id"),
+                description: nasty("desc"),
+                class: classes[i % 3].clone(),
+                diff: vec![nasty("diff0"), nasty("diff1")].into(),
+                verdict: verdicts[i % 4].clone(),
+                tier: tiers[i % 3],
+                result,
+            };
+            assert_eq!(outcome_to_jsonl("sys,\"x\"", &o), jsonl, "case {i}");
+            assert_eq!(outcome_to_json(&o), json, "case {i}");
+            assert_eq!(outcome_to_csv_row("sys,\"x\"", &o), csv, "case {i}");
+        }
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use executor::{
 };
 pub use export::{
     outcome_to_csv_row, outcome_to_json, outcome_to_jsonl, profile_to_csv, profile_to_json,
-    CSV_HEADER,
+    push_json_string, CSV_HEADER,
 };
 pub use outcome::{InjectionOutcome, InjectionResult};
 pub use plan::{PlanTrace, PlanTraceSink, StepRecord};

@@ -18,7 +18,7 @@
 
 use std::io;
 
-use crate::export::{outcome_to_csv_row, outcome_to_jsonl, CSV_HEADER};
+use crate::export::{push_csv_row, push_jsonl_row, CSV_HEADER};
 use crate::{InjectionOutcome, ProfileSummary, ResilienceProfile};
 
 /// A consumer of campaign outcomes, fed in fault order as injections
@@ -161,6 +161,66 @@ impl OutcomeSink for CountingSink {
     }
 }
 
+/// The writing half both exporting sinks share: one row buffer,
+/// reused for every row and written with its newline in one
+/// `write_all`, and the first I/O error, held for
+/// [`OutcomeSink::take_error`] and `finish`.
+#[derive(Debug)]
+struct RowWriter<W: io::Write> {
+    writer: W,
+    row: String,
+    error: Option<io::Error>,
+    /// The error was already handed to a driver via `take_error`;
+    /// `finish` must still fail, just without the moved-out cause.
+    tripped: bool,
+}
+
+impl<W: io::Write> RowWriter<W> {
+    fn new(writer: W) -> Self {
+        RowWriter {
+            writer,
+            row: String::new(),
+            error: None,
+            tripped: false,
+        }
+    }
+
+    /// Encodes one row into the buffer and writes it with its newline;
+    /// does nothing once a write has failed.
+    fn write_row(&mut self, encode: impl FnOnce(&mut String)) {
+        if self.error.is_some() || self.tripped {
+            return;
+        }
+        self.row.clear();
+        encode(&mut self.row);
+        self.row.push('\n');
+        if let Err(e) = self.writer.write_all(self.row.as_bytes()) {
+            self.error = Some(e);
+        }
+    }
+
+    fn take_error(&mut self) -> Option<io::Error> {
+        let error = self.error.take();
+        if error.is_some() {
+            self.tripped = true;
+        }
+        error
+    }
+
+    fn finish(mut self) -> io::Result<W> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        if self.tripped {
+            return Err(io::Error::other(
+                "a streaming write failed (already reported)",
+            ));
+        }
+        self.writer.flush()?;
+        Ok(self.writer)
+    }
+}
+
 /// Streams outcomes as CSV rows (the exact format of
 /// [`crate::profile_to_csv`]) into any writer: the header up front
 /// (so even a zero-fault campaign's export matches
@@ -170,11 +230,7 @@ impl OutcomeSink for CountingSink {
 #[derive(Debug)]
 pub struct CsvSink<W: io::Write> {
     system: String,
-    writer: W,
-    error: Option<io::Error>,
-    /// The error was already handed to a driver via `take_error`;
-    /// `finish` must still fail, just without the moved-out cause.
-    tripped: bool,
+    rows: RowWriter<W>,
 }
 
 impl<W: io::Write> CsvSink<W> {
@@ -182,14 +238,12 @@ impl<W: io::Write> CsvSink<W> {
     /// header immediately (an I/O failure surfaces in
     /// [`CsvSink::finish`]).
     pub fn new(system: impl Into<String>, writer: W) -> Self {
-        let mut sink = CsvSink {
+        let mut rows = RowWriter::new(writer);
+        rows.write_row(|row| row.push_str(CSV_HEADER));
+        CsvSink {
             system: system.into(),
-            writer,
-            error: None,
-            tripped: false,
-        };
-        sink.write(CSV_HEADER);
-        sink
+            rows,
+        }
     }
 
     /// Flushes and returns the writer, surfacing the first I/O error
@@ -200,41 +254,20 @@ impl<W: io::Write> CsvSink<W> {
     /// The first write/flush failure, if any occurred — even when the
     /// error itself was already surfaced through
     /// [`OutcomeSink::take_error`].
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        if self.tripped {
-            return Err(io::Error::other(
-                "a streaming write failed (already reported)",
-            ));
-        }
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-
-    fn write(&mut self, line: &str) {
-        if self.error.is_some() || self.tripped {
-            return;
-        }
-        if let Err(e) = writeln!(self.writer, "{line}") {
-            self.error = Some(e);
-        }
+    pub fn finish(self) -> io::Result<W> {
+        self.rows.finish()
     }
 }
 
 impl<W: io::Write> OutcomeSink for CsvSink<W> {
     fn accept(&mut self, outcome: InjectionOutcome) {
-        let row = outcome_to_csv_row(&self.system, &outcome);
-        self.write(&row);
+        let system = &self.system;
+        self.rows
+            .write_row(|row| push_csv_row(row, system, &outcome));
     }
 
     fn take_error(&mut self) -> Option<io::Error> {
-        let error = self.error.take();
-        if error.is_some() {
-            self.tripped = true;
-        }
-        error
+        self.rows.take_error()
     }
 }
 
@@ -244,9 +277,7 @@ impl<W: io::Write> OutcomeSink for CsvSink<W> {
 #[derive(Debug)]
 pub struct JsonlSink<W: io::Write> {
     system: String,
-    writer: W,
-    error: Option<io::Error>,
-    tripped: bool,
+    rows: RowWriter<W>,
 }
 
 impl<W: io::Write> JsonlSink<W> {
@@ -254,9 +285,7 @@ impl<W: io::Write> JsonlSink<W> {
     pub fn new(system: impl Into<String>, writer: W) -> Self {
         JsonlSink {
             system: system.into(),
-            writer,
-            error: None,
-            tripped: false,
+            rows: RowWriter::new(writer),
         }
     }
 
@@ -268,37 +297,20 @@ impl<W: io::Write> JsonlSink<W> {
     /// The first write/flush failure, if any occurred — even when the
     /// error itself was already surfaced through
     /// [`OutcomeSink::take_error`].
-    pub fn finish(mut self) -> io::Result<W> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        if self.tripped {
-            return Err(io::Error::other(
-                "a streaming write failed (already reported)",
-            ));
-        }
-        self.writer.flush()?;
-        Ok(self.writer)
+    pub fn finish(self) -> io::Result<W> {
+        self.rows.finish()
     }
 }
 
 impl<W: io::Write> OutcomeSink for JsonlSink<W> {
     fn accept(&mut self, outcome: InjectionOutcome) {
-        if self.error.is_some() || self.tripped {
-            return;
-        }
-        let line = outcome_to_jsonl(&self.system, &outcome);
-        if let Err(e) = writeln!(self.writer, "{line}") {
-            self.error = Some(e);
-        }
+        let system = &self.system;
+        self.rows
+            .write_row(|row| push_jsonl_row(row, system, &outcome));
     }
 
     fn take_error(&mut self) -> Option<io::Error> {
-        let error = self.error.take();
-        if error.is_some() {
-            self.tripped = true;
-        }
-        error
+        self.rows.take_error()
     }
 }
 

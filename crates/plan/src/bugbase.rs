@@ -19,6 +19,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use conferr::push_json_string;
 use conferr_sut::ChaosConfig;
 
 /// Seeded chaos rates in integer *per-mille* (so records never print
@@ -81,28 +82,7 @@ pub struct BugRecord {
     pub trace: Vec<String>,
 }
 
-/// Escapes a string for JSON (mirror of the core exporter).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Reverses [`json_string`]'s escapes.
+/// Reverses [`push_json_string`]'s escapes.
 fn json_unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -242,17 +222,17 @@ impl BugRecord {
     /// Renders the record as its single-line JSON form (no trailing
     /// newline; [`BugBase::store`] appends one).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"bug\":{");
+        let mut out = String::from("{\"bug\":{\"system\":");
+        push_json_string(&mut out, &self.system);
+        out.push_str(",\"profile\":");
+        push_json_string(&mut out, &self.profile);
         let _ = write!(
             out,
-            "\"system\":{},\"profile\":{},\"seed\":{},\"steps\":{},\"property\":{},\"deadline_ms\":{}",
-            json_string(&self.system),
-            json_string(&self.profile),
-            self.seed,
-            self.steps,
-            json_string(&self.property),
-            self.deadline_ms,
+            ",\"seed\":{},\"steps\":{},\"property\":",
+            self.seed, self.steps
         );
+        push_json_string(&mut out, &self.property);
+        let _ = write!(out, ",\"deadline_ms\":{}", self.deadline_ms);
         match &self.chaos {
             Some(c) => {
                 let _ = write!(
@@ -264,20 +244,24 @@ impl BugRecord {
             None => out.push_str(",\"chaos\":null"),
         }
         let kept: Vec<String> = self.kept.iter().map(ToString::to_string).collect();
-        let _ = write!(out, ",\"kept\":[{}]", kept.join(","));
-        let kept_edits: Vec<String> = self
-            .kept_edits
-            .iter()
-            .map(|(id, indices)| {
-                let indices: Vec<String> = indices.iter().map(ToString::to_string).collect();
-                json_string(&format!("{id}:{}", indices.join(",")))
-            })
-            .collect();
-        let _ = write!(out, ",\"kept_edits\":[{}]", kept_edits.join(","));
+        let _ = write!(out, ",\"kept\":[{}],\"kept_edits\":[", kept.join(","));
+        for (i, (id, indices)) in self.kept_edits.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let indices: Vec<String> = indices.iter().map(ToString::to_string).collect();
+            push_json_string(&mut out, &format!("{id}:{}", indices.join(",")));
+        }
         // The trace array is deliberately the final field: the
         // torn-write check keys on the record's closing `]}}`.
-        let trace: Vec<String> = self.trace.iter().map(|l| json_string(l)).collect();
-        let _ = write!(out, ",\"trace\":[{}]}}}}", trace.join(","));
+        out.push_str("],\"trace\":[");
+        for (i, line) in self.trace.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            push_json_string(&mut out, line);
+        }
+        out.push_str("]}}");
         out
     }
 
@@ -425,6 +409,7 @@ impl BugBase {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> BugRecord {
         BugRecord {
@@ -467,6 +452,29 @@ mod tests {
             ..sample()
         };
         assert_eq!(BugRecord::parse_record(&no_chaos.to_json()), Some(no_chaos));
+    }
+
+    proptest! {
+        /// `json_unescape` inverts the exporter's escaper for any
+        /// string, and the record scanner finds the escaped string's
+        /// end: mostly ASCII (every control character, quote and
+        /// backslash), with some characters from the whole range.
+        #[test]
+        fn unescape_inverts_the_exporters_escaper(
+            chars in prop::collection::vec(
+                prop_oneof![
+                    prop::char::range('\0', '\u{7f}'),
+                    prop::char::range('\0', char::MAX),
+                ],
+                0..40,
+            )
+        ) {
+            let s: String = chars.into_iter().collect();
+            let mut escaped = String::new();
+            push_json_string(&mut escaped, &s);
+            prop_assert_eq!(json_unescape(&escaped[1..escaped.len() - 1]), s.clone());
+            prop_assert_eq!(parse_string_array(&escaped), Some(vec![s]));
+        }
     }
 
     #[test]

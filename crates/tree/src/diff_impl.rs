@@ -5,6 +5,7 @@
 //! description by comparing the pristine and mutated trees.
 
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -64,18 +65,20 @@ impl fmt::Display for DiffOp {
 /// reported as deleted/inserted; aligned nodes with differing
 /// kind/attrs/text are reported as changed and their children compared
 /// recursively.
+///
+/// The walk descends only into aligned pairs whose new side is not a
+/// handle on the old node ([`Node::ptr_eq`]): a shared subtree is the
+/// old one and holds no difference. A copy-on-write edit detaches just
+/// the nodes on its root-to-edit path, so diffing an edited tree
+/// against its baseline costs those nodes and their child lists, not
+/// the configuration. Unshared but equal subtrees, such as two
+/// independent parses of one text, are walked and emit nothing.
 pub fn diff(old: &ConfTree, new: &ConfTree) -> Vec<DiffOp> {
-    let mut ops = Vec::new();
-    let mut old_path = Vec::new();
-    let mut new_path = Vec::new();
-    diff_nodes(
-        old.root(),
-        new.root(),
-        &mut old_path,
-        &mut new_path,
-        &mut ops,
-    );
-    ops
+    let mut differ = Differ::default();
+    if !Node::ptr_eq(old.root(), new.root()) {
+        differ.nodes(old.root(), new.root());
+    }
+    differ.ops
 }
 
 /// Materializes a path stack plus a final child index into a
@@ -103,128 +106,137 @@ fn shallow_equal(a: &Node, b: &Node) -> bool {
     a.kind() == b.kind() && a.text() == b.text() && a.attrs().eq(b.attrs())
 }
 
-fn diff_nodes(
-    old: &Node,
-    new: &Node,
-    old_path: &mut Vec<usize>,
-    new_path: &mut Vec<usize>,
-    ops: &mut Vec<DiffOp>,
-) {
-    if !shallow_equal(old, new) {
-        ops.push(DiffOp::Changed {
-            path: TreePath::from(new_path.clone()),
-            before: old.describe(),
-            after: new.describe(),
-        });
-    }
-    let a = old.children();
-    let b = new.children();
-    let pairs = lcs_pairs(a, b);
-    let mut ai = 0;
-    let mut bi = 0;
-    for &(pa, pb) in &pairs {
-        while ai < pa {
-            ops.push(DiffOp::Deleted {
-                path: path_at(old_path, ai),
-                node: a[ai].describe(),
+/// The diff walk's state: the current node's path in each tree and
+/// the ops emitted so far.
+#[derive(Default)]
+struct Differ {
+    old_path: Vec<usize>,
+    new_path: Vec<usize>,
+    ops: Vec<DiffOp>,
+}
+
+impl Differ {
+    /// Diffs one aligned, detached pair: its own fields, then its
+    /// children.
+    ///
+    /// Fault scenarios are single-point edits, so the two child lists
+    /// almost always share a long head and tail of equal signatures.
+    /// Those are always part of an optimal matching, so they pair up
+    /// index by index and the quadratic [`lcs_pairs`] runs only on the
+    /// usually tiny window between them.
+    fn nodes(&mut self, old: &Node, new: &Node) {
+        if !shallow_equal(old, new) {
+            self.ops.push(DiffOp::Changed {
+                path: TreePath::from(self.new_path.clone()),
+                before: old.describe(),
+                after: new.describe(),
             });
-            ai += 1;
         }
-        while bi < pb {
-            ops.push(DiffOp::Inserted {
-                path: path_at(new_path, bi),
-                node: b[bi].describe(),
+        let a = old.children();
+        let b = new.children();
+        let (n, m) = (a.len(), b.len());
+        let mut head = 0;
+        while head < n && head < m && same_signature(&a[head], &b[head]) {
+            head += 1;
+        }
+        let mut tail = 0;
+        while tail < n - head
+            && tail < m - head
+            && same_signature(&a[n - 1 - tail], &b[m - 1 - tail])
+        {
+            tail += 1;
+        }
+        let (a_end, b_end) = (n - tail, m - tail);
+
+        for i in 0..head {
+            self.pair(a, b, i, i);
+        }
+        let (mut ai, mut bi) = (head, head);
+        for (pa, pb) in lcs_pairs(&a[head..a_end], &b[head..b_end]) {
+            let (pa, pb) = (head + pa, head + pb);
+            self.deleted(a, ai..pa);
+            self.inserted(b, bi..pb);
+            self.pair(a, b, pa, pb);
+            ai = pa + 1;
+            bi = pb + 1;
+        }
+        self.deleted(a, ai..a_end);
+        self.inserted(b, bi..b_end);
+        for k in 0..tail {
+            self.pair(a, b, a_end + k, b_end + k);
+        }
+    }
+
+    /// Descends into the aligned children `a[pa]` and `b[pb]` unless
+    /// they are one shared node.
+    fn pair(&mut self, a: &[Node], b: &[Node], pa: usize, pb: usize) {
+        if Node::ptr_eq(&a[pa], &b[pb]) {
+            return;
+        }
+        self.old_path.push(pa);
+        self.new_path.push(pb);
+        self.nodes(&a[pa], &b[pb]);
+        self.old_path.pop();
+        self.new_path.pop();
+    }
+
+    fn deleted(&mut self, a: &[Node], range: Range<usize>) {
+        for i in range {
+            self.ops.push(DiffOp::Deleted {
+                path: path_at(&self.old_path, i),
+                node: a[i].describe(),
             });
-            bi += 1;
         }
-        // Equal subtrees need no recursion; the compare is shallow-
-        // first and cheap, and single-point edits leave almost every
-        // paired subtree untouched.
-        if a[pa] != b[pb] {
-            old_path.push(pa);
-            new_path.push(pb);
-            diff_nodes(&a[pa], &b[pb], old_path, new_path, ops);
-            old_path.pop();
-            new_path.pop();
+    }
+
+    fn inserted(&mut self, b: &[Node], range: Range<usize>) {
+        for i in range {
+            self.ops.push(DiffOp::Inserted {
+                path: path_at(&self.new_path, i),
+                node: b[i].describe(),
+            });
         }
-        ai = pa + 1;
-        bi = pb + 1;
-    }
-    while ai < a.len() {
-        ops.push(DiffOp::Deleted {
-            path: path_at(old_path, ai),
-            node: a[ai].describe(),
-        });
-        ai += 1;
-    }
-    while bi < b.len() {
-        ops.push(DiffOp::Inserted {
-            path: path_at(new_path, bi),
-            node: b[bi].describe(),
-        });
-        bi += 1;
     }
 }
 
-/// Longest common subsequence over child signatures; returns matched
-/// index pairs in increasing order.
-///
-/// Fault scenarios are single-point edits, so the two child lists
-/// almost always share a long common prefix and suffix. Equal-
-/// signature heads (and, symmetrically, tails) are always part of an
-/// optimal matching, so they are paired directly and the quadratic
-/// DP runs only on the usually tiny middle window — this is what
-/// keeps the per-injection diff cost proportional to the edit, not
-/// to the configuration size.
+/// Longest common subsequence over the signatures of two child
+/// windows (the children left between the signature-equal head and
+/// tail); returns the matched index pairs, relative to the windows, in
+/// increasing order. Allocates nothing when either window is empty,
+/// as it is for a single deletion, insertion or text change.
 fn lcs_pairs(a: &[Node], b: &[Node]) -> Vec<(usize, usize)> {
-    let n = a.len();
-    let m = b.len();
-    let mut prefix = 0;
-    while prefix < n && prefix < m && same_signature(&a[prefix], &b[prefix]) {
-        prefix += 1;
+    let (an, bm) = (a.len(), b.len());
+    let mut pairs = Vec::new();
+    if an == 0 || bm == 0 {
+        return pairs;
     }
-    let mut suffix = 0;
-    while suffix < n - prefix
-        && suffix < m - prefix
-        && same_signature(&a[n - 1 - suffix], &b[m - 1 - suffix])
-    {
-        suffix += 1;
-    }
-    let an = n - prefix - suffix;
-    let bm = m - prefix - suffix;
-
-    let mut pairs: Vec<(usize, usize)> = (0..prefix).map(|i| (i, i)).collect();
-    if an > 0 && bm > 0 {
-        let sig_a: Vec<_> = a[prefix..prefix + an].iter().map(signature).collect();
-        let sig_b: Vec<_> = b[prefix..prefix + bm].iter().map(signature).collect();
-        // dp[i * (bm + 1) + j] = LCS length of the windows'
-        // suffixes a[i..], b[j..] (one flat buffer, no per-row
-        // allocations).
-        let width = bm + 1;
-        let mut dp = vec![0usize; (an + 1) * width];
-        for i in (0..an).rev() {
-            for j in (0..bm).rev() {
-                dp[i * width + j] = if sig_a[i] == sig_b[j] {
-                    dp[(i + 1) * width + j + 1] + 1
-                } else {
-                    dp[(i + 1) * width + j].max(dp[i * width + j + 1])
-                };
-            }
-        }
-        let (mut i, mut j) = (0, 0);
-        while i < an && j < bm {
-            if sig_a[i] == sig_b[j] {
-                pairs.push((prefix + i, prefix + j));
-                i += 1;
-                j += 1;
-            } else if dp[(i + 1) * width + j] >= dp[i * width + j + 1] {
-                i += 1;
+    let sig_a: Vec<_> = a.iter().map(signature).collect();
+    let sig_b: Vec<_> = b.iter().map(signature).collect();
+    // dp[i * (bm + 1) + j] = LCS length of the windows' suffixes
+    // a[i..], b[j..] (one flat buffer, no per-row allocations).
+    let width = bm + 1;
+    let mut dp = vec![0usize; (an + 1) * width];
+    for i in (0..an).rev() {
+        for j in (0..bm).rev() {
+            dp[i * width + j] = if sig_a[i] == sig_b[j] {
+                dp[(i + 1) * width + j + 1] + 1
             } else {
-                j += 1;
-            }
+                dp[(i + 1) * width + j].max(dp[i * width + j + 1])
+            };
         }
     }
-    pairs.extend((0..suffix).map(|k| (n - suffix + k, m - suffix + k)));
+    let (mut i, mut j) = (0, 0);
+    while i < an && j < bm {
+        if sig_a[i] == sig_b[j] {
+            pairs.push((i, j));
+            i += 1;
+            j += 1;
+        } else if dp[(i + 1) * width + j] >= dp[i * width + j + 1] {
+            i += 1;
+        } else {
+            j += 1;
+        }
+    }
     pairs
 }
 
@@ -343,6 +355,37 @@ mod tests {
             assert_eq!(ops, diff(&long(40), &unshared));
             assert_eq!(ops.len(), count, "{ops:?}");
         }
+    }
+
+    /// Deleting the first of two same-named siblings: the head trim
+    /// pairs the survivor with the first old node by signature, so the
+    /// diff reads as a change at /0 and a deletion at /1. Trimming by
+    /// shared handles first would report a deletion at /0 instead.
+    #[test]
+    fn deleting_the_first_same_named_sibling_keeps_the_signature_alignment() {
+        let add_type = |text| {
+            Node::new("directive")
+                .with_attr("name", "AddType")
+                .with_text(text)
+        };
+        let baseline = ConfTree::new(
+            Node::new("config")
+                .with_child(add_type("a"))
+                .with_child(add_type("b")),
+        );
+        let mut edited = baseline.clone();
+        edited.delete(&TreePath::from(vec![0])).unwrap();
+        let ops: Vec<String> = diff(&baseline, &edited)
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(
+            ops,
+            [
+                "~ /0 directive(name=AddType)=\"a\" -> directive(name=AddType)=\"b\"",
+                "- /1 directive(name=AddType)=\"b\"",
+            ]
+        );
     }
 
     #[test]

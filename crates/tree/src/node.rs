@@ -1,7 +1,7 @@
 //! The [`Node`] type: one information item of a configuration tree.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -213,23 +213,34 @@ impl Node {
     }
 
     /// A compact single-line description used in diagnostics, e.g.
-    /// `directive(name=Listen)="80"`.
+    /// `directive(name=Listen)="80"`: the kind, the attributes in key
+    /// order in parentheses (none when there are no attributes), and
+    /// the first 40 characters of the text, `Debug`-quoted. Written
+    /// into one `String` sized for the unescaped description.
     pub fn describe(&self) -> String {
-        let mut s = self.data.kind.clone();
-        if !self.data.attrs.is_empty() {
-            let attrs: Vec<String> = self
-                .data
-                .attrs
-                .iter()
-                .map(|(k, v)| format!("{k}={v}"))
-                .collect();
-            s.push('(');
-            s.push_str(&attrs.join(","));
+        let data = &*self.data;
+        let text = data
+            .text
+            .as_deref()
+            .map(|t| &t[..t.char_indices().nth(40).map_or(t.len(), |(at, _)| at)]);
+        let attrs_len: usize = data.attrs.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
+        let mut s = String::with_capacity(
+            data.kind.len() + attrs_len + 1 + text.map_or(0, |t| t.len() + 3),
+        );
+        s.push_str(&data.kind);
+        let mut open = '(';
+        for (key, value) in &data.attrs {
+            s.push(open);
+            s.push_str(key);
+            s.push('=');
+            s.push_str(value);
+            open = ',';
+        }
+        if !data.attrs.is_empty() {
             s.push(')');
         }
-        if let Some(t) = &self.data.text {
-            let shown: String = t.chars().take(40).collect();
-            s.push_str(&format!("={shown:?}"));
+        if let Some(text) = text {
+            let _ = write!(s, "={text:?}");
         }
         s
     }
@@ -346,6 +357,45 @@ mod tests {
         assert_eq!(n.describe(), "directive(name=x)=\"y\"");
         assert_eq!(Node::new("blank").describe(), "blank");
         assert_eq!(format!("{n}"), n.describe());
+    }
+
+    /// Descriptions the diff output of the paper loads never shows:
+    /// no attributes, empty attribute values, and a 40-character cut
+    /// next to multibyte characters and escapes.
+    #[test]
+    fn describe_pins_its_corner_cases() {
+        let cases = [
+            (
+                Node::new("comment").with_text("# no attrs"),
+                "comment=\"# no attrs\"",
+            ),
+            (
+                Node::new("directive")
+                    .with_attr("name", "")
+                    .with_attr("arg", "")
+                    .with_text(""),
+                "directive(arg=,name=)=\"\"",
+            ),
+            (
+                Node::new("directive")
+                    .with_attr("name", "x")
+                    .with_text(format!("{}é🦀tail", "a".repeat(39))),
+                "directive(name=x)=\"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaé\"",
+            ),
+            (
+                Node::new("directive")
+                    .with_attr("name", "x")
+                    .with_text(format!("{}é🦀tail", "a".repeat(38))),
+                "directive(name=x)=\"aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaé🦀\"",
+            ),
+            (
+                Node::new("directive").with_text(format!("{}\"\\\n\t\u{1}\u{7f}é", "é".repeat(34))),
+                "directive=\"éééééééééééééééééééééééééééééééééé\\\"\\\\\\n\\t\\u{1}\\u{7f}\"",
+            ),
+        ];
+        for (node, pinned) in cases {
+            assert_eq!(node.describe(), pinned);
+        }
     }
 
     #[test]

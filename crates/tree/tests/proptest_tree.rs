@@ -39,6 +39,58 @@ fn arb_tree() -> impl Strategy<Value = ConfTree> {
     arb_node(3).prop_map(ConfTree::new)
 }
 
+/// One random edit: which of set text, rename, delete, insert and
+/// duplicate (`op % 5`), a node picked by `target`, and a short word
+/// (few letters, so renames and inserts often collide with sibling
+/// signatures).
+fn arb_edits() -> impl Strategy<Value = Vec<(u8, usize, String)>> {
+    prop::collection::vec((0u8..5, 0usize..64, "[a-c]{1,2}"), 1..4)
+}
+
+/// Applies `edits` copy-on-write to a clone of `tree`, skipping an
+/// edit that needs a non-root node when the tree has none.
+fn edited(tree: &ConfTree, edits: &[(u8, usize, String)]) -> ConfTree {
+    let mut t = tree.clone();
+    for (op, target, word) in edits {
+        let paths: Vec<TreePath> = t.iter().map(|(p, _)| p).collect();
+        let node = &paths[target % paths.len()];
+        if *op == 3 {
+            let len = t.node_at(node).unwrap().children().len();
+            let new = Node::new("directive").with_attr("name", word.as_str());
+            t.insert(node, target % (len + 1), new).unwrap();
+            continue;
+        }
+        if node.is_root() {
+            continue;
+        }
+        match op {
+            0 => {
+                t.set_text_at(node, Some(word.clone())).unwrap();
+            }
+            1 => {
+                t.set_attr_at(node, "name", word.as_str()).unwrap();
+            }
+            2 => {
+                t.delete(node).unwrap();
+            }
+            _ => {
+                t.duplicate(node).unwrap();
+            }
+        }
+    }
+    t
+}
+
+/// A deep copy sharing no node with `n`.
+fn rebuild(n: &Node) -> Node {
+    let mut copy = Node::new(n.kind());
+    for (k, v) in n.attrs() {
+        copy.set_attr(k, v);
+    }
+    copy.set_text(n.text().map(String::from));
+    copy.with_children(n.children().iter().map(rebuild))
+}
+
 proptest! {
     #[test]
     fn path_display_parse_round_trip(segments in prop::collection::vec(0usize..50, 0..6)) {
@@ -96,6 +148,18 @@ proptest! {
             t.delete(victim).unwrap();
             prop_assert!(!diff(&tree, &t).is_empty());
         }
+    }
+
+    /// The diff skips shared subtrees; deep, unshared rebuilds of both
+    /// trees make every aligned pair take the recursion path instead,
+    /// and must diff the same.
+    #[test]
+    fn diff_is_invariant_under_sharing(tree in arb_tree(), edits in arb_edits()) {
+        let new = edited(&tree, &edits);
+        let unshared_old = ConfTree::new(rebuild(tree.root()));
+        let unshared_new = ConfTree::new(rebuild(new.root()));
+        prop_assert!(!Node::ptr_eq(unshared_old.root(), tree.root()));
+        prop_assert_eq!(diff(&tree, &new), diff(&unshared_old, &unshared_new));
     }
 
     #[test]
